@@ -264,21 +264,26 @@ def verify_necessity(
     and the full norm of an interpolating extension.
 
     The variational functional is used when enumeration is feasible, the
-    sequence functional beyond the cap.  F must interpolate the data (checked
-    to 1e-9 relative).  Failure of the inequality on a valid pair indicates a
-    bug, not an unlucky input.
+    sequence functional beyond the cap.  At finite p a set of at most m points
+    is first padded to m+1 points by :func:`pad_small_set`, the set that
+    :func:`extend` interpolates, since the variational functional needs m+1
+    points.  F must interpolate the (padded) data, checked to 1e-9 relative.
+    Failure of the inequality on a valid pair indicates a bug, not an unlucky
+    input.
     """
+    work = pad_small_set(s, m) if p != math.inf and len(s) <= m else s
     scale = 1.0 + max(abs(v) for v in s.values)
-    residual = max(abs(F(x) - v) for x, v in zip(s.points, s.values))
+    residual = max(abs(F(x) - v) for x, v in zip(work.points, work.values))
     if residual > 1e-9 * scale:
+        data = "the samples" if work is s else f"the samples padded with zeros to {m + 1} points"
         raise InvalidInputError(
-            f"F does not interpolate the samples: residual {residual:.3e} exceeds "
+            f"F does not interpolate {data}: residual {residual:.3e} exceeds "
             f"{1e-9 * scale:.3e}"
         )
-    if len(s) <= 20:
-        report: FunctionalReport = variational_functional(s, m, p)
+    if len(work) <= 20:
+        report: FunctionalReport = variational_functional(work, m, p)
     else:
-        report = sequence_functional(s, m, p)
+        report = sequence_functional(work, m, p)
     norm: NormReport = sobolev_norm(F, m, p, quad_tol)
     factor = necessity_bound_factor(m, p)
     n_val = report.value

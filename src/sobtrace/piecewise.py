@@ -28,10 +28,11 @@ def shift_polynomial(coeffs, t0: float) -> np.ndarray:
 
 
 def polynomial_derivative(coeffs) -> np.ndarray:
+    """Derivative coefficients; a 2-D array is differentiated row by row."""
     c = np.asarray(coeffs, dtype=float)
-    if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c), dtype=float)
+    if c.shape[-1] <= 1:
+        return np.zeros(c.shape[:-1] + (1,))
+    return c[..., 1:] * np.arange(1, c.shape[-1], dtype=float)
 
 
 def polynomial_eval(coeffs, t):
@@ -43,6 +44,19 @@ def polynomial_eval(coeffs, t):
         out = out * arr + a
     if np.ndim(t) == 0:
         return float(out)
+    return out
+
+
+def polynomial_eval_rows(coeffs, t) -> np.ndarray:
+    """Row i of a coefficient matrix evaluated at ``t[i]``, a point or a row
+    of points; the same Horner recurrence as :func:`polynomial_eval`."""
+    C = np.asarray(coeffs, dtype=float)
+    arr = np.asarray(t, dtype=float)
+    cols = C.T.reshape(C.shape[::-1] + (1,) * (arr.ndim - 1))
+    out = np.array(np.broadcast_to(cols[-1], np.broadcast_shapes(cols.shape[1:], arr.shape)))
+    for a in cols[-2::-1]:
+        out *= arr
+        out += a
     return out
 
 
@@ -73,6 +87,8 @@ class PiecewisePolynomial:
     __slots__ = ("breakpoints", "coefficients", "left_tail", "right_tail")
 
     def __init__(self, breakpoints, coefficients, left_tail=None, right_tail=None):
+        """``coefficients`` is a sequence of rows of any lengths, or a 2-D
+        array with one row per piece."""
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 2:
             raise InvalidInputError("need at least two breakpoints")
@@ -80,19 +96,23 @@ class PiecewisePolynomial:
             raise InvalidInputError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0):
             raise InvalidInputError("breakpoints must be strictly increasing")
-        pieces = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
-        if len(pieces) != len(bp) - 1:
+        if isinstance(coefficients, np.ndarray) and coefficients.ndim == 2:
+            coef = np.array(coefficients, dtype=float)
+        else:
+            pieces = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
+            piece_width = max((len(c) for c in pieces), default=1)
+            coef = np.zeros((len(pieces), piece_width))
+            for row, c in zip(coef, pieces):
+                row[: len(c)] = c
+        if len(coef) != len(bp) - 1:
             raise InvalidInputError(
-                f"{len(bp)} breakpoints require {len(bp) - 1} pieces, got {len(pieces)}"
+                f"{len(bp)} breakpoints require {len(bp) - 1} pieces, got {len(coef)}"
             )
         lt = np.atleast_1d(np.asarray(left_tail, dtype=float)) if left_tail is not None else np.zeros(1)
         rt = np.atleast_1d(np.asarray(right_tail, dtype=float)) if right_tail is not None else np.zeros(1)
-        width = max(
-            max(len(c) for c in pieces),
-            len(lt),
-            len(rt),
-        )
-        coef = np.vstack([_pad(c, width) for c in pieces])
+        width = max(coef.shape[1], len(lt), len(rt))
+        if coef.shape[1] < width:
+            coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])
         if not np.all(np.isfinite(coef)):
             raise InvalidInputError("non-finite piece coefficients")
         self.breakpoints = bp
@@ -120,17 +140,15 @@ class PiecewisePolynomial:
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.breakpoints, arr, side="right") - 1
-        out = np.empty_like(arr)
-        for j in np.unique(idx):
-            mask = idx == j
-            if j < 0:
-                c, origin = self.left_tail, self.breakpoints[0]
-            elif j >= self.n_pieces:
-                c, origin = self.right_tail, self.breakpoints[-1]
-            else:
-                c, origin = self.coefficients[j], self.breakpoints[j]
-            out[mask] = polynomial_eval(c, arr[mask] - origin)
+        flat = arr.ravel()
+        bp = self.breakpoints
+        idx = np.searchsorted(bp, flat, side="right") - 1
+        j = np.clip(idx, 0, self.n_pieces - 1)
+        rows, origin = self.coefficients[j], bp[j]
+        left, right = idx < 0, idx >= self.n_pieces
+        rows[left], origin[left] = self.left_tail, bp[0]
+        rows[right], origin[right] = self.right_tail, bp[-1]
+        out = polynomial_eval_rows(rows, flat - origin).reshape(arr.shape)
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -142,7 +160,7 @@ class PiecewisePolynomial:
         """Piecewise derivative; breakpoints are preserved."""
         return PiecewisePolynomial(
             self.breakpoints,
-            [polynomial_derivative(c) for c in self.coefficients],
+            polynomial_derivative(self.coefficients),
             polynomial_derivative(self.left_tail),
             polynomial_derivative(self.right_tail),
         )
@@ -193,7 +211,7 @@ class PiecewisePolynomial:
         a = float(alpha)
         return PiecewisePolynomial(
             self.breakpoints,
-            [a * c for c in self.coefficients],
+            a * self.coefficients,
             a * self.left_tail,
             a * self.right_tail,
         )

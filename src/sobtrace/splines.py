@@ -1,11 +1,25 @@
 """L^p norms of piecewise polynomials and minimal-energy interpolating splines.
 
-Quadrature policy: |q|^p with an even integer p is a polynomial, so a single
-Gauss-Legendre rule of sufficient order is exact per piece.  Odd integer p is
-handled exactly as well by splitting each piece at the real roots of q (the
-sign is then constant per subinterval).  Fractional p falls back to adaptive
-Gauss panels after the same root splitting.  p = inf is an exact per-piece
-critical-point scan.
+Quadrature policy.  ``lp_norm`` skips identically zero pieces and treats the
+others in batches of coefficient rows, each piece in its scaled coordinate
+s = t/h on [0, 1]:
+
+* even integer p: |q|^p is a polynomial, so one Gauss-Legendre rule of
+  sufficient order is exact; one Horner pass evaluates every piece at once;
+* odd integer p: the same exact rule on the subintervals between the real
+  roots of q, where the sign of q is constant;
+* fractional p: on the same subintervals |q|^p behaves like |s - r|^(p k) at
+  an end where q has a k-fold zero.  k is 1 at an interior root; at a piece
+  end it is read from the scaled Taylor coefficients there (hermite pieces
+  next to lattice knots carry m-fold zeros).  Gauss-Jacobi rules put these
+  factors into the weight (Golub & Welsch 1969) and leave a smooth
+  integrand.  A subinterval keeps its 32-node value when the 16-node value
+  differs from it by at most the subinterval's share (by length) of
+  quad_tol times the piece's integral, the larger of its two estimates.
+  Otherwise adaptive Gauss-Legendre panels integrate that subinterval
+  alone; the adaptive recursion raises NumericalFailureError when it
+  reaches depth 48 rather than return an unconverged value;
+* p = inf: the largest |q| over the piece ends and the real critical points.
 """
 
 from __future__ import annotations
@@ -19,16 +33,64 @@ from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError
-from .piecewise import PiecewisePolynomial, polynomial_derivative, polynomial_eval
+from .piecewise import (
+    PiecewisePolynomial,
+    polynomial_derivative,
+    polynomial_eval,
+    polynomial_eval_rows,
+)
 from .samples import SampledFunction
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_JACOBI_CACHE: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+#: Pieces per batch; bounds the (pieces x nodes) temporaries of lp_norm.
+_CHUNK = 2048
+#: Orders of the two Gauss-Jacobi rules compared for fractional p.
+_LOW_ORDER, _HIGH_ORDER = 16, 32
+#: A scaled Taylor coefficient at a piece end counts as zero below this
+#: fraction of the piece's largest scaled coefficient.
+_ZERO_TAYLOR = 1e-12
+#: Adaptive quadrature raises instead of splitting a panel this deep.
+_MAX_DEPTH = 48
 
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GAUSS_CACHE:
         _GAUSS_CACHE[n] = leggauss(n)
     return _GAUSS_CACHE[n]
+
+
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x)^a (1 + x)^b on [-1, 1], with a, b >= 0.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch 1969).
+    Each weight is 1 / sum_k p_k(x)^2 over the orthonormal polynomials
+    p_0..p_{n-1}, which keeps the small weights next to a heavy endpoint
+    accurate to full relative precision.
+    """
+    key = (n, a, b)
+    if key not in _JACOBI_CACHE:
+        k = np.arange(1, n, dtype=float)
+        s = 2.0 * k + a + b
+        diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+        off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        log_mu0 = (
+            (a + b + 1.0) * math.log(2.0)
+            + math.lgamma(a + 1.0)
+            + math.lgamma(b + 1.0)
+            - math.lgamma(a + b + 2.0)
+        )
+        prev, cur = np.zeros(n), np.full(n, math.exp(-0.5 * log_mu0))
+        total = cur * cur
+        for j in range(n - 1):
+            back = off[j - 1] * prev if j else 0.0
+            prev, cur = cur, ((x - diag[j]) * cur - back) / off[j]
+            total += cur * cur
+        _JACOBI_CACHE[key] = (x, 1.0 / total)
+    return _JACOBI_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -52,33 +114,6 @@ def _trimmed(c) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def _real_roots_inside(coeffs, lo: float, hi: float) -> list[float]:
-    c = _trimmed(coeffs)
-    if len(c) <= 1:
-        return []
-    r = np.roots(c[::-1])
-    out = []
-    for z in r:
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)) and lo < z.real < hi:
-            out.append(float(z.real))
-    out.sort()
-    merged: list[float] = []
-    for x in out:
-        if not merged or x - merged[-1] > 1e-13 * (hi - lo):
-            merged.append(x)
-    return merged
-
-
-def _gl_power_integral(coeffs, a: float, b: float, p: int) -> float:
-    """Exact integral of q(t)^p over [a, b] for integer p >= 1."""
-    deg = max(len(_trimmed(coeffs)) - 1, 0)
-    n = max(1, math.ceil((deg * p + 1) / 2))
-    nodes, weights = _gauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = polynomial_eval(coeffs, mid + half * nodes)
-    return half * float(np.dot(weights, vals**p))
-
-
 def _gl_abs_pow(coeffs, a: float, b: float, p: float, n: int = 16) -> float:
     nodes, weights = _gauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -95,41 +130,149 @@ def _adaptive_abs_pow(coeffs, a: float, b: float, p: float, atol: float, depth: 
     whole = _gl_abs_pow(coeffs, a, b, p)
     mid = 0.5 * (a + b)
     split = _gl_abs_pow(coeffs, a, mid, p) + _gl_abs_pow(coeffs, mid, b, p)
-    if abs(split - whole) <= atol or depth >= 48:
+    if abs(split - whole) <= atol:
         return split
+    if depth >= _MAX_DEPTH:
+        raise NumericalFailureError(
+            f"adaptive quadrature of |q|^{p} did not reach the tolerance {atol:.3e} "
+            f"by depth {_MAX_DEPTH} (panel [{a!r}, {b!r}])"
+        )
     return _adaptive_abs_pow(coeffs, a, mid, p, atol / 2, depth + 1) + _adaptive_abs_pow(
         coeffs, mid, b, p, atol / 2, depth + 1
     )
 
 
-def _piece_abs_pow_integral(coeffs, h: float, p: float, quad_tol: float) -> float:
-    c = _trimmed(coeffs)
-    if len(c) == 0:
-        return 0.0
-    if p == int(p):
-        q = int(p)
-        if q % 2 == 0:
-            return _gl_power_integral(c, 0.0, h, q)
-        cuts = [0.0] + _real_roots_inside(c, 0.0, h) + [h]
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            total += abs(_gl_power_integral(c, a, b, q))
-        return total
-    cuts = [0.0] + _real_roots_inside(c, 0.0, h) + [h]
-    rough = sum(_gl_abs_pow(c, a, b, p) for a, b in zip(cuts, cuts[1:]))
-    atol = quad_tol * (abs(rough) + 1e-300)
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        total += _adaptive_abs_pow(c, a, b, p, atol)
-    return total
+def _degrees(C: np.ndarray, rtol: float = 0.0) -> np.ndarray:
+    """Degree of each coefficient row, ignoring top coefficients of modulus at
+    most ``rtol`` times the row's largest (0 for an all-zero row)."""
+    big = np.abs(C) > rtol * np.max(np.abs(C), axis=1, keepdims=True)
+    return np.where(big.any(axis=1), C.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
 
 
-def _piece_sup(coeffs, h: float) -> float:
-    c = _trimmed(coeffs)
-    if len(c) == 0:
-        return 0.0
-    candidates = [0.0, h] + _real_roots_inside(polynomial_derivative(c), 0.0, h)
-    return max(abs(polynomial_eval(c, t)) for t in candidates)
+def _real_roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of the polynomial rows of P, as flat arrays (row, root).
+
+    One batched companion-matrix eigenvalue solve per degree, as
+    ``numpy.roots`` does per polynomial; a root within 1e-9 relative of the
+    real axis counts as real.  Top coefficients below ``_ZERO_TAYLOR`` of the
+    row's largest are dropped: the roots they add lie beyond 1e12 (on the
+    unit scale of the rows) and would overflow the companion matrix.
+    """
+    rows, roots = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    if P.shape[1] < 2:
+        return rows[0], roots[0]
+    deg = _degrees(P, _ZERO_TAYLOR)
+    for d in np.unique(deg[deg > 0]):
+        sel = np.flatnonzero(deg == d)
+        comp = np.zeros((len(sel), d, d))
+        comp[:, 0, :] = -P[sel, d - 1 :: -1] / P[sel, d, None]
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        z = np.linalg.eigvals(comp)
+        r, c = np.nonzero(np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real)))
+        rows.append(sel[r])
+        roots.append(z.real[r, c])
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def _root_split(C: np.ndarray):
+    """Cut the unit interval of each (non-zero) row of C at the real roots of
+    its polynomial.
+
+    Returns flat arrays over the subintervals: the row, the ends a < b, and
+    the multiplicity of the zero of the polynomial at each end.  A piece end
+    takes the number of its leading scaled Taylor coefficients below
+    ``_ZERO_TAYLOR`` of the row's largest; those zeros are divided out before
+    the interior roots are sought, so that a multiple zero at an end does not
+    scatter into spurious roots beside it.
+    """
+    K, w = C.shape
+    binom = np.array([[math.comb(i, j) for j in range(w)] for i in range(w)], dtype=float)
+    tiny = _ZERO_TAYLOR * np.max(np.abs(C), axis=1, keepdims=True)
+    k0 = np.argmax(np.abs(C) > tiny, axis=1)
+    # Taylor coefficients at s = 1, in u = s - 1
+    k1 = np.minimum(np.argmax(np.abs(C @ binom) > tiny, axis=1), _degrees(C) - k0)
+    cut_rows, cuts = [np.arange(K), np.arange(K)], [np.zeros(K), np.ones(K)]
+    group = k0 * w + k1
+    for key in np.unique(group):
+        sel = np.flatnonzero(group == key)
+        lo, hi = divmod(int(key), w)
+        P = C[sel, lo:]
+        if hi:
+            r, z = _real_roots((P @ binom[: w - lo, : w - lo])[:, hi:])
+            z = z + 1.0
+        else:
+            r, z = _real_roots(P)
+        inside = (z > 0.0) & (z < 1.0)
+        cut_rows.append(sel[r[inside]])
+        cuts.append(z[inside])
+    row, cut = np.concatenate(cut_rows), np.concatenate(cuts)
+    order = np.lexsort((cut, row))
+    row, cut = row[order], cut[order]
+    same = row[1:] == row[:-1]
+    row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
+    left = np.where(a == 0.0, k0[row], 1)
+    right = np.where(b == 1.0, k1[row], 1)
+    return row, a, b, left, right
+
+
+def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integral of q_i(s)^p over [a_i, b_i] for each row i of C."""
+    n = max(1, math.ceil(((C.shape[1] - 1) * p + 1) / 2))
+    nodes, weights = _gauss(n)
+    half = 0.5 * (b - a)
+    s = (a + half)[:, None] + half[:, None] * nodes
+    return half * (polynomial_eval_rows(C, s) ** p @ weights)
+
+
+def _odd_integrals(C: np.ndarray, p: int) -> np.ndarray:
+    """Integral of |q_i|^p over [0, 1] for each row i of C, odd p."""
+    row, a, b, _, _ = _root_split(C)
+    return np.bincount(row, np.abs(_power_integrals(C[row], p, a, b)), minlength=len(C))
+
+
+def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarray:
+    """Integral of |q_i|^p over [0, 1] for each row i of C, fractional p,
+    to within quad_tol relative (see the module docstring)."""
+    row, a, b, left, right = _root_split(C)
+    half = 0.5 * (b - a)
+    low, high = np.empty(len(row)), np.empty(len(row))
+    group = left * C.shape[1] + right
+    for key in np.unique(group):
+        sel = np.flatnonzero(group == key)
+        alpha, beta = p * left[sel[0]], p * right[sel[0]]
+        rows = C[row[sel]]
+        for n, out in ((_LOW_ORDER, low), (_HIGH_ORDER, high)):
+            x, w = _gauss_jacobi(n, beta, alpha)
+            w = w / ((1.0 - x) ** beta * (1.0 + x) ** alpha)
+            s = a[sel, None] + half[sel, None] * (1.0 + x)
+            out[sel] = half[sel] * (np.abs(polynomial_eval_rows(rows, s)) ** p @ w)
+    rough = np.bincount(row, np.maximum(low, high), minlength=len(C))
+    converged = np.abs(high - low) <= 2.0 * half * quad_tol * rough[row]
+    for i in np.flatnonzero(~converged):
+        atol = quad_tol * (rough[row[i]] + 1e-300)
+        high[i] = _adaptive_abs_pow(_trimmed(C[row[i]]), a[i], b[i], p, atol)
+    return np.bincount(row, high, minlength=len(C))
+
+
+def _unit_sup(C: np.ndarray) -> np.ndarray:
+    """max |q_i| over [0, 1] for each row i of C: the ends and the real
+    critical points inside."""
+    best = np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
+    row, z = _real_roots(polynomial_derivative(C))
+    inside = (z > 0.0) & (z < 1.0)
+    row, z = row[inside], z[inside]
+    np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z)))
+    return best
+
+
+def _scaled_nonzero_pieces(F: PiecewisePolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero pieces of F as coefficient rows in s = t/h, without
+    all-zero top columns, and their widths h."""
+    keep = np.flatnonzero(np.any(F.coefficients != 0.0, axis=1))
+    C = F.coefficients[keep]
+    h = np.diff(F.breakpoints)[keep]
+    width = int(_degrees(C).max(initial=0)) + 1
+    return C[:, :width] * h[:, None] ** np.arange(width), h
 
 
 def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
@@ -137,15 +280,17 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
 
     For finite p the tails must vanish identically (a nonzero polynomial tail
     is not integrable); for p = inf a constant tail contributes its modulus
-    and a non-constant one makes the supremum infinite.
+    and a non-constant one makes the supremum infinite.  Fractional p is
+    computed to within quad_tol relative; see the module docstring for the
+    quadrature policy.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:
         raise InvalidInputError(f"p must be in [1, inf], got {p}")
-    widths = np.diff(F.breakpoints)
+    C, h = _scaled_nonzero_pieces(F)
     if p == math.inf:
         best = 0.0
-        for c, h in zip(F.coefficients, widths):
-            best = max(best, _piece_sup(c, float(h)))
+        for lo in range(0, len(C), _CHUNK):
+            best = max(best, float(_unit_sup(C[lo : lo + _CHUNK]).max()))
         for tail in (F.left_tail, F.right_tail):
             t = _trimmed(tail)
             if len(t) > 1:
@@ -158,9 +303,17 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
             "finite-p norm requires identically zero tails; differentiate away "
             "polynomial tails first or restrict to a compactly supported function"
         )
+    q = int(p)
     total = 0.0
-    for c, h in zip(F.coefficients, widths):
-        total += _piece_abs_pow_integral(c, float(h), p, quad_tol)
+    for lo in range(0, len(C), _CHUNK):
+        rows = C[lo : lo + _CHUNK]
+        if p != q:
+            integrals = _fractional_integrals(rows, p, quad_tol)
+        elif q % 2:
+            integrals = _odd_integrals(rows, q)
+        else:
+            integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
+        total += float(h[lo : lo + _CHUNK] @ integrals)
     return total ** (1.0 / p)
 
 
@@ -256,7 +409,7 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     right_tail = np.array(
         [_poly_deriv_at(coef[-1], h_last, ell) / math.factorial(ell) for ell in range(m)]
     )
-    F = PiecewisePolynomial(pts, list(coef), left_tail, right_tail)
+    F = PiecewisePolynomial(pts, coef, left_tail, right_tail)
     deriv = F
     for _ in range(m):
         deriv = deriv.differentiate()
@@ -289,12 +442,16 @@ def anchored_min_energy_spline(
         raise InvalidInputError("m must be a positive integer")
     pts = [float(x) for x in points]
     vals = [float(v) for v in values]
-    if not edge_left < pts[0] + 1e-12 or not edge_right > pts[-1] - 1e-12:
+    # relative slack: the outermost lattice point may land exactly on an edge,
+    # and far from the origin an absolute slack falls below half an ulp
+    slack_left = 1e-9 * (1.0 + abs(edge_left))
+    slack_right = 1e-9 * (1.0 + abs(edge_right))
+    if not edge_left < pts[0] + slack_left or not edge_right > pts[-1] - slack_right:
         raise InvalidInputError("edges must bracket the data")
     interior: list[tuple[float, float]] = []
     for x, v in zip(pts, vals):
-        near_left = abs(x - edge_left) <= 1e-9 * (1.0 + abs(edge_left))
-        near_right = abs(x - edge_right) <= 1e-9 * (1.0 + abs(edge_right))
+        near_left = abs(x - edge_left) <= slack_left
+        near_right = abs(x - edge_right) <= slack_right
         if near_left or near_right:
             if v != 0.0:
                 raise InvalidInputError("a knot on the window edge must carry the value 0")
@@ -306,7 +463,7 @@ def anchored_min_energy_spline(
     scaled = (knots - knots[0]) / g
     coef = _anchored_system(scaled, yvals, m)
     coef = coef / g ** np.arange(2 * m)
-    return PiecewisePolynomial(knots, list(coef))
+    return PiecewisePolynomial(knots, coef)
 
 
 def _anchored_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:

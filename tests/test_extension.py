@@ -6,6 +6,7 @@ import pytest
 from sobtrace import (
     ExtensionConfig,
     InvalidInputError,
+    PiecewisePolynomial,
     SampledFunction,
     build_gap_lattice,
     extend,
@@ -228,6 +229,47 @@ def test_verify_necessity_rejects_non_interpolant():
     F = extend(other, ExtensionConfig(m=1))
     with pytest.raises(InvalidInputError):
         verify_necessity(s, F, 1, 2.0)
+
+
+@pytest.mark.parametrize("backend", ["hermite", "natural2"])
+def test_verify_necessity_small_set_is_padded(backend):
+    # two points at m = 2: the variational functional needs three, so the
+    # check runs on the zero-padded set that extend interpolates
+    s = SampledFunction((0.0, 1.0), (1.0, 2.0))
+    F = extend(s, ExtensionConfig(m=2, backend=backend))
+    rep = verify_necessity(s, F, 2, 2.0)
+    assert rep.passed
+    assert rep.functional_kind == "variational"
+    assert 0 < rep.ratio <= rep.bound_factor
+
+
+def test_verify_necessity_small_set_rejects_missing_padding_zero():
+    # 1 + x interpolates (0, 1), (1, 2) but not the padded zero at x = 3
+    s = SampledFunction((0.0, 1.0), (1.0, 2.0))
+    F = PiecewisePolynomial([0.0, 5.0], [[1.0, 1.0]])
+    with pytest.raises(InvalidInputError, match="padded"):
+        verify_necessity(s, F, 2, 2.0)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        tuple(x + shift for x in (0.0, 0.5, 3.0))
+        for shift in (2e4, 1e5, -1e5, 1e6)
+    ]
+    + [(-50000.5, -50000.0, 50000.0, 50000.5)],
+    ids=["shift2e4", "shift1e5", "shift-1e5", "shift1e6", "gap1e5"],
+)
+def test_natural2_far_from_origin(points):
+    # at even m the outermost lattice point lands exactly on the window edge;
+    # far from the origin that must not read as an edge inside the data
+    s = SampledFunction(points, tuple(1.0 + 0.5 * k for k in range(len(points))))
+    cfg = ExtensionConfig(m=2, backend="natural2")
+    F = extend(s, cfg)
+    scale = 1 + max(abs(v) for v in s.values)
+    assert max(abs(F(x) - v) for x, v in zip(s.points, s.values)) <= 1e-9 * scale
+    assert F(s.points[0] - cfg.window_pad - 1.0) == 0.0
+    assert F(s.points[-1] + cfg.window_pad + 1.0) == 0.0
 
 
 def test_necessity_bound_factor_values():

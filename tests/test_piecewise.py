@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobtrace import InvalidInputError, PiecewisePolynomial
-from sobtrace.piecewise import polynomial_eval, shift_polynomial
+from sobtrace.piecewise import polynomial_derivative, polynomial_eval, shift_polynomial
 
 
 def square_piece():
@@ -26,6 +26,54 @@ def test_vector_evaluation_matches_scalar():
     xs = np.linspace(-1.0, 4.0, 37)
     vec = F(xs)
     assert vec == pytest.approx([F(float(x)) for x in xs])
+
+
+def random_piecewise(rng):
+    bp = np.cumsum(rng.uniform(0.2, 1.5, 9)) - 3.0
+    return PiecewisePolynomial(
+        bp, rng.standard_normal((8, 5)), rng.standard_normal(3), rng.standard_normal(4)
+    )
+
+
+def per_piece_value(F, x):
+    """Reference: pick the active polynomial by comparison, then polyval."""
+    bp = F.breakpoints
+    if x < bp[0]:
+        return np.polynomial.polynomial.polyval(x - bp[0], F.left_tail)
+    if x >= bp[-1]:
+        return np.polynomial.polynomial.polyval(x - bp[-1], F.right_tail)
+    j = max(k for k in range(F.n_pieces) if bp[k] <= x)
+    return np.polynomial.polynomial.polyval(x - bp[j], F.coefficients[j])
+
+
+def test_vector_evaluation_matches_per_piece_polyval(rng):
+    F = random_piecewise(rng)
+    bp = F.breakpoints
+    xs = np.concatenate([rng.uniform(bp[0] - 3.0, bp[-1] + 3.0, 300), bp, [-50.0, 50.0]])
+    got = F(xs)
+    assert got == pytest.approx([per_piece_value(F, x) for x in xs], rel=1e-13, abs=1e-13)
+    # a point exactly on a breakpoint belongs to the piece (or tail) to its right
+    assert np.array_equal(F(bp[:-1]), F.coefficients[:, 0])
+    assert F(bp[-1]) == F.right_tail[0]
+    assert np.array_equal(F(xs[:300].reshape(3, 100)), got[:300].reshape(3, 100))
+
+
+def test_two_d_coefficients_match_rows(rng):
+    F = random_piecewise(rng)
+    rows = F.coefficients.copy()
+    G = PiecewisePolynomial(F.breakpoints, [list(r) for r in rows], F.left_tail, F.right_tail)
+    H = PiecewisePolynomial(F.breakpoints, rows, F.left_tail, F.right_tail)
+    rows[0, 0] = 99.0  # the constructor copies
+    for other in (G, H):
+        assert np.array_equal(other.coefficients, F.coefficients)
+    # a 2-D array narrower than a tail is padded with zero columns
+    W = PiecewisePolynomial([0.0, 1.0, 2.0], np.ones((2, 1)), [0.0, 0.0, 1.0])
+    assert np.array_equal(W.coefficients, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    dF = F.differentiate()
+    for j in range(F.n_pieces):
+        assert np.array_equal(dF.coefficients[j], polynomial_derivative(F.coefficients[j]))
+    constant = PiecewisePolynomial([0.0, 1.0], [[3.0]]).differentiate()
+    assert np.array_equal(constant.coefficients, [[0.0]])
 
 
 def test_differentiate_twice_linear_piece():

@@ -1,11 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
+from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from sobtrace import (
     InvalidInputError,
     NonintegrableError,
+    NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
     anchored_min_energy_spline,
@@ -15,6 +22,7 @@ from sobtrace import (
     natural_spline_min_energy,
     sobolev_norm,
 )
+from sobtrace.splines import _gauss_jacobi
 from conftest import make_samples, polynomial_samples
 
 INF = math.inf
@@ -101,6 +109,118 @@ def test_lp_triangle_inequality_and_scaling(rng):
             nf, ng, nfg = lp_norm(F, p), lp_norm(G, p), lp_norm(F + G, p)
             assert nfg <= nf + ng + 1e-9 * (nf + ng)
             assert lp_norm(-2.5 * F, p) == pytest.approx(2.5 * nf, rel=1e-9)
+
+
+def test_adaptive_depth_cap_raises():
+    # (t - 0.3)^2 + 1e-6: no real root to split at, so the Gauss-Jacobi
+    # values differ and a zero tolerance sends the adaptive fallback to its
+    # depth cap, which must be reported rather than absorbed
+    F = PiecewisePolynomial([0.0, 1.0], [[0.09 + 1e-6, -0.6, 1.0]])
+    with pytest.raises(NumericalFailureError):
+        lp_norm(F, 1.5, quad_tol=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("a", [0.0, 0.55, 1.5, 3.3, 6.0])
+@pytest.mark.parametrize("b", [0.0, 1.1, 4.5, 6.0])
+def test_gauss_jacobi_matches_scipy(n, a, b):
+    x, w = _gauss_jacobi(n, a, b)
+    ref_x, ref_w = roots_jacobi(n, a, b)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 2e-12
+
+
+@st.composite
+def norm_test_pieces(draw):
+    """One piece on [0, h] of degree <= 7 with the features that make |q|^p
+    hard to integrate: multiple zeros at either end, near-double roots and
+    roots just outside the piece."""
+    h = draw(st.floats(0.1, 3.0))
+    roots = [0.0] * draw(st.integers(0, 3)) + [h] * draw(st.integers(0, 2))
+    r = h * draw(st.floats(0.05, 0.9))
+    delta = h * 10.0 ** draw(st.integers(-6, -2))
+    feature = draw(
+        st.sampled_from(["none", "interior", "near_double", "outside_left", "outside_right"])
+    )
+    roots += {
+        "none": [],
+        "interior": [r],
+        "near_double": [r, r + delta],
+        "outside_left": [-delta],
+        "outside_right": [h + delta],
+    }[feature]
+    free = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8 - len(roots)))
+    if free[-1] == 0.0:
+        free[-1] = 1.0
+    return h, P.polymul(P.polyfromroots(roots), free)
+
+
+def real_roots_inside(c, h):
+    """Real roots of c in (0, h), leaving out those within 1e-9 h of an end.
+    Coefficients below 1e-14 of the largest are dropped first: a tiny
+    leading one would only add a root far outside and overflow polyroots."""
+    c = np.asarray(c, dtype=float)
+    c = np.trim_zeros(np.where(np.abs(c) < 1e-14 * np.abs(c).max(), 0.0, c), "b")
+    if len(c) <= 1:
+        return []
+    margin = 1e-9 * h
+    return sorted(
+        z.real for z in P.polyroots(c) if abs(z.imag) <= 1e-7 and margin < z.real < h - margin
+    )
+
+
+@given(norm_test_pieces(), st.sampled_from([1.1, 1.5, 2.5]))
+@settings(max_examples=150, deadline=None)
+def test_fractional_lp_norm_matches_scipy_quad(piece, p):
+    h, c = piece
+    F = PiecewisePolynomial([0.0, h, h + 1.0, 2 * h + 1.0], [c, [0.0], c[::-1]])
+    ref = 0.0
+    for coeffs in (c, c[::-1]):
+        ref += quad(
+            lambda t: abs(P.polyval(t, coeffs)) ** p,
+            0.0,
+            h,
+            points=real_roots_inside(coeffs, h) or None,
+            limit=500,
+            epsabs=0.0,
+            epsrel=1e-13,
+        )[0]
+    got = lp_norm(F, p, quad_tol=1e-10) ** p
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+def test_fractional_lp_norm_sharply_peaked():
+    # a triple zero at 0 and p = 60.5: the 16-node rule underestimates the
+    # integral 27000-fold, so the fallback's tolerance must follow the
+    # larger estimate or the adaptive path cannot meet it
+    c = [0.0, 0.0, 0.0, -745.48453346, 1375.47196811, -630.85264773]
+    F = PiecewisePolynomial([0.0, 1.0], [c])
+    ref = quad(
+        lambda t: abs(P.polyval(t, c)) ** 60.5,
+        0.0,
+        1.0,
+        points=[0.59],
+        limit=500,
+        epsabs=0.0,
+        epsrel=1e-12,
+    )[0]
+    assert lp_norm(F, 60.5) ** 60.5 == pytest.approx(ref, rel=1e-9)
+
+
+@given(norm_test_pieces(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=150, deadline=None)
+def test_integer_lp_norm_matches_exact_integrals(piece, p):
+    # q^p integrated in exact rational arithmetic: in floating point the
+    # antiderivative of q^p loses more than 1e-12 to cancellation
+    h, c = piece
+    F = PiecewisePolynomial([0.0, h], [c])
+    power = P.polyint(P.polypow(np.array([Fraction(v) for v in c], dtype=object), p))
+    cuts = [0.0, h] if p % 2 == 0 else [0.0, *real_roots_inside(c, h), h]
+    exact = sum(
+        abs(P.polyval(Fraction(b), power) - P.polyval(Fraction(a), power))
+        for a, b in zip(cuts, cuts[1:])
+    )
+    assert lp_norm(F, float(p)) ** p == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_sobolev_norm_of_x():
