@@ -39,7 +39,7 @@ from .extension import (
     zero_extend,
 )
 from .functionals import (
-    ENUMERATION_CAP,
+    VARIATIONAL_BUDGET,
     FunctionalReport,
     effective_order,
     homogeneous_sequence_functional,
@@ -47,11 +47,12 @@ from .functionals import (
     pad_small_set,
     sequence_functional,
     small_set_functional,
+    variational_feasible,
     variational_functional,
 )
 from .piecewise import PiecewisePolynomial
 from .samples import SampledFunction, extended_gap
-from .sharp import GridSpec, MaximalProfile, sharp_profile, sharp_value, wmf_functional
+from .sharp import ENUMERATION_CAP, GridSpec, MaximalProfile, sharp_profile, sharp_value, wmf_functional
 from .splines import (
     NormReport,
     anchored_min_energy_spline,
@@ -81,6 +82,7 @@ __all__ = [
     "SizeCapError",
     "SobtraceError",
     "UnsupportedError",
+    "VARIATIONAL_BUDGET",
     "anchored_min_energy_spline",
     "build_gap_lattice",
     "build_table",
@@ -105,6 +107,7 @@ __all__ = [
     "small_set_functional",
     "sobolev_norm",
     "support_pad",
+    "variational_feasible",
     "variational_functional",
     "verify_necessity",
     "wmf_functional",

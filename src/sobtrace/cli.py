@@ -34,10 +34,11 @@ from .functionals import (
     homogeneous_variational_functional,
     sequence_functional,
     small_set_functional,
+    variational_feasible,
     variational_functional,
 )
 from .samples import SampledFunction
-from .sharp import GridSpec, grid_edges, profile_values, wmf_functional
+from .sharp import ENUMERATION_CAP, GridSpec, grid_edges, profile_values, wmf_functional
 from .splines import sobolev_norm
 
 EXIT_OK = 0
@@ -194,13 +195,14 @@ def cmd_check(job: JobSpec) -> int:
     small_route = len(s) <= m
     if small_route:
         record("small_set", small_set_functional(s, m, p))
-    if len(s) <= 20 and (p == math.inf or len(s) >= m + 1):
+    feasible = variational_feasible(len(s), m)
+    if feasible and (p == math.inf or len(s) >= m + 1):
         record("variational", variational_functional(s, m, p))
     if len(s) >= m + 1:
         record("homogeneous_sequence", homogeneous_sequence_functional(s, m, p))
-        if len(s) <= 20:
+        if feasible:
             record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
-    if p != math.inf and len(s) <= 20:
+    if p != math.inf and len(s) <= ENUMERATION_CAP:
         record("sharp_maximal", wmf_functional(s, m, p, GridSpec(job.grid_h)))
     report = {
         "command": "check",

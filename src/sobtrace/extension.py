@@ -27,9 +27,9 @@ import numpy as np
 from .divdiff import divided_difference_rows
 from .errors import InvalidInputError
 from .functionals import (
-    FunctionalReport,
     pad_small_set,
     sequence_functional,
+    variational_feasible,
     variational_functional,
 )
 from .piecewise import PiecewisePolynomial
@@ -263,8 +263,9 @@ def verify_necessity(
     """Check the proven inequality between the trace functional of the data
     and the full norm of an interpolating extension.
 
-    The variational functional is used when enumeration is feasible, the
-    sequence functional beyond the cap.  At finite p a set of at most m points
+    The variational functional is used while the set is within its window
+    budget (:func:`variational_feasible`), the sequence functional beyond
+    it.  At finite p a set of at most m points
     is first padded to m+1 points by :func:`pad_small_set`, the set that
     :func:`extend` interpolates, since the variational functional needs m+1
     points.  F must interpolate the (padded) data, checked to 1e-9 relative.
@@ -280,10 +281,8 @@ def verify_necessity(
             f"F does not interpolate {data}: residual {residual:.3e} exceeds "
             f"{1e-9 * scale:.3e}"
         )
-    if len(work) <= 20:
-        report: FunctionalReport = variational_functional(work, m, p)
-    else:
-        report = sequence_functional(work, m, p)
+    functional = variational_functional if variational_feasible(len(work), m) else sequence_functional
+    report = functional(work, m, p)
     norm: NormReport = sobolev_norm(F, m, p, quad_tol)
     factor = necessity_bound_factor(m, p)
     n_val = report.value

@@ -2,10 +2,10 @@
 
 Two families are computed.  Sequence forms run over consecutive windows of
 the data; variational forms take the exact supremum over all strictly
-increasing subsequences by exhaustive enumeration (exponential in the number
-of points, hence hard-capped).  Homogeneous variants keep only the top-order
-term with the plain gap weight.  p = inf is a distinct code path, never a
-large-p approximation.
+increasing subsequences, as a longest path whose states are the last m
+chosen indices, within the cost rule :func:`variational_feasible`.
+Homogeneous variants keep only the top-order term with the plain gap weight.
+p = inf is a distinct code path, never a large-p approximation.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .divdiff import divided_difference_rows
 from .errors import HypothesisViolationError, InvalidInputError, SizeCapError
 from .samples import SampledFunction
 
-#: Exhaustive subsequence enumeration walks 2^n subsets; refuse beyond this.
-ENUMERATION_CAP = 20
+#: Most divided differences the variational forms compute, one per index subset
+#: of at most m+1 points; a set at the budget takes about 1 s and up to 40 MB.
+VARIATIONAL_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,22 @@ def sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalRepor
     return FunctionalReport(m, p, total ** (1.0 / p), "sequence", M)
 
 
-def _enumeration_guard(s: SampledFunction, m: int, p: float, need_m_plus_1: bool) -> None:
-    if len(s) > ENUMERATION_CAP:
+def variational_feasible(n_points: int, m: int) -> bool:
+    """Whether the variational forms accept ``n_points`` points at order m:
+    whether the divided differences they compute, one per index subset of
+    1..min(m+1, n_points) points, number at most :data:`VARIATIONAL_BUDGET`."""
+    counts = itertools.accumulate(math.comb(n_points, j) for j in range(1, min(m + 1, n_points) + 1))
+    return all(count <= VARIATIONAL_BUDGET for count in counts)
+
+
+def _variational_guard(s: SampledFunction, m: int, p: float) -> None:
+    if not variational_feasible(len(s), m):
         raise SizeCapError(
-            f"exhaustive enumeration is capped at {ENUMERATION_CAP} points, got {len(s)}; "
-            "use the sequence functional, which is equivalent up to a constant "
-            "depending only on m"
+            f"{len(s)} points at m = {m} need more than {VARIATIONAL_BUDGET} divided "
+            "differences, one per index subset of at most m+1 points; use the sequence "
+            "functional, which is equivalent up to a constant depending only on m"
         )
-    if need_m_plus_1 and p != math.inf and len(s) < m + 1:
+    if p != math.inf and len(s) < m + 1:
         raise HypothesisViolationError(
             f"the variational functional for finite p needs at least m+1 = {m + 1} "
             f"points, got {len(s)}; route small sets through the max-of-differences "
@@ -110,19 +119,41 @@ def _enumeration_guard(s: SampledFunction, m: int, p: float, need_m_plus_1: bool
         )
 
 
-def _window_powers(points, values, p: float, orders) -> list[dict]:
-    """|D^k f[S]|^p for every (k+1)-point subset S, for each k in ``orders``."""
-    n1 = len(points)
-    out = []
-    for k in orders:
-        table: dict[tuple[int, ...], float] = {}
-        for combo in itertools.combinations(range(n1), k + 1):
-            xs = [points[j] for j in combo]
-            ys = [values[j] for j in combo]
-            top = divided_difference_rows(xs, ys, k)[k][0]
-            table[combo] = abs_pow(top, p)
-        out.append(table)
-    return out
+def subset_differences(points, values, k: int):
+    """(table, top): ``table`` maps each index subset S of at most k points to
+    D f[S]; ``top`` yields (W, D^k f[W]) for each (k+1)-point index tuple W in
+    lexicographic order, unstored.  Both follow the recurrence of
+    :func:`divided_difference_rows`, so they are bit-identical to it."""
+    table: dict[tuple[int, ...], float] = {}
+
+    def order(j):
+        for w in itertools.combinations(range(len(points)), j + 1):
+            if j == 0:
+                yield w, values[w[0]]
+            else:
+                yield w, (table[w[1:]] - table[w[:-1]]) / (points[w[-1]] - points[w[0]])
+
+    for j in range(k):
+        table.update(order(j))
+    return table, order(k)
+
+
+def _best_subsequence(s: SampledFunction, m: int, terms, tail) -> SampledFunction:
+    """The increasing subsequence of at least m+1 samples maximising the sum of
+    ``terms`` over its windows of m+1 consecutive elements plus ``tail`` of its
+    last m indices.  ``terms`` yields (W, term) for each (m+1)-point index
+    window W in lexicographic order, so windows into a state precede those out."""
+    best: dict[tuple[int, ...], float] = {}
+    back: dict[tuple[int, ...], int] = {}
+    for w, term in terms:
+        value = best.get(w[:-1], 0.0) + term
+        if value > best.get(w[1:], -1.0):
+            best[w[1:]] = value
+            back[w[1:]] = w[0]
+    path = list(max(best, key=lambda state: best[state] + tail(state)))
+    while (state := tuple(path[:m])) in back:
+        path.insert(0, back[state])
+    return SampledFunction(tuple(s.points[j] for j in path), tuple(s.values[j] for j in path))
 
 
 def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
@@ -131,38 +162,27 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
     Finite p: every subsequence of length >= m+1 competes with the same
     weighted double sum as the sequence functional, weights and the +inf
     convention applied within the subsequence.  p = inf: supremum of |D^k f|
-    over all (k+1)-point subsets for k = 0..m.  Complexity is exponential in
-    the number of points (capped).
+    over all (k+1)-point subsets for k = 0..m.
+
+    Finite p is a longest path over windows of m+1 consecutive subsequence
+    elements, each worth min(1, gap) sum_k |D^k f|^p on its first k+1 points,
+    plus weight-1 terms on the last m; the best subsequence's value is its
+    sequence functional.  Sets failing :func:`variational_feasible` raise :class:`SizeCapError`.
     """
     _check_mp(m, p)
-    _enumeration_guard(s, m, p, need_m_plus_1=True)
+    _variational_guard(s, m, p)
     pts, vals = s.points, s.values
-    n1 = len(pts)
     M = effective_order(s, m)
+    table, top = subset_differences(pts, vals, M)
     if p == math.inf:
-        best = 0.0
-        for k in range(M + 1):
-            for combo in itertools.combinations(range(n1), k + 1):
-                xs = [pts[j] for j in combo]
-                ys = [vals[j] for j in combo]
-                best = max(best, abs(divided_difference_rows(xs, ys, k)[k][0]))
-        return FunctionalReport(m, p, best, "variational", M)
-    powers = _window_powers(pts, vals, p, range(m + 1))
-    best = 0.0
-    for size in range(m + 1, n1 + 1):
-        for sub in itertools.combinations(range(n1), size):
-            nsub = size - 1
-            total = 0.0
-            for k in range(m + 1):
-                table = powers[k]
-                for i in range(nsub - k + 1):
-                    if i + m > nsub:
-                        w = 1.0
-                    else:
-                        w = min(1.0, pts[sub[i + m]] - pts[sub[i]])
-                    total += w * table[sub[i : i + k + 1]]
-            best = max(best, total)
-    return FunctionalReport(m, p, best ** (1.0 / p), "variational", M)
+        value = max(map(abs, itertools.chain(table.values(), (d for _, d in top))))
+        return FunctionalReport(m, p, value, "variational", M)
+    prefix: dict[tuple[int, ...], float] = {}  # sum of |D^k f|^p on the first k+1 points of S
+    for S, d in table.items():
+        prefix[S] = prefix.get(S[:-1], 0.0) + abs_pow(d, p)
+    terms = ((w, min(1.0, pts[w[-1]] - pts[w[0]]) * (prefix[w[:-1]] + abs_pow(d, p))) for w, d in top)
+    sub = _best_subsequence(s, m, terms, lambda state: sum(prefix[state[a:]] for a in range(m)))
+    return FunctionalReport(m, p, sequence_functional(sub, m, p).value, "variational", M)
 
 
 def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
@@ -188,32 +208,21 @@ def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> Fun
 
 def homogeneous_variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
     """Supremum of the top-order weighted sum over increasing subsequences
-    (finite p), or of |D^m f| over all (m+1)-point subsets (p = inf)."""
+    (finite p, a longest path with window terms gap |D^m f|^p and no tail), or
+    of |D^m f| over all (m+1)-point subsets (p = inf)."""
     _check_mp(m, p)
     if len(s) < m + 1:
         raise HypothesisViolationError(
             f"need at least m+1 = {m + 1} points, got {len(s)}"
         )
-    _enumeration_guard(s, m, p, need_m_plus_1=True)
-    pts, vals = s.points, s.values
-    n1 = len(pts)
+    _variational_guard(s, m, p)
+    pts = s.points
+    _, top = subset_differences(pts, s.values, m)
     if p == math.inf:
-        best = 0.0
-        for combo in itertools.combinations(range(n1), m + 1):
-            xs = [pts[j] for j in combo]
-            ys = [vals[j] for j in combo]
-            best = max(best, abs(divided_difference_rows(xs, ys, m)[m][0]))
-        return FunctionalReport(m, p, best, "homogeneous_variational", m)
-    (powers,) = _window_powers(pts, vals, p, [m])
-    best = 0.0
-    for size in range(m + 1, n1 + 1):
-        for sub in itertools.combinations(range(n1), size):
-            nsub = size - 1
-            total = 0.0
-            for i in range(nsub - m + 1):
-                total += (pts[sub[i + m]] - pts[sub[i]]) * powers[sub[i : i + m + 1]]
-            best = max(best, total)
-    return FunctionalReport(m, p, best ** (1.0 / p), "homogeneous_variational", m)
+        return FunctionalReport(m, p, max(abs(d) for _, d in top), "homogeneous_variational", m)
+    terms = ((w, (pts[w[-1]] - pts[w[0]]) * abs_pow(d, p)) for w, d in top)
+    value = homogeneous_sequence_functional(_best_subsequence(s, m, terms, lambda _: 0.0), m, p).value
+    return FunctionalReport(m, p, value, "homogeneous_variational", m)
 
 
 def small_set_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:

@@ -153,9 +153,6 @@ class PiecewisePolynomial:
             return float(out[0])
         return out
 
-    def evaluate(self, x):
-        return self(x)
-
     def differentiate(self) -> "PiecewisePolynomial":
         """Piecewise derivative; breakpoints are preserved."""
         return PiecewisePolynomial(

@@ -18,8 +18,11 @@ import numpy as np
 
 from .divdiff import divided_difference_rows
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
-from .functionals import ENUMERATION_CAP, FunctionalReport, effective_order
+from .functionals import FunctionalReport, effective_order, subset_differences
 from .samples import SampledFunction
+
+#: Sharp values enumerate every subset at each grid node; larger sets are refused.
+ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,8 @@ def sharp_value(s: SampledFunction, m: int, k: int, x: float) -> float:
 
 
 def _subset_arrays(s: SampledFunction, k: int):
-    pts, vals = s.points, s.values
-    combos = list(itertools.combinations(range(len(pts)), k + 1))
-    coords = np.array([[pts[j] for j in c] for c in combos])
-    dds = np.array(
-        [
-            divided_difference_rows([pts[j] for j in c], [vals[j] for j in c], k)[k][0]
-            for c in combos
-        ]
-    )
-    return coords, np.abs(dds)
+    combos, dds = zip(*subset_differences(s.points, s.values, k)[1])
+    return np.array([[s.points[j] for j in c] for c in combos]), np.abs(dds)
 
 
 def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from scipy.sparse.linalg import spsolve
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError
 from .piecewise import (
     PiecewisePolynomial,
+    _derivative_value,
     polynomial_derivative,
     polynomial_eval,
     polynomial_eval_rows,
@@ -407,7 +408,7 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     left_tail = coef[0][:m]
     h_last = float(pts[-1] - pts[-2])
     right_tail = np.array(
-        [_poly_deriv_at(coef[-1], h_last, ell) / math.factorial(ell) for ell in range(m)]
+        [_derivative_value(coef[-1], h_last, ell) / math.factorial(ell) for ell in range(m)]
     )
     F = PiecewisePolynomial(pts, coef, left_tail, right_tail)
     deriv = F
@@ -415,13 +416,6 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
         deriv = deriv.differentiate()
     energy = lp_norm(deriv, 2.0) ** 2
     return F, energy
-
-
-def _poly_deriv_at(coeffs, t: float, order: int) -> float:
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(order):
-        c = polynomial_derivative(c)
-    return float(polynomial_eval(c, t))
 
 
 def anchored_min_energy_spline(

@@ -182,17 +182,30 @@ def test_bad_p_rejected(tmp_path):
 
 
 def test_check_beyond_enumeration_cap(tmp_path):
-    # 25 points: the exhaustive functionals are skipped, not fatal
+    # 25 points: past the sharp-maximal subset enumeration cap, which is
+    # skipped, but within the variational budget at m = 2
     pts = [0.5 * i for i in range(25)]
     vals = [float((-1) ** i) for i in range(25)]
     inp = write_json_input(tmp_path / "big.json", pts, vals)
     out = tmp_path / "report.json"
     assert main(["--command", "check", "--input", inp, "--m", "2", "--p", "2", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert "sequence" in report["functionals"]
-    assert "homogeneous_sequence" in report["functionals"]
-    for skipped in ("variational", "homogeneous_variational", "sharp_maximal"):
-        assert skipped not in report["functionals"]
+    got = set(json.loads(out.read_text())["functionals"])
+    assert got == {"sequence", "homogeneous_sequence", "variational", "homogeneous_variational"}
+    # 52 points at m = 3: the subsets of at most 4 points exceed the budget; the variational
+    # forms are skipped, not fatal
+    pts = [0.5 * i for i in range(52)]
+    vals = [float((-1) ** i) for i in range(52)]
+    inp = write_json_input(tmp_path / "bigger.json", pts, vals)
+    assert main(["--command", "check", "--input", inp, "--m", "3", "--p", "2", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
+    # 30 points at m = 29, or at m = 40 with p = inf: one window, or none,
+    # but nearly all 2^30 subsets in the table, so the variational forms are skipped
+    pts, vals = pts[:30], vals[:30]
+    inp = write_json_input(tmp_path / "high_m.json", pts, vals)
+    assert main(["--command", "check", "--input", inp, "--m", "29", "--p", "2", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
+    assert main(["--command", "check", "--input", inp, "--m", "40", "--p", "inf", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set"}
 
 
 def test_extend_csv_out_path_keeps_both_files(tmp_path):

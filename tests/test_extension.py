@@ -278,11 +278,14 @@ def test_necessity_bound_factor_values():
 
 
 def test_verify_necessity_beyond_cap_uses_sequence_form(rng):
-    # 22 points: exhaustive enumeration is off the table; the consecutive
-    # window functional takes over
+    # 22 points are within the variational budget at m = 1
     s = make_samples(rng, 22, span=30.0)
-    F = extend(s, ExtensionConfig(m=1))
-    rep = verify_necessity(s, F, 1, 2.0)
+    rep = verify_necessity(s, extend(s, ExtensionConfig(m=1)), 1, 2.0)
+    assert rep.passed
+    assert rep.functional_kind == "variational"
+    # 52 points at m = 3 are past it: the consecutive window functional takes over
+    s = make_samples(rng, 52, span=60.0)
+    rep = verify_necessity(s, extend(s, ExtensionConfig(m=3)), 3, 2.0)
     assert rep.passed
     assert rep.functional_kind == "sequence"
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -11,11 +12,13 @@ from sobtrace import (
     InvalidInputError,
     SampledFunction,
     SizeCapError,
+    VARIATIONAL_BUDGET,
     homogeneous_sequence_functional,
     homogeneous_variational_functional,
     pad_small_set,
     sequence_functional,
     small_set_functional,
+    variational_feasible,
     variational_functional,
 )
 from sobtrace.divdiff import divided_difference_rows
@@ -102,6 +105,45 @@ def oracle_variational_sup(s, m):
     return best
 
 
+def oracle_homogeneous_variational(s, m, p):
+    """Sum of (gap) |D^m f|^p over the windows of every subsequence of at
+    least m+1 points, windows left to right; the largest sum."""
+    pts, vals = s.points, s.values
+    best = 0.0
+    for size in range(m + 1, len(pts) + 1):
+        for sub in itertools.combinations(range(len(pts)), size):
+            total = 0.0
+            for i in range(size - m):
+                window = sub[i : i + m + 1]
+                gap = pts[window[-1]] - pts[window[0]]
+                total += gap * abs_pow(_fresh_dd(pts, vals, window), p)
+            best = max(best, total)
+    return best ** (1.0 / p)
+
+
+def oracle_homogeneous_variational_sup(s, m):
+    pts, vals = s.points, s.values
+    return max(
+        abs(_fresh_dd(pts, vals, sub))
+        for sub in itertools.combinations(range(len(pts)), m + 1)
+    )
+
+
+@st.composite
+def dp_cases(draw):
+    """(samples, m, p) with m+1 to 10 points.  Values are 0 or at least 1e-3
+    in size, so that |value|^p neither underflows nor turns subnormal."""
+    m = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(m + 1, 10))
+    start = draw(st.floats(-20, 20))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    pts = list(itertools.accumulate(gaps, initial=start))
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 10), st.floats(-10, -1e-3))
+    vals = draw(st.lists(value, min_size=n, max_size=n))
+    p = draw(st.sampled_from((1.1, 1.5, 2.0, 3.0, INF)))
+    return SampledFunction(tuple(pts), tuple(vals)), m, p
+
+
 # ---------------------------------------------------------------- sequence
 
 
@@ -177,9 +219,28 @@ def test_variational_hypothesis_violation(rng):
 
 
 def test_variational_size_cap(rng):
-    s = make_samples(rng, 21, span=40.0)
+    # the budget bounds the divided differences computed, one per index
+    # subset of at most m+1 points: the subset table and the windows together
+    assert VARIATIONAL_BUDGET == 250_000
+    assert variational_feasible(706, 1) and not variational_feasible(707, 1)
+    assert variational_feasible(49, 3) and not variational_feasible(50, 3)
+    # at m near or past n the table holds almost all 2^n subsets
+    assert variational_feasible(17, 16) and not variational_feasible(18, 17)
+    assert not variational_feasible(30, 29) and not variational_feasible(30, 40)
+    s = make_samples(rng, 50, span=80.0)
+    for func in (variational_functional, homogeneous_variational_functional):
+        for p in (2.0, INF):
+            with pytest.raises(SizeCapError):
+                func(s, 3, p)
+    s = make_samples(rng, 30, span=40.0)
+    for func in (variational_functional, homogeneous_variational_functional):
+        with pytest.raises(SizeCapError):
+            func(s, 29, 2.0)
     with pytest.raises(SizeCapError):
-        variational_functional(s, 1, 2.0)
+        variational_functional(s, 40, INF)
+    # the 20-point limit of exhaustive enumeration is gone
+    t = make_samples(rng, 25, span=40.0)
+    assert variational_functional(t, 2, 2.0).value >= sequence_functional(t, 2, 2.0).value
 
 
 @pytest.mark.parametrize("m,p", [(1, 2.0), (2, 2.0), (2, 1.5), (3, 3.0)])
@@ -196,6 +257,30 @@ def test_variational_sup_matches_recursive_oracle(rng):
             size = int(rng.integers(1, 9))
             s = make_samples(rng, size, span=5.0)
             assert variational_functional(s, m, INF).value == oracle_variational_sup(s, m)
+
+
+@given(dp_cases())
+@settings(max_examples=60, deadline=None)
+def test_longest_path_matches_oracles(case):
+    s, m, p = case
+    var = variational_functional(s, m, p).value
+    hom = homogeneous_variational_functional(s, m, p).value
+    if p == INF:
+        assert var == oracle_variational_sup(s, m)
+        assert hom == oracle_homogeneous_variational_sup(s, m)
+    else:
+        assert var == pytest.approx(oracle_variational(s, m, p), rel=1e-12, abs=0.0)
+        assert hom == pytest.approx(oracle_homogeneous_variational(s, m, p), rel=1e-12, abs=0.0)
+
+
+@given(dp_cases(), st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
+@settings(max_examples=60, deadline=None)
+def test_variational_value_scaling(case, c):
+    s, m, p = case
+    scaled = s.scaled_values(c)
+    for func in (variational_functional, homogeneous_variational_functional):
+        base = func(s, m, p).value
+        assert func(scaled, m, p).value == pytest.approx(abs(c) * base, rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------- homogeneous

@@ -12,7 +12,7 @@ def square_piece():
 def test_evaluate_single_piece():
     F = square_piece()
     assert F(0.5) == 0.25
-    assert F.evaluate(0.25) == 0.0625
+    assert F(0.25) == 0.0625
 
 
 def test_zero_tails_outside():
