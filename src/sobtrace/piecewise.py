@@ -60,6 +60,14 @@ def polynomial_eval_rows(coeffs, t) -> np.ndarray:
     return out
 
 
+def scalar_powers(h, width: int) -> np.ndarray:
+    """Table of h_i**k for k < width, each through Python's float power,
+    evaluated once per distinct h_i.  numpy's vectorised power can differ
+    from it in the last ulp, which would move solutions built on it."""
+    base, which = np.unique(np.asarray(h, dtype=float), return_inverse=True)
+    return np.array([[x**k for k in range(width)] for x in base.tolist()]).reshape(-1, width)[which]
+
+
 def _derivative_value(coeffs, t: float, order: int) -> float:
     c = np.asarray(coeffs, dtype=float)
     for _ in range(order):

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse import lil_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
+from .divdiff import lagrange_polynomial
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError
 from .piecewise import (
     PiecewisePolynomial,
@@ -39,6 +40,7 @@ from .piecewise import (
     polynomial_derivative,
     polynomial_eval,
     polynomial_eval_rows,
+    scalar_powers,
 )
 from .samples import SampledFunction
 
@@ -54,6 +56,8 @@ _LOW_ORDER, _HIGH_ORDER = 16, 32
 _ZERO_TAYLOR = 1e-12
 #: Adaptive quadrature raises instead of splitting a panel this deep.
 _MAX_DEPTH = 48
+#: Spline solves with a larger relative backward error raise.
+_MAX_BACKWARD_ERROR = 1e-10
 
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,54 +338,87 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
 
 # --------------------------------------------------------------------------
 # minimal-energy interpolating splines
+#
+# Both splines below come from one builder, _spline_system: the unknowns are
+# the 2m monomial coefficients of each piece, and every row is a value, a
+# derivative or a join condition at a knot.  The rows are made as arrays and
+# assembled into one sparse matrix in a single pass, so the cost is linear in
+# the number of knots plus one sparse solve.
 
 
-def _perm(d: int, ell: int) -> float:
-    return float(math.perm(d, ell))
+def _rows(end, ell, start, value, rhs) -> np.ndarray:
+    """A block of spline-system rows, its five fields broadcast to one shape.
+    A row asks that derivative ``ell`` at the right end of piece ``end``,
+    plus ``value`` times coefficient ``ell`` of piece ``start``, equal
+    ``rhs``; a piece of -1 leaves that part out."""
+    return np.stack(np.broadcast_arrays(end, ell, start, value, rhs)).astype(float)
 
 
-def _solve_sparse(A: lil_matrix, b: np.ndarray, n_pieces: int, width: int) -> np.ndarray:
-    sol = spsolve(A.tocsc(), b)
+def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
+    """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant on
+    knots ``t``: degree 2m-1 pieces with C^{2m-2} joins.
+
+    The two systems share their value and join rows and differ in their
+    boundary rows.  The natural system interpolates y at every knot and makes
+    the derivatives of orders m..2m-2 vanish at both extreme knots; the
+    anchored one interpolates y at the interior knots and clamps zero m-jets
+    at the extreme knots.  The rows are assembled as arrays into one COO
+    matrix and solved once.  A solution that is not finite, or whose
+    backward error |Ax - b| / (|A| |x| + |b|) in the infinity norm exceeds
+    1e-10, raises NumericalFailureError.
+    """
+    n, w = len(t) - 1, 2 * m
+    h = np.diff(t)
+    fact = np.array([math.factorial(k) for k in range(w)], dtype=float)
+    knot = np.arange(1, n)[:, None]  # interior knot between pieces knot-1 and knot
+    joined = np.arange(1, w - 1)
+    joins = _rows(knot - 1, joined, knot, -fact[joined], 0.0)
+    # the row order decides the solver's choice among equal pivots, so each
+    # system keeps its own: anchored edges first, then knot by knot; natural
+    # values piece by piece, then the joins, then the end conditions
+    if anchored:
+        edge, at_knot = np.arange(m), y[:, None]
+        from_left, from_right = _rows(knot - 1, 0, -1, 0.0, at_knot), _rows(-1, 0, knot, 1.0, at_knot)
+        blocks = [
+            _rows(-1, edge, 0, fact[edge], 0.0),
+            _rows(n - 1, edge, -1, 0.0, 0.0),
+            np.concatenate([from_left, from_right, joins], axis=2),
+        ]
+    else:
+        piece, top = np.arange(n)[:, None], np.arange(m, w - 1)
+        first, last = _rows(-1, 0, piece, 1.0, y[:-1, None]), _rows(piece, 0, -1, 0.0, y[1:, None])
+        blocks = [
+            np.concatenate([first, last], axis=2),
+            joins,
+            _rows(-1, top, 0, 1.0, 0.0),
+            _rows(n - 1, top, -1, 0.0, 0.0),
+        ]
+    end, ell, start, value, b = np.concatenate([blk.reshape(5, -1) for blk in blocks], axis=1)
+    end, ell, start = end.astype(int), ell.astype(int), start.astype(int)
+    # right-end part: perm(d, ell) h^(d-ell) on coefficient d >= ell
+    ends, d = np.flatnonzero(end >= 0), np.arange(w)
+    k = np.maximum(d - ell[ends, None], 0)
+    keep = d >= ell[ends, None]
+    entries = fact[d] / fact[k] * scalar_powers(h, w)[end[ends, None], k]
+    if not anchored:  # the natural value rows take numpy's vectorised power, as the
+        # entry-by-entry assembly in tests/oracles.py does, so results stay bit-identical
+        value_rows = ell[ends] == 0
+        entries[value_rows] = h[end[ends[value_rows]], None] ** d
+    starts = np.flatnonzero(start >= 0)
+    rows = np.concatenate([np.broadcast_to(ends[:, None], keep.shape)[keep], starts])
+    cols = np.concatenate([(end[ends, None] * w + d)[keep], start[starts] * w + ell[starts]])
+    entries = np.concatenate([entries[keep], value[starts]])
+    A = coo_matrix((entries, (rows, cols)), shape=(n * w, n * w)).tocsc()
+    sol = np.asarray(spsolve(A, b), dtype=float)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError("spline system is singular or badly scaled")
-    return np.asarray(sol, dtype=float).reshape(n_pieces, width)
-
-
-def _natural_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant on
-    knots ``t``: degree 2m-1 pieces, C^{2m-2} joins, vanishing derivatives of
-    orders m..2m-2 at both extreme knots."""
-    n = len(t) - 1
-    w = 2 * m
-    size = w * n
-    A = lil_matrix((size, size))
-    b = np.zeros(size)
-    h = np.diff(t)
-    row = 0
-    for j in range(n):
-        A[row, j * w] = 1.0
-        b[row] = y[j]
-        row += 1
-        powers = h[j] ** np.arange(w)
-        for d in range(w):
-            A[row, j * w + d] = powers[d]
-        b[row] = y[j + 1]
-        row += 1
-    for j in range(n - 1):
-        for ell in range(1, 2 * m - 1):
-            for d in range(ell, w):
-                A[row, j * w + d] = _perm(d, ell) * h[j] ** (d - ell)
-            A[row, (j + 1) * w + ell] = -_perm(ell, ell)
-            row += 1
-    for ell in range(m, 2 * m - 1):
-        A[row, ell] = 1.0
-        row += 1
-    for ell in range(m, 2 * m - 1):
-        for d in range(ell, w):
-            A[row, (n - 1) * w + d] = _perm(d, ell) * h[n - 1] ** (d - ell)
-        row += 1
-    assert row == size
-    return _solve_sparse(A, b, n, w)
+    scale = abs(A).sum(axis=1).max() * np.abs(sol).max() + np.abs(b).max()
+    backward = np.abs(A @ sol - b).max() / scale if scale > 0 else 0.0
+    if backward > _MAX_BACKWARD_ERROR:
+        raise NumericalFailureError(
+            f"spline solve has backward error {backward:.3e} > {_MAX_BACKWARD_ERROR:g}"
+        )
+    return sol.reshape(n, w)
 
 
 def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePolynomial, float]:
@@ -391,19 +428,18 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     polynomial tails of degree <= m-1 (the energy density vanishes outside the
     data).  With fewer than m+1 samples the minimum is 0, attained by the
     interpolating polynomial itself; that degenerate case is returned as such.
-    Knots are pre-scaled to unit mean gap before the banded solve.
+    Knots are pre-scaled to unit mean gap before the one sparse solve, which
+    raises NumericalFailureError on a backward error above 1e-10.
     """
     if m < 1:
         raise InvalidInputError("m must be a positive integer")
     if len(s) <= m:
-        from .divdiff import lagrange_polynomial  # deferred: avoids an import cycle
-
         return lagrange_polynomial(s), 0.0
     pts = np.asarray(s.points)
     vals = np.asarray(s.values)
     g = float(pts[-1] - pts[0]) / (len(pts) - 1)
     scaled = (pts - pts[0]) / g
-    coef = _natural_system(scaled, vals, m)
+    coef = _spline_system(scaled, vals, m, anchored=False)
     coef = coef / g ** np.arange(2 * m)
     left_tail = coef[0][:m]
     h_last = float(pts[-1] - pts[-2])
@@ -426,8 +462,9 @@ def anchored_min_energy_spline(
     The result vanishes identically outside [edge_left, edge_right]: the edge
     knots carry m zero conditions each (value and derivatives up to m-1),
     realized as interpolation rows rather than a constrained optimization, so
-    a single sparse solve produces the spline.  Interior joins are C^{2m-2};
-    the edge joins are C^{m-1} against the zero tails.
+    the single sparse solve of :func:`natural_spline_min_energy`'s builder
+    produces the spline.  Interior joins are C^{2m-2}; the edge joins are
+    C^{m-1} against the zero tails.
 
     An interior knot that coincides with an edge must carry the value 0 and is
     absorbed into the edge conditions.
@@ -455,38 +492,6 @@ def anchored_min_energy_spline(
     yvals = np.array([v for _, v in interior])
     g = float(knots[-1] - knots[0]) / (len(knots) - 1)
     scaled = (knots - knots[0]) / g
-    coef = _anchored_system(scaled, yvals, m)
+    coef = _spline_system(scaled, yvals, m, anchored=True)
     coef = coef / g ** np.arange(2 * m)
     return PiecewisePolynomial(knots, coef)
-
-
-def _anchored_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    n = len(t) - 1  # pieces; interior knots carry the data
-    w = 2 * m
-    size = w * n
-    A = lil_matrix((size, size))
-    b = np.zeros(size)
-    h = np.diff(t)
-    row = 0
-    for ell in range(m):  # zero jet at the left edge
-        A[row, ell] = _perm(ell, ell)
-        row += 1
-    for ell in range(m):  # zero jet at the right edge
-        for d in range(ell, w):
-            A[row, (n - 1) * w + d] = _perm(d, ell) * h[n - 1] ** (d - ell)
-        row += 1
-    for q in range(1, n):  # data knot between piece q-1 and piece q
-        for d in range(w):
-            A[row, (q - 1) * w + d] = h[q - 1] ** d
-        b[row] = y[q - 1]
-        row += 1
-        A[row, q * w] = 1.0
-        b[row] = y[q - 1]
-        row += 1
-        for ell in range(1, 2 * m - 1):
-            for d in range(ell, w):
-                A[row, (q - 1) * w + d] = _perm(d, ell) * h[q - 1] ** (d - ell)
-            A[row, q * w + ell] = -_perm(ell, ell)
-            row += 1
-    assert row == size
-    return _solve_sparse(A, b, n, w)

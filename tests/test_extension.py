@@ -1,20 +1,32 @@
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sobtrace import (
     ExtensionConfig,
     InvalidInputError,
+    NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
     build_gap_lattice,
     extend,
+    extension,
+    natural_spline_min_energy,
     necessity_bound_factor,
+    pad_small_set,
+    splines,
     support_pad,
     verify_necessity,
     zero_extend,
 )
+from sobtrace.corpus import random_sampled_function
+from sobtrace.samples import MIN_GAP
 from conftest import make_samples
 
 
@@ -124,6 +136,13 @@ def test_extension_contract_random(rng, backend):
         pad_geom = 2.0 * (m - size) if size <= m else 0.0  # padding continues right
         for x in (lo - 1.0, hi + pad_geom + 1.0, lo - 50.0, hi + pad_geom + 50.0):
             assert F(x) == 0.0
+        # a padded set ends 2(m + 1 - size) past the data, and so does its
+        # window; the probes above can fall inside it, these two cannot
+        if size <= m:
+            outside = hi + 2.0 * (m + 1 - size)
+            assert F.breakpoints[-1] <= outside
+            for x in (outside + 1.0, outside + 50.0):
+                assert F(x) == 0.0
 
 
 def bounded_gap_poly_samples(rng, m, size, max_gap=4.0):
@@ -297,3 +316,76 @@ def test_necessity_random(rng, p):
         s = make_samples(rng, m + int(rng.integers(1, 5)), span=9.0)
         F = extend(s, ExtensionConfig(m=m, backend=backend))
         assert verify_necessity(s, F, m, p).passed
+
+
+@st.composite
+def oracle_sets(draw):
+    """Sets of 2-40 points: equally spaced (ties in every jet window), with
+    gaps wider than 4 (lattice points), or in clusters near MIN_GAP."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["equal", "wide", "clustered"]))
+    start = float(draw(st.integers(-50, 50)))
+    if kind == "equal":
+        pts = start + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) * np.arange(n)
+    else:
+        sizes = [0.3, 1.0, 4.5, 7.0, 12.0] if kind == "wide" else [4 * MIN_GAP, 1e-9, 1e-6, 1.0, 6.0]
+        gaps = draw(st.lists(st.sampled_from(sizes), min_size=n - 1, max_size=n - 1))
+        pts = np.cumsum([start, *gaps])
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return SampledFunction(tuple(pts), tuple(values)), m
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NumericalFailureError:
+        return "NumericalFailureError"
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_sets())
+def test_extensions_match_oracles(case):
+    s, m = case
+    work = pad_small_set(s, m) if len(s) <= m else s  # the set extend works on
+    for t, lo in zip(work.points, extension._nearest_windows(work.points, m)):
+        assert list(range(lo, lo + m)) == oracles.nearest_indices(work.points, t, m)
+    hermite = ExtensionConfig(m=m, backend="hermite")
+    natural2 = ExtensionConfig(m=m, backend="natural2")
+    got = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(natural_spline_min_energy, s, m)]
+    with mock.patch.object(extension, "_hermite_extend", oracles.hermite_extend), mock.patch.object(
+        splines, "_spline_system", oracles.spline_system
+    ):
+        ref = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(natural_spline_min_energy, s, m)]
+    assert np.array_equal(got[0].breakpoints, ref[0].breakpoints)
+    c, c_ref = got[0].coefficients, ref[0].coefficients
+    assert np.abs(c - c_ref).max() <= 1e-13 * (1.0 + np.abs(c_ref).max())
+    if isinstance(ref[1], str) or isinstance(got[1], str):
+        assert got[1] == ref[1]
+    else:
+        assert np.array_equal(got[1].breakpoints, ref[1].breakpoints)
+        assert np.array_equal(got[1].coefficients, ref[1].coefficients)
+    if isinstance(ref[2], str) or isinstance(got[2], str):
+        assert got[2] == ref[2]
+    else:
+        (F, energy), (F_ref, energy_ref) = got[2], ref[2]
+        for a, b in zip(
+            (F.coefficients, F.left_tail, F.right_tail, energy),
+            (F_ref.coefficients, F_ref.left_tail, F_ref.right_tail, energy_ref),
+        ):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", ["hermite", "natural2"])
+def test_extension_scales_linearly(backend, monkeypatch):
+    # 20,000 points at m = 3; min_gap 1e-6 keeps the rejection sampling of
+    # random_sampled_function short at this density
+    s = random_sampled_function(np.random.default_rng(5), 20000, 20000.0, min_gap=1e-6)
+    calls = []
+    rows = extension.divided_difference_rows
+    monkeypatch.setattr(extension, "divided_difference_rows", lambda *a: calls.append(1) or rows(*a))
+    start = time.perf_counter()
+    F = extend(s, ExtensionConfig(m=3, backend=backend))
+    assert time.perf_counter() - start < 5.0
+    assert len(calls) == (len(s) if backend == "hermite" else 0)
+    assert F.n_pieces >= len(s)

@@ -10,18 +10,21 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from sobtrace import (
+    ExtensionConfig,
     InvalidInputError,
     NonintegrableError,
     NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
     anchored_min_energy_spline,
+    extend,
     homogeneous_sequence_functional,
     lagrange_polynomial,
     lp_norm,
     natural_spline_min_energy,
     sobolev_norm,
 )
+from sobtrace import splines
 from sobtrace.splines import _gauss_jacobi
 from conftest import make_samples, polynomial_samples
 
@@ -376,6 +379,24 @@ def test_anchored_coincident_edge_knot():
     assert F(-6.5) == 0.0
     with pytest.raises(InvalidInputError):
         anchored_min_energy_spline((-6.0, 0.0), (1.0, 1.0), 2, -6.0, 6.0)
+
+
+def test_spline_solve_residual_is_checked(rng, monkeypatch):
+    # a solution that is finite but does not solve the system must raise
+    s = make_samples(rng, 8, span=10.0)
+    natural_spline_min_energy(s, 2)
+    extend(s, ExtensionConfig(m=2, backend="natural2"))
+    solve = splines.spsolve
+
+    def perturbed(A, b):
+        x = solve(A, b)
+        return x + 1e-6 * np.abs(x).max()
+
+    monkeypatch.setattr(splines, "spsolve", perturbed)
+    with pytest.raises(NumericalFailureError, match="backward error"):
+        natural_spline_min_energy(s, 2)
+    with pytest.raises(NumericalFailureError, match="backward error"):
+        extend(s, ExtensionConfig(m=2, backend="natural2"))
 
 
 def test_lagrange_degenerate_tail_integrity(rng):
