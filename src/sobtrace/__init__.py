@@ -6,18 +6,13 @@ the data extends to a smooth function with integrable derivatives, measures
 sharp maximal profiles, and constructs compactly supported piecewise
 polynomial extensions that realize such an extension with a norm controlled
 by those functionals.
+
+The brute-force checks of that theory, the 1/omega' route to divided
+differences, the wide-set reduction, the convex-hull lemma and the pointwise
+sharp maximal value, live in the test suite's ``tests/oracles.py``.
 """
 
-from .divdiff import (
-    DividedDifferenceTable,
-    build_table,
-    convex_hull_check,
-    divdiff_recursive,
-    divdiff_sum,
-    divided_difference_rows,
-    lagrange_polynomial,
-    reduce_wide_difference,
-)
+from .divdiff import divided_difference_rows, lagrange_polynomial
 from .errors import (
     HypothesisViolationError,
     InvalidInputError,
@@ -51,8 +46,8 @@ from .functionals import (
     variational_functional,
 )
 from .piecewise import PiecewisePolynomial
-from .samples import SampledFunction, extended_gap
-from .sharp import ENUMERATION_CAP, GridSpec, MaximalProfile, sharp_profile, sharp_value, wmf_functional
+from .samples import SampledFunction
+from .sharp import ENUMERATION_CAP, GridSpec, wmf_functional
 from .splines import (
     NormReport,
     anchored_min_energy_spline,
@@ -64,7 +59,6 @@ from .splines import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DividedDifferenceTable",
     "ENUMERATION_CAP",
     "ExtensionConfig",
     "FunctionalReport",
@@ -72,7 +66,6 @@ __all__ = [
     "GridSpec",
     "HypothesisViolationError",
     "InvalidInputError",
-    "MaximalProfile",
     "NecessityReport",
     "NonintegrableError",
     "NormReport",
@@ -85,14 +78,9 @@ __all__ = [
     "VARIATIONAL_BUDGET",
     "anchored_min_energy_spline",
     "build_gap_lattice",
-    "build_table",
-    "convex_hull_check",
-    "divdiff_recursive",
-    "divdiff_sum",
     "divided_difference_rows",
     "effective_order",
     "extend",
-    "extended_gap",
     "homogeneous_sequence_functional",
     "homogeneous_variational_functional",
     "lagrange_polynomial",
@@ -100,10 +88,7 @@ __all__ = [
     "natural_spline_min_energy",
     "necessity_bound_factor",
     "pad_small_set",
-    "reduce_wide_difference",
     "sequence_functional",
-    "sharp_profile",
-    "sharp_value",
     "small_set_functional",
     "sobolev_norm",
     "support_pad",

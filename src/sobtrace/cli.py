@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,27 +37,13 @@ from .functionals import (
     variational_functional,
 )
 from .samples import SampledFunction
-from .sharp import ENUMERATION_CAP, GridSpec, grid_edges, profile_values, wmf_functional
+from .sharp import ENUMERATION_CAP, GridSpec, grid_cells, grid_edges, profile_values, wmf_functional
 from .splines import sobolev_norm
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    input_path: str | None
-    m: int
-    p: float
-    backend: str
-    window_pad: float | None
-    out_path: str
-    seed: int
-    grid_h: float | None
-    tol: float
 
 
 def _parse_p(text: str) -> float:
@@ -92,23 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-h", type=float, default=None, help="grid spacing for profiles and sampling")
     parser.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     return parser
-
-
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    if args.m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {args.m}")
-    return JobSpec(
-        command=args.command,
-        input_path=args.input,
-        m=args.m,
-        p=_parse_p(args.p),
-        backend=args.backend,
-        window_pad=args.window_pad,
-        out_path=args.out,
-        seed=args.seed,
-        grid_h=args.grid_h,
-        tol=args.tol,
-    )
 
 
 # ------------------------------------------------------------------- loading
@@ -183,9 +151,9 @@ def _p_label(p: float) -> object:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_check(job: JobSpec) -> int:
-    s = load_samples(job.input_path or _missing_input())
-    m, p = job.m, job.p
+def cmd_check(args: argparse.Namespace) -> int:
+    s = load_samples(args.input or _missing_input())
+    m, p = args.m, args.p
     functionals: dict[str, dict] = {}
 
     def record(name, report):
@@ -203,10 +171,10 @@ def cmd_check(job: JobSpec) -> int:
         if feasible:
             record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
     if p != math.inf and len(s) <= ENUMERATION_CAP:
-        record("sharp_maximal", wmf_functional(s, m, p, GridSpec(job.grid_h)))
+        record("sharp_maximal", wmf_functional(s, m, p, GridSpec(args.grid_h)))
     report = {
         "command": "check",
-        "input": job.input_path,
+        "input": args.input,
         "n_points": len(s),
         "m": m,
         "p": _p_label(p),
@@ -219,7 +187,7 @@ def cmd_check(job: JobSpec) -> int:
             "effective_order": "min(m, n_points - 1)",
         },
     }
-    write_json(job.out_path, report)
+    write_json(args.out, report)
     return EXIT_OK
 
 
@@ -234,20 +202,21 @@ def _csv_companion(out_path: str) -> str:
     return str(p) + ".csv"
 
 
-def cmd_extend(job: JobSpec) -> int:
-    s = load_samples(job.input_path or _missing_input())
-    cfg = ExtensionConfig(
-        m=job.m, p=job.p, backend=job.backend, window_pad=job.window_pad, quad_tol=job.tol
-    )
+def cmd_extend(args: argparse.Namespace) -> int:
+    s = load_samples(args.input or _missing_input())
+    h = None if args.grid_h is None else GridSpec(args.grid_h).spacing_for(s)
+    cfg = ExtensionConfig(m=args.m, backend=args.backend, window_pad=args.window_pad)
     F = extend(s, cfg)
-    norms = sobolev_norm(F, job.m, job.p, job.tol)
+    span = F.breakpoints[-1] - F.breakpoints[0]
+    (cells,) = grid_cells([span], h or span / 512)
+    norms = sobolev_norm(F, args.m, args.p, args.tol)
     payload = F.to_dict()
     payload.update(
         {
             "command": "extend",
-            "m": job.m,
-            "p": _p_label(job.p),
-            "backend": job.backend,
+            "m": args.m,
+            "p": _p_label(args.p),
+            "backend": args.backend,
             "window_pad": cfg.window_pad,
             "norms": {
                 "lp_norms": [_jsonable(v) for v in norms.lp_norms],
@@ -256,34 +225,32 @@ def cmd_extend(job: JobSpec) -> int:
             },
         }
     )
-    write_json(job.out_path, payload)
-    span = F.breakpoints[-1] - F.breakpoints[0]
-    h = job.grid_h if job.grid_h else span / 512
-    n_samples = max(2, int(math.ceil(span / h)) + 1)
+    write_json(args.out, payload)
+    n_samples = cells + 1
     xs = np.linspace(F.breakpoints[0], F.breakpoints[-1], n_samples)
     derivs = [F]
-    for _ in range(job.m):
+    for _ in range(args.m):
         derivs.append(derivs[-1].differentiate())
     cols = [xs] + [d(xs) for d in derivs]
-    header = ["x", "F"] + [f"d{k}F" for k in range(1, job.m + 1)]
+    header = ["x", "F"] + [f"d{k}F" for k in range(1, args.m + 1)]
     rows = [[_fmt(col[i]) for col in cols] for i in range(n_samples)]
-    write_csv(_csv_companion(job.out_path), header, rows)
+    write_csv(_csv_companion(args.out), header, rows)
     return EXIT_OK
 
 
-def cmd_maximal(job: JobSpec) -> int:
-    if job.p == math.inf:
+def cmd_maximal(args: argparse.Namespace) -> int:
+    if args.p == math.inf:
         raise UnsupportedError("the sharp-maximal profile command needs finite p")
-    s = load_samples(job.input_path or _missing_input())
-    spec = GridSpec(job.grid_h)
+    s = load_samples(args.input or _missing_input())
+    spec = GridSpec(args.grid_h)
     edges = grid_edges(s, spec)
-    columns = [profile_values(s, job.m, k, edges) for k in range(job.m + 1)]
-    header = ["x"] + [f"sharp{k}" for k in range(job.m + 1)]
+    columns = [profile_values(s, args.m, k, edges) for k in range(args.m + 1)]
+    header = ["x"] + [f"sharp{k}" for k in range(args.m + 1)]
     rows = [
         [_fmt(edges[i])] + [_fmt(col[i]) for col in columns] for i in range(len(edges))
     ]
-    write_csv(job.out_path, header, rows)
-    wmf = wmf_functional(s, job.m, job.p, spec)
+    write_csv(args.out, header, rows)
+    wmf = wmf_functional(s, args.m, args.p, spec)
     sys.stdout.write(f"wmf,{_fmt(wmf.value)}\n")
     return EXIT_OK
 
@@ -291,11 +258,11 @@ def cmd_maximal(job: JobSpec) -> int:
 _RATIO_COLUMNS = ("tilde_over_var", "w_hermite_over_tilde", "w_natural2_over_tilde", "wmf_over_tilde")
 
 
-def cmd_compare(job: JobSpec) -> int:
-    if job.p == math.inf:
+def cmd_compare(args: argparse.Namespace) -> int:
+    if args.p == math.inf:
         raise UnsupportedError("compare reports finite-p ratios; use a finite p")
-    m, p = job.m, job.p
-    instances = comparison_corpus(job.seed, m)
+    m, p = args.m, args.p
+    instances = comparison_corpus(args.seed, m)
     header = [
         "index",
         "m",
@@ -320,11 +287,11 @@ def cmd_compare(job: JobSpec) -> int:
         values = {}
         passes = {}
         for backend in ("hermite", "natural2"):
-            cfg = ExtensionConfig(m=m, p=p, backend=backend, window_pad=job.window_pad, quad_tol=job.tol)
+            cfg = ExtensionConfig(m=m, backend=backend, window_pad=args.window_pad)
             F = extend(s, cfg)
-            values[backend] = sobolev_norm(F, m, p, job.tol).w_norm
-            passes[backend] = verify_necessity(s, F, m, p, job.tol).passed
-        wmf = wmf_functional(s, m, p, GridSpec(job.grid_h if job.grid_h else 0.25)).value
+            values[backend] = sobolev_norm(F, m, p, args.tol).w_norm
+            passes[backend] = verify_necessity(s, F, m, p, args.tol).passed
+        wmf = wmf_functional(s, m, p, GridSpec(args.grid_h if args.grid_h else 0.25)).value
         row_ratios = {
             "tilde_over_var": tilde / var if var else 0.0,
             "w_hermite_over_tilde": values["hermite"] / tilde if tilde else 0.0,
@@ -356,7 +323,7 @@ def cmd_compare(job: JobSpec) -> int:
             + [_fmt(agg(ratios[name])) for name in _RATIO_COLUMNS]
             + ["", ""]
         )
-    write_csv(job.out_path, header, rows)
+    write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -364,17 +331,19 @@ def cmd_compare(job: JobSpec) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
+        if args.m < 1:
+            raise InvalidInputError(f"m must be >= 1, got {args.m}")
+        args.p = _parse_p(args.p)
+        # looked up at call time, so a wrapped cmd_* is the one that runs
         handler = {
             "check": cmd_check,
             "extend": cmd_extend,
             "maximal": cmd_maximal,
             "compare": cmd_compare,
-        }[job.command]
-        return handler(job)
+        }[args.command]
+        return handler(args)
     except (HypothesisViolationError, SizeCapError, InvalidInputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

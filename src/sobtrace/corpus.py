@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .samples import SampledFunction
 
 #: Seed and size of the calibration corpus; the recorded ratio bands in
@@ -31,8 +32,14 @@ def random_sampled_function(
 
     Draws are rejected until all consecutive gaps reach ``min_gap``, which
     keeps divided differences well conditioned; rejection consumes the
-    generator deterministically.
+    generator deterministically.  The expected number of draws grows like
+    exp(min_gap * size**2 / span).  When (size - 1) * min_gap >= span no
+    draw can succeed, and InvalidInputError is raised before the first one.
     """
+    if size > 1 and (size - 1) * min_gap >= span:
+        raise InvalidInputError(
+            f"{size} points at least {min_gap:g} apart do not fit in a span of {span:g}"
+        )
     while True:
         pts = np.sort(rng.uniform(0.0, span, size))
         if size == 1 or float(np.diff(pts).min()) >= min_gap:
@@ -56,17 +63,6 @@ def calibration_corpus(
         span = SPANS[(i // 9) % 3]
         size = int(rng.integers(m + 1, 13))
         out.append(CorpusInstance(random_sampled_function(rng, size, span), m, p, span))
-    return out
-
-
-def small_set_corpus(seed: int, count: int, m: int) -> list[SampledFunction]:
-    """Instances with 1..m points (the small-set regime)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        size = int(rng.integers(1, m + 1))
-        span = float(rng.choice(SPANS))
-        out.append(random_sampled_function(rng, size, span))
     return out
 
 

@@ -1,16 +1,14 @@
-"""Divided differences: cross-checkable evaluation paths and reductions.
+"""Divided differences: the two-term recurrence and the Newton form.
 
-Three independent routes to the same number are exposed (the two-term
-recurrence, the 1/omega' sum, and the leading Lagrange coefficient) because
-downstream functionals lean on divided differences for everything and a
-silent error here corrupts every result.
+Two routes to the same number live here, the recurrence table and the
+leading coefficient of the Lagrange polynomial, which agree exactly.
+Downstream functionals lean on divided differences for everything, so the
+test suite checks both against a third, independent route, the sum of
+f(x_i)/omega'(x_i), which lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidInputError
 from .piecewise import PiecewisePolynomial, shift_polynomial
 from .samples import SampledFunction
 
@@ -28,43 +26,6 @@ def divided_difference_rows(points, values, max_order: int) -> list[list[float]]
             ]
         )
     return rows
-
-
-def _top_difference(points, values) -> float:
-    n = len(points) - 1
-    return divided_difference_rows(points, values, n)[n][0]
-
-
-def divdiff_recursive(points, values) -> float:
-    """Full-order divided difference via the two-term recurrence."""
-    s = SampledFunction(tuple(points), tuple(values))
-    return _top_difference(s.points, s.values)
-
-
-def divdiff_sum(points, values) -> float:
-    """Full-order divided difference via the sum of f(x_i)/omega'(x_i).
-
-    This is the numerically fragile route and serves as an independent
-    cross-check of :func:`divdiff_recursive`.  Terms are accumulated in
-    input order with compensated (Neumaier) summation.
-    """
-    s = SampledFunction(tuple(points), tuple(values))
-    xs, ys = s.points, s.values
-    total = 0.0
-    comp = 0.0
-    for i, xi in enumerate(xs):
-        w = 1.0
-        for j, xj in enumerate(xs):
-            if j != i:
-                w *= xi - xj
-        term = ys[i] / w
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return total + comp
 
 
 def lagrange_polynomial(s: SampledFunction) -> PiecewisePolynomial:
@@ -99,103 +60,3 @@ def _expand_newton(newton, roots) -> list[float]:
         new[0] += newton[k]
         coeffs = new
     return coeffs
-
-
-@dataclass(frozen=True)
-class DividedDifferenceTable:
-    """Cached consecutive-window differences up to ``max_order``."""
-
-    base: SampledFunction
-    max_order: int
-    entries: tuple[tuple[float, ...], ...]
-
-    def value(self, k: int, i: int) -> float:
-        return self.entries[k][i]
-
-
-def build_table(s: SampledFunction, max_order: int) -> DividedDifferenceTable:
-    """All consecutive-window differences of order 0..max_order."""
-    n = len(s) - 1
-    if not 0 <= max_order <= n:
-        raise InvalidInputError(
-            f"max_order must lie in [0, {n}] for {n + 1} points, got {max_order}"
-        )
-    rows = divided_difference_rows(s.points, s.values, max_order)
-    return DividedDifferenceTable(s, max_order, tuple(tuple(r) for r in rows))
-
-
-def reduce_wide_difference(s: SampledFunction) -> tuple[int, int, float]:
-    """Certificate (k, i, bound) controlling the full-order difference.
-
-    For a set with diameter >= 1 this finds a consecutive window
-    y_i, ..., y_{i+k} of width at most 1, with k < n, such that
-
-        |D^n f[S]|  <=  2^n * |D^k f[y_i..y_{i+k}]| / diam(S)  =  bound,
-
-    and such that the window has a 1-separated neighbour on at least one
-    side (either i+k+1 <= n with y_{i+k+1} - y_i >= 1, or i >= 1 with
-    y_{i+k} - y_{i-1} >= 1).
-
-    The search runs the inductive split: drop the last point or the first
-    point, recurse into a part of diameter >= 1, fall back to the whole part
-    when it is narrower than 1, and keep the certificate with the larger
-    difference magnitude.  Ties prefer the right split for determinism.
-    """
-    pts, vals = s.points, s.values
-    n = len(pts) - 1
-    if n < 1:
-        raise InvalidInputError("need at least two points")
-    diam = pts[n] - pts[0]
-    if not diam >= 1.0:
-        raise InvalidInputError(f"diameter must be at least 1, got {diam!r}")
-    rows = divided_difference_rows(pts, vals, n)
-
-    def magnitude(cert: tuple[int, int]) -> float:
-        k, i = cert
-        return abs(rows[k][i])
-
-    def search(lo: int, hi: int) -> tuple[int, int]:
-        if hi - lo == 1:
-            return (0, lo) if abs(vals[lo]) > abs(vals[hi]) else (0, hi)
-        certs = []
-        for a, b in ((lo, hi - 1), (lo + 1, hi)):
-            if pts[b] - pts[a] >= 1.0:
-                certs.append(search(a, b))
-            else:
-                certs.append((b - a, a))
-        first, second = certs
-        return second if magnitude(second) >= magnitude(first) else first
-
-    k, i = search(0, n)
-    bound = (2.0**n) * abs(rows[k][i]) / diam
-    return k, i, bound
-
-
-def convex_hull_check(full: SampledFunction, subset_indices, k: int) -> bool:
-    """Whether the difference on a subset lies in the hull of the consecutive
-    window differences of the full set.
-
-    This is the testable consequence of divided differences on subsets being
-    convex combinations of consecutive-window ones; the combination weights
-    themselves are never needed.  A small guard (1e-9 relative to the hull
-    magnitude) absorbs floating-point excursions and only ever widens the
-    hull.
-    """
-    idx = [int(j) for j in subset_indices]
-    if len(idx) != k + 1:
-        raise InvalidInputError(f"subset must have k+1 = {k + 1} indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise InvalidInputError("subset indices must be distinct")
-    n = len(full) - 1
-    if any(j < 0 or j > n for j in idx):
-        raise InvalidInputError("subset indices out of range: subset not contained in full set")
-    if k > n:
-        raise InvalidInputError(f"order {k} exceeds full set order {n}")
-    idx.sort()
-    sub_pts = [full.points[j] for j in idx]
-    sub_vals = [full.values[j] for j in idx]
-    value = _top_difference(sub_pts, sub_vals)
-    generators = divided_difference_rows(full.points, full.values, k)[k]
-    lo, hi = min(generators), max(generators)
-    guard = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    return lo - guard <= value <= hi + guard

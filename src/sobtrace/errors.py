@@ -18,7 +18,13 @@ class HypothesisViolationError(InvalidInputError):
 
 
 class SizeCapError(InvalidInputError):
-    """Exhaustive enumeration refused because the point set exceeds the cap."""
+    """A computation refused because its cost would exceed a fixed budget.
+
+    The budgets are the variational forms' count of divided differences
+    (``VARIATIONAL_BUDGET``), the sharp profiles' subset enumeration
+    (``ENUMERATION_CAP`` points) and the cells of a profile grid or an
+    extension sampling (``sharp.MAX_GRID_CELLS``).
+    """
 
 
 class NumericalFailureError(SobtraceError):

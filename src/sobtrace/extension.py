@@ -56,16 +56,16 @@ def support_pad(m: int) -> float:
 class ExtensionConfig:
     """Parameters of the extension construction.
 
-    ``window_pad`` is the half-width of the support window beyond the data
-    and may not fall below 3(m+2); the construction itself never produces
+    ``window_pad`` is the half-width of the support window beyond the data,
+    finite and no less than 3(m+2); the construction itself never produces
     anything outside the default window, so larger pads only add zero space.
+    ``extend`` reads neither ``p`` nor ``quad_tol``.
     """
 
     m: int
     p: float = 2.0
     backend: str = "hermite"
     window_pad: float | None = None
-    smoothness_tol: float = 1e-8
     quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -76,23 +76,18 @@ class ExtensionConfig:
         pad = self.window_pad
         if pad is None:
             object.__setattr__(self, "window_pad", support_pad(self.m))
-        elif pad < support_pad(self.m):
+        elif not (pad >= support_pad(self.m) and math.isfinite(pad)):
             raise InvalidInputError(
-                f"window_pad must be at least 3(m+2) = {support_pad(self.m)}, got {pad}"
+                f"window_pad must be finite and at least 3(m+2) = {support_pad(self.m)}, got {pad}"
             )
 
 
 @dataclass(frozen=True)
 class GapLattice:
-    """Lattice points inserted into the wide complementary gaps of a point set.
+    """Lattice points inserted into the wide complementary gaps of a point set:
+    the bounded gaps wider than 4 and the two unbounded gaps, truncated to
+    the support window."""
 
-    ``gaps`` lists every complementary interval inside the support window
-    (the two unbounded gaps appear truncated to the window).  ``long_gaps``
-    are those wider than 4; only they carry lattice points.
-    """
-
-    gaps: tuple[tuple[float, float], ...]
-    long_gaps: tuple[tuple[float, float], ...]
     lattice_points: tuple[float, ...]
 
 
@@ -113,11 +108,6 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
     if any(b - a <= 0 for a, b in zip(pts, pts[1:])):
         raise InvalidInputError("points must be strictly increasing")
     pad = cfg.window_pad
-    lo, hi = pts[0] - pad, pts[-1] + pad
-    gaps: list[tuple[float, float]] = [(lo, pts[0])]
-    gaps.extend(zip(pts, pts[1:]))
-    gaps.append((pts[-1], hi))
-    long_gaps = tuple(g for g in gaps if g[1] - g[0] > LONG_GAP)
     lattice: list[float] = []
     n_left = int(math.floor(pad / EDGE_SPACING))
     lattice.extend(pts[0] - EDGE_SPACING * n for n in range(n_left, 0, -1))
@@ -128,7 +118,7 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
             ell = width / n_j
             lattice.extend(a + ell * n for n in range(1, n_j))
     lattice.extend(pts[-1] + EDGE_SPACING * n for n in range(1, n_left + 1))
-    return GapLattice(tuple(gaps), long_gaps, tuple(lattice))
+    return GapLattice(tuple(lattice))
 
 
 def zero_extend(s: SampledFunction, lattice: GapLattice) -> SampledFunction:

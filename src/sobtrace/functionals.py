@@ -52,28 +52,6 @@ def effective_order(s: SampledFunction, m: int) -> int:
     return min(m, len(s) - 1)
 
 
-def _weight(points, i: int, m: int, n: int) -> float:
-    # min(1, x_{i+m} - x_i); the gap counts as +inf once i+m runs past the end
-    if i + m > n:
-        return 1.0
-    return min(1.0, points[i + m] - points[i])
-
-
-def _windowed_power_sum(points, values, m: int, p: float, top_order: int) -> float:
-    """sum_{k<=top_order} sum_i min(1, x_{i+m}-x_i) |D^k f[x_i..x_{i+k}]|^p.
-
-    Deterministic accumulation order: k ascending, i ascending.
-    """
-    n = len(points) - 1
-    rows = divided_difference_rows(points, values, top_order)
-    total = 0.0
-    for k in range(top_order + 1):
-        row = rows[k]
-        for i in range(n - k + 1):
-            total += _weight(points, i, m, n) * abs_pow(row[i], p)
-    return total
-
-
 def sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
     """Weighted consecutive-window functional of the data.
 
@@ -85,14 +63,22 @@ def sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalRepor
     """
     _check_mp(m, p)
     M = effective_order(s, m)
+    pts, n = s.points, len(s) - 1
+    rows = divided_difference_rows(pts, s.values, M)
     if p == math.inf:
-        rows = divided_difference_rows(s.points, s.values, M)
         value = 0.0
         for k in range(M + 1):
             for entry in rows[k]:
                 value = max(value, abs(entry))
         return FunctionalReport(m, p, value, "sequence", M)
-    total = _windowed_power_sum(s.points, s.values, m, p, M)
+    # deterministic accumulation order: k ascending, then i ascending
+    total = 0.0
+    for k in range(M + 1):
+        row = rows[k]
+        for i in range(n - k + 1):
+            # min(1, x_{i+m} - x_i); the gap counts as +inf once i+m runs past the end
+            weight = 1.0 if i + m > n else min(1.0, pts[i + m] - pts[i])
+            total += weight * abs_pow(row[i], p)
     return FunctionalReport(m, p, total ** (1.0 / p), "sequence", M)
 
 
@@ -230,20 +216,16 @@ def small_set_functional(s: SampledFunction, m: int, p: float) -> FunctionalRepo
 
     On such sets all the trace functionals collapse, up to constants depending
     only on m, to this single maximum, so it serves as the equivalence-class
-    representative.  The value does not depend on p.
+    representative.  The value does not depend on p: it is the p = inf
+    :func:`sequence_functional`, reported under its own kind.
     """
     _check_mp(m, p)
-    n = len(s) - 1
     if len(s) > m:
         raise InvalidInputError(
             f"the small-set functional applies to at most m = {m} points, got {len(s)}"
         )
-    rows = divided_difference_rows(s.points, s.values, n)
-    value = 0.0
-    for k in range(n + 1):
-        for entry in rows[k]:
-            value = max(value, abs(entry))
-    return FunctionalReport(m, p, value, "small_set_max", n)
+    value = sequence_functional(s, m, math.inf).value
+    return FunctionalReport(m, p, value, "small_set_max", len(s) - 1)
 
 
 def pad_small_set(s: SampledFunction, m: int) -> SampledFunction:

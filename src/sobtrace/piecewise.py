@@ -8,8 +8,6 @@ a compactly supported function.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -170,15 +168,6 @@ class PiecewisePolynomial:
             polynomial_derivative(self.right_tail),
         )
 
-    def local_coefficients_at(self, u: float) -> np.ndarray:
-        """Coefficients, centered at ``u``, of the polynomial active at ``u``."""
-        if u < self.breakpoints[0]:
-            return shift_polynomial(self.left_tail, u - self.breakpoints[0])
-        if u >= self.breakpoints[-1]:
-            return shift_polynomial(self.right_tail, u - self.breakpoints[-1])
-        j = int(np.searchsorted(self.breakpoints, u, side="right") - 1)
-        return shift_polynomial(self.coefficients[j], u - self.breakpoints[j])
-
     # -------------------------------------------------------------- calculus
 
     def smoothness_order(self, tol: float = 1e-8) -> int:
@@ -208,49 +197,6 @@ class PiecewisePolynomial:
             order = r
         return order
 
-    # --------------------------------------------------------------- algebra
-
-    def __mul__(self, alpha):
-        if not np.isscalar(alpha):
-            return NotImplemented
-        a = float(alpha)
-        return PiecewisePolynomial(
-            self.breakpoints,
-            a * self.coefficients,
-            a * self.left_tail,
-            a * self.right_tail,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __add__(self, other):
-        if not isinstance(other, PiecewisePolynomial):
-            return NotImplemented
-        bp = np.union1d(self.breakpoints, other.breakpoints)
-        pieces = []
-        for u in bp[:-1]:
-            ca = self.local_coefficients_at(u)
-            cb = other.local_coefficients_at(u)
-            width = max(len(ca), len(cb))
-            pieces.append(_pad(ca, width) + _pad(cb, width))
-        lt_a = shift_polynomial(self.left_tail, bp[0] - self.breakpoints[0])
-        lt_b = shift_polynomial(other.left_tail, bp[0] - other.breakpoints[0])
-        rt_a = shift_polynomial(self.right_tail, bp[-1] - self.breakpoints[-1])
-        rt_b = shift_polynomial(other.right_tail, bp[-1] - other.breakpoints[-1])
-        width = max(len(lt_a), len(lt_b))
-        left = _pad(lt_a, width) + _pad(lt_b, width)
-        width = max(len(rt_a), len(rt_b))
-        right = _pad(rt_a, width) + _pad(rt_b, width)
-        return PiecewisePolynomial(bp, pieces, left, right)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewisePolynomial):
-            return NotImplemented
-        return self + (-other)
-
     # ---------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
@@ -264,11 +210,3 @@ class PiecewisePolynomial:
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewisePolynomial":
         return cls(d["breakpoints"], d["pieces"], d["left_tail"], d["right_tail"])
-
-    def to_json(self) -> str:
-        # repr-based float serialization round-trips every finite double
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewisePolynomial":
-        return cls.from_dict(json.loads(text))

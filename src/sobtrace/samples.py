@@ -67,17 +67,3 @@ class SampledFunction:
         """Same coordinates with values multiplied by ``alpha``."""
         return SampledFunction(self.points, tuple(alpha * v for v in self.values))
 
-
-def extended_gap(points, i: int, j: int) -> float:
-    """x_j - x_i with out-of-range indices treated as signed infinities.
-
-    Indices past the last point stand for +inf and negative ones for -inf,
-    so any out-of-range index makes the gap +inf (callers only ask for
-    i <= j).  This is the sentinel convention behind every ``min(1, gap)``
-    weight in the functionals: ``min(1, extended_gap(...))`` is exactly 1
-    once the window runs past the end of the data.
-    """
-    n = len(points) - 1
-    if j > n or i < 0:
-        return math.inf
-    return points[j] - points[i]

@@ -10,47 +10,38 @@ midpoint rule on a grid with forced nodes at the data points and at e +- 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import divided_difference_rows
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
 from .functionals import FunctionalReport, effective_order, subset_differences
 from .samples import SampledFunction
 
 #: Sharp values enumerate every subset at each grid node; larger sets are refused.
 ENUMERATION_CAP = 20
+#: Most cells a grid may have; the default spacing follows the closest pair of
+#: points, so one tiny gap would otherwise ask for an unbounded grid.
+MAX_GRID_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Grid control for profiles and quadrature.
 
-    ``max_spacing`` bounds the cell width; None selects the default
-    0.02 * min(1, smallest sample gap).
+    ``max_spacing`` bounds the cell width and must be finite and positive;
+    None selects the default 0.02 * min(1, smallest sample gap).
     """
 
     max_spacing: float | None = None
 
     def spacing_for(self, s: SampledFunction) -> float:
         if self.max_spacing is not None:
-            if self.max_spacing <= 0:
-                raise InvalidInputError("grid spacing must be positive")
+            if not (0 < self.max_spacing < math.inf):
+                raise InvalidInputError(f"grid spacing must be finite and positive, got {self.max_spacing}")
             return self.max_spacing
         return 0.02 * min(1.0, s.min_gap)
-
-
-@dataclass
-class MaximalProfile:
-    """Sampled values of one sharp maximal function."""
-
-    order: int
-    grid: np.ndarray
-    values: np.ndarray
-    support_bounds: tuple[float, float]
 
 
 def _check_args(s: SampledFunction, m: int, k: int) -> None:
@@ -64,44 +55,20 @@ def _check_args(s: SampledFunction, m: int, k: int) -> None:
         )
 
 
-def sharp_value(s: SampledFunction, m: int, k: int, x: float) -> float:
-    """Pointwise sharp maximal value by brute force over subsets.
-
-    Admissible subsets S have k+1 points and contain at least one sample
-    within distance 1 of x; the rest may lie arbitrarily far away.  For
-    k < m the supremum is of |D^k f[S]|; at k = m each candidate is damped
-    by diam(S) / diam(S u {x}).  An empty admissible family gives 0.
-    """
-    _check_args(s, m, k)
-    pts, vals = s.points, s.values
-    if len(s) < k + 1:
-        return 0.0
-    best = 0.0
-    for combo in itertools.combinations(range(len(pts)), k + 1):
-        if min(abs(x - pts[j]) for j in combo) > 1.0:
-            continue
-        xs = [pts[j] for j in combo]
-        ys = [vals[j] for j in combo]
-        dd = abs(divided_difference_rows(xs, ys, k)[k][0])
-        if k == m:
-            diam_s = xs[-1] - xs[0]
-            diam_sx = max(xs[-1], x) - min(xs[0], x)
-            dd *= diam_s / diam_sx
-        best = max(best, dd)
-    return best
-
-
 def _subset_arrays(s: SampledFunction, k: int):
     combos, dds = zip(*subset_differences(s.points, s.values, k)[1])
     return np.array([[s.points[j] for j in c] for c in combos]), np.abs(dds)
 
 
 def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.ndarray:
-    """Sharp maximal values on a whole coordinate array at once.
+    """Sharp maximal values of order k at every coordinate of ``xs``.
 
-    Same definition as :func:`sharp_value`; vectorized over ``xs`` with a
-    deterministic reduction (running elementwise maximum over subsets in
-    lexicographic order).
+    Admissible subsets S have k+1 points and contain at least one sample
+    within distance 1 of x; the rest may lie arbitrarily far away.  For
+    k < m the value at x is the supremum of |D^k f[S]|; at k = m each
+    candidate is damped by diam(S) / diam(S u {x}).  An empty admissible
+    family gives 0.  The reduction is deterministic: a running elementwise
+    maximum over the subsets in lexicographic order.
     """
     _check_args(s, m, k)
     xs = np.asarray(xs, dtype=float)
@@ -124,20 +91,33 @@ def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.nda
     return out
 
 
-def support_bounds(s: SampledFunction) -> tuple[float, float]:
-    return (s.points[0] - 1.0, s.points[-1] + 1.0)
+def grid_cells(widths, h: float) -> list[int]:
+    """Cells of width at most h across each stretch, at least one each.
+
+    Raises SizeCapError, before anything is built, when they total more than
+    MAX_GRID_CELLS; a count past the budget is clipped so it cannot overflow.
+    """
+    cells = [max(1, math.ceil(min(w / h, MAX_GRID_CELLS + 1))) for w in widths]
+    if sum(cells) > MAX_GRID_CELLS:
+        raise SizeCapError(
+            f"a grid of spacing {h:g} needs more than {MAX_GRID_CELLS} cells; "
+            "pass a coarser spacing with GridSpec(h) or --grid-h"
+        )
+    return cells
 
 
 def grid_edges(s: SampledFunction, grid_spec: GridSpec | None = None) -> np.ndarray:
-    """Quadrature/profile grid covering the support of all sharp profiles.
+    """Quadrature/profile grid covering the support [min E - 1, max E + 1]
+    of all sharp profiles.
 
     Forced nodes sit at every data point and at every e +- 1 (the locations
     where an admissible family can change); each stretch in between is split
-    into cells no wider than the configured spacing.
+    into cells no wider than the configured spacing, within the budget of
+    :func:`grid_cells`.
     """
     spec = grid_spec or GridSpec()
     h = spec.spacing_for(s)
-    lo, hi = support_bounds(s)
+    lo, hi = s.points[0] - 1.0, s.points[-1] + 1.0
     forced: set[float] = {lo, hi}
     for e in s.points:
         for v in (e - 1.0, e, e + 1.0):
@@ -148,21 +128,12 @@ def grid_edges(s: SampledFunction, grid_spec: GridSpec | None = None) -> np.ndar
     for v in nodes[1:]:
         if v - merged[-1] > 1e-12:
             merged.append(v)
+    stretches = list(zip(merged, merged[1:]))
     edges = [merged[0]]
-    for a, b in zip(merged, merged[1:]):
-        ncell = max(1, math.ceil((b - a) / h))
+    for (a, b), ncell in zip(stretches, grid_cells([b - a for a, b in stretches], h)):
         for q in range(1, ncell + 1):
             edges.append(a + (b - a) * q / ncell)
     return np.array(edges)
-
-
-def sharp_profile(
-    s: SampledFunction, m: int, k: int, grid_spec: GridSpec | None = None
-) -> MaximalProfile:
-    """Sharp maximal function of one order sampled on the standard grid."""
-    edges = grid_edges(s, grid_spec)
-    values = profile_values(s, m, k, edges)
-    return MaximalProfile(k, edges, values, support_bounds(s))
 
 
 def wmf_functional(

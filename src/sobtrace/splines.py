@@ -286,11 +286,13 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
     For finite p the tails must vanish identically (a nonzero polynomial tail
     is not integrable); for p = inf a constant tail contributes its modulus
     and a non-constant one makes the supremum infinite.  Fractional p is
-    computed to within quad_tol relative; see the module docstring for the
-    quadrature policy.
+    computed to within quad_tol relative, which must be a non-negative
+    number; see the module docstring for the quadrature policy.
     """
     if not p >= 1:
         raise InvalidInputError(f"p must be in [1, inf], got {p}")
+    if not quad_tol >= 0:
+        raise InvalidInputError(f"quad_tol must be non-negative, got {quad_tol}")
     C, h = _scaled_nonzero_pieces(F)
     if p == math.inf:
         best = 0.0

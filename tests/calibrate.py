@@ -36,8 +36,9 @@ from sobtrace import (
 from sobtrace.corpus import (
     CALIBRATION_COUNT,
     CALIBRATION_SEED,
+    SPANS,
     calibration_corpus,
-    small_set_corpus,
+    random_sampled_function,
 )
 
 WMF_GRID_H = 0.25
@@ -67,7 +68,7 @@ def corpus_records():
         extensions = {}
         norms = {}
         for backend in ("hermite", "natural2"):
-            F = extend(s, ExtensionConfig(m=m, p=p, backend=backend, quad_tol=QUAD_TOL))
+            F = extend(s, ExtensionConfig(m=m, backend=backend))
             extensions[backend] = F
             norms[backend] = sobolev_norm(F, m, p, QUAD_TOL).w_norm
         t1 = time.perf_counter()
@@ -96,6 +97,17 @@ def ratio_table(records):
         ratios["w_natural2_over_tilde"].append(rec["norms"]["natural2"] / tilde)
         ratios["wmf_over_tilde"].append(rec["wmf"] / tilde)
     return ratios
+
+
+def small_set_corpus(seed: int, count: int, m: int):
+    """Instances with 1..m points (the small-set regime)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(1, m + 1))
+        span = float(rng.choice(SPANS))
+        out.append(random_sampled_function(rng, size, span))
+    return out
 
 
 def padding_bounds():

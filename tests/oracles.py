@@ -1,14 +1,19 @@
 """Reference implementations kept only to check the library against.
 
-Each routine is the straightforward form the library once used: a whole-set
-sort per data knot for the hermite jets, one dense solve per hermite piece,
-and spline systems filled entry by entry through ``lil_matrix``.  They share
-the library's call signatures, so a test can swap one in and compare the
-public results exactly.
+Two kinds live here.  Brute-force checks of the theory: the full-order
+divided difference by the recurrence and by the 1/omega' sum, the wide-set
+reduction certificate, the convex-hull lemma for subset differences and the
+pointwise sharp maximal value by enumeration over subsets.  And the
+straightforward forms the library once used: a whole-set sort per data knot
+for the hermite jets, one dense solve per hermite piece, and spline systems
+filled entry by entry through ``lil_matrix``.  Those share the library's
+call signatures, so a test can swap one in and compare the public results
+exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +21,152 @@ from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
 from sobtrace.divdiff import divided_difference_rows
-from sobtrace.errors import NumericalFailureError
+from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.piecewise import PiecewisePolynomial
+from sobtrace.samples import SampledFunction
+from sobtrace.sharp import _check_args
+
+
+# -------------------------------------------------------- divided differences
+
+
+def _top_difference(points, values) -> float:
+    n = len(points) - 1
+    return divided_difference_rows(points, values, n)[n][0]
+
+
+def divdiff_recursive(points, values) -> float:
+    """Full-order divided difference via the two-term recurrence."""
+    s = SampledFunction(tuple(points), tuple(values))
+    return _top_difference(s.points, s.values)
+
+
+def divdiff_sum(points, values) -> float:
+    """Full-order divided difference via the sum of f(x_i)/omega'(x_i).
+
+    This is the numerically fragile route and serves as an independent
+    cross-check of :func:`divdiff_recursive`.  Terms are accumulated in
+    input order with compensated (Neumaier) summation.
+    """
+    s = SampledFunction(tuple(points), tuple(values))
+    xs, ys = s.points, s.values
+    total = 0.0
+    comp = 0.0
+    for i, xi in enumerate(xs):
+        w = 1.0
+        for j, xj in enumerate(xs):
+            if j != i:
+                w *= xi - xj
+        term = ys[i] / w
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    return total + comp
+
+
+def reduce_wide_difference(s: SampledFunction) -> tuple[int, int, float]:
+    """Certificate (k, i, bound) controlling the full-order difference.
+
+    For a set with diameter >= 1 this finds a consecutive window
+    y_i, ..., y_{i+k} of width at most 1, with k < n, such that
+
+        |D^n f[S]|  <=  2^n * |D^k f[y_i..y_{i+k}]| / diam(S)  =  bound,
+
+    and such that the window has a 1-separated neighbour on at least one
+    side (either i+k+1 <= n with y_{i+k+1} - y_i >= 1, or i >= 1 with
+    y_{i+k} - y_{i-1} >= 1).
+
+    The search runs the inductive split: drop the last point or the first
+    point, recurse into a part of diameter >= 1, fall back to the whole part
+    when it is narrower than 1, and keep the certificate with the larger
+    difference magnitude.  Ties prefer the right split for determinism.
+    """
+    pts, vals = s.points, s.values
+    n = len(pts) - 1
+    if n < 1:
+        raise InvalidInputError("need at least two points")
+    diam = pts[n] - pts[0]
+    if not diam >= 1.0:
+        raise InvalidInputError(f"diameter must be at least 1, got {diam!r}")
+    rows = divided_difference_rows(pts, vals, n)
+
+    def magnitude(cert: tuple[int, int]) -> float:
+        k, i = cert
+        return abs(rows[k][i])
+
+    def search(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo == 1:
+            return (0, lo) if abs(vals[lo]) > abs(vals[hi]) else (0, hi)
+        certs = []
+        for a, b in ((lo, hi - 1), (lo + 1, hi)):
+            if pts[b] - pts[a] >= 1.0:
+                certs.append(search(a, b))
+            else:
+                certs.append((b - a, a))
+        first, second = certs
+        return second if magnitude(second) >= magnitude(first) else first
+
+    k, i = search(0, n)
+    bound = (2.0**n) * abs(rows[k][i]) / diam
+    return k, i, bound
+
+
+def convex_hull_check(full: SampledFunction, subset_indices, k: int) -> bool:
+    """Whether the difference on a subset lies in the hull of the consecutive
+    window differences of the full set.
+
+    This is the testable consequence of divided differences on subsets being
+    convex combinations of consecutive-window ones; the combination weights
+    themselves are never needed.  A small guard (1e-9 relative to the hull
+    magnitude) absorbs floating-point excursions and only ever widens the
+    hull.
+    """
+    idx = [int(j) for j in subset_indices]
+    if len(idx) != k + 1:
+        raise InvalidInputError(f"subset must have k+1 = {k + 1} indices, got {len(idx)}")
+    if len(set(idx)) != len(idx):
+        raise InvalidInputError("subset indices must be distinct")
+    n = len(full) - 1
+    if any(j < 0 or j > n for j in idx):
+        raise InvalidInputError("subset indices out of range: subset not contained in full set")
+    if k > n:
+        raise InvalidInputError(f"order {k} exceeds full set order {n}")
+    idx.sort()
+    sub_pts = [full.points[j] for j in idx]
+    sub_vals = [full.values[j] for j in idx]
+    value = _top_difference(sub_pts, sub_vals)
+    generators = divided_difference_rows(full.points, full.values, k)[k]
+    lo, hi = min(generators), max(generators)
+    guard = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    return lo - guard <= value <= hi + guard
+
+
+# --------------------------------------------------------------------- sharp
+
+
+def sharp_value(s: SampledFunction, m: int, k: int, x: float) -> float:
+    """Pointwise sharp maximal value by brute force over subsets, with the
+    definition and argument checks of ``sharp.profile_values``."""
+    _check_args(s, m, k)
+    pts, vals = s.points, s.values
+    if len(s) < k + 1:
+        return 0.0
+    best = 0.0
+    for combo in itertools.combinations(range(len(pts)), k + 1):
+        if min(abs(x - pts[j]) for j in combo) > 1.0:
+            continue
+        xs = [pts[j] for j in combo]
+        ys = [vals[j] for j in combo]
+        dd = abs(divided_difference_rows(xs, ys, k)[k][0])
+        if k == m:
+            diam_s = xs[-1] - xs[0]
+            diam_sx = max(xs[-1], x) - min(xs[0], x)
+            dd *= diam_s / diam_sx
+        best = max(best, dd)
+    return best
 
 
 # ------------------------------------------------------------------ hermite

@@ -16,15 +16,12 @@ from sobtrace import (
     ExtensionConfig,
     SampledFunction,
     build_gap_lattice,
-    divdiff_recursive,
-    divdiff_sum,
     extend,
     homogeneous_sequence_functional,
     lagrange_polynomial,
     natural_spline_min_energy,
     necessity_bound_factor,
     pad_small_set,
-    reduce_wide_difference,
     sequence_functional,
     small_set_functional,
     sobolev_norm,
@@ -33,6 +30,7 @@ from sobtrace import (
 )
 from sobtrace.corpus import random_sampled_function
 from calibrate import RATIO_NAMES, corpus_records, ratio_table
+from oracles import divdiff_recursive, divdiff_sum, reduce_wide_difference
 
 DATA = Path(__file__).parent / "data" / "calibration.json"
 CALIBRATION = json.loads(DATA.read_text())

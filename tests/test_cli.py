@@ -208,6 +208,28 @@ def test_check_beyond_enumeration_cap(tmp_path):
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set"}
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("check", ["--grid-h", "nan"]),
+        ("check", []),  # the default grid follows the 1e-9 gap: about 6e11 cells
+        ("maximal", ["--grid-h", "nan"]),
+        ("extend", ["--grid-h", "-1"]),
+        ("extend", ["--grid-h", "1e-300"]),  # over the sampling budget
+        ("extend", ["--window-pad", "nan"]),
+        ("extend", ["--window-pad", "inf"]),
+        ("extend", ["--tol", "nan"]),
+    ],
+)
+def test_bad_numeric_flag_rejected(tmp_path, capsys, command, flags):
+    inp = write_json_input(tmp_path / "in.json", [0, 1e-9, 10], [1.0, 2.0, 3.0])
+    out = tmp_path / "out.json"
+    args = ["--command", command, "--input", inp, "--m", "1", "--p", "1.5", *flags, "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
 def test_extend_csv_out_path_keeps_both_files(tmp_path):
     inp = write_json_input(tmp_path / "in.json", [0, 1, 3], [1.0, -1.0, 0.5])
     out = tmp_path / "ext.csv"

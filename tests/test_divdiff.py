@@ -5,17 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sobtrace import (
-    InvalidInputError,
-    SampledFunction,
-    build_table,
-    convex_hull_check,
-    divdiff_recursive,
-    divdiff_sum,
-    lagrange_polynomial,
-    reduce_wide_difference,
-)
+from sobtrace import InvalidInputError, SampledFunction, divided_difference_rows, lagrange_polynomial
 from conftest import make_samples, polynomial_samples
+from oracles import convex_hull_check, divdiff_recursive, divdiff_sum, reduce_wide_difference
 
 
 def rel_diff(a, b):
@@ -84,34 +76,26 @@ def test_lagrange_interpolates(rng):
 
 
 def test_table_example():
-    t = build_table(SampledFunction((0.0, 1.0, 2.0), (0.0, 1.0, 4.0)), 2)
-    assert t.entries[0] == (0.0, 1.0, 4.0)
-    assert t.entries[1] == (1.0, 3.0)
-    assert t.entries[2] == (1.0,)
+    rows = divided_difference_rows((0.0, 1.0, 2.0), (0.0, 1.0, 4.0), 2)
+    assert rows[0] == [0.0, 1.0, 4.0]
+    assert rows[1] == [1.0, 3.0]
+    assert rows[2] == [1.0]
 
 
 def test_table_order_zero_is_values(rng):
     s = make_samples(rng, 5)
-    t = build_table(s, 0)
-    assert t.entries[0] == s.values
+    rows = divided_difference_rows(s.points, s.values, 0)
+    assert tuple(rows[0]) == s.values
 
 
 def test_table_against_sum_path(rng):
     s = make_samples(rng, 8)
-    t = build_table(s, 4)
+    rows = divided_difference_rows(s.points, s.values, 4)
     for k in range(5):
         for i in range(len(s) - k):
             window_pts = s.points[i : i + k + 1]
             window_vals = s.values[i : i + k + 1]
-            assert rel_diff(t.value(k, i), divdiff_sum(window_pts, window_vals)) <= 1e-9
-
-
-def test_table_order_out_of_range(rng):
-    s = make_samples(rng, 4)
-    with pytest.raises(InvalidInputError):
-        build_table(s, 4)
-    with pytest.raises(InvalidInputError):
-        build_table(s, -1)
+            assert rel_diff(rows[k][i], divdiff_sum(window_pts, window_vals)) <= 1e-9
 
 
 # ------------------------------------------------------- wide-set reduction

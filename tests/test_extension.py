@@ -71,7 +71,6 @@ def test_lattice_short_gap_empty():
     cfg = ExtensionConfig(m=1)
     lat = build_gap_lattice((0.0, 3.0), cfg)
     assert [y for y in lat.lattice_points if 0 < y < 3] == []
-    assert (0.0, 3.0) not in lat.long_gaps
 
 
 def test_lattice_invariants_random(rng):
@@ -115,6 +114,9 @@ def test_config_validation():
         ExtensionConfig(m=2, backend="nope")
     with pytest.raises(InvalidInputError):
         ExtensionConfig(m=2, window_pad=5.0)
+    for pad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            ExtensionConfig(m=2, window_pad=pad)
     assert ExtensionConfig(m=2).window_pad == support_pad(2) == 12.0
 
 
@@ -129,7 +131,7 @@ def test_extension_contract_random(rng, backend):
         scale = 1 + max(abs(v) for v in s.values)
         resid = max(abs(F(x) - v) for x, v in zip(s.points, s.values))
         assert resid <= 1e-9 * scale
-        assert F.smoothness_order(cfg.smoothness_tol) >= m - 1
+        assert F.smoothness_order(1e-8) >= m - 1
         assert F.degree <= 2 * m - 1
         lo = s.points[0] - cfg.window_pad
         hi = s.points[-1] + cfg.window_pad

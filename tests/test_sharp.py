@@ -7,14 +7,14 @@ from sobtrace import (
     GridSpec,
     InvalidInputError,
     SampledFunction,
+    SizeCapError,
     UnsupportedError,
     lagrange_polynomial,
-    sharp_profile,
-    sharp_value,
     wmf_functional,
 )
 from sobtrace.sharp import grid_edges, profile_values
 from conftest import make_samples
+from oracles import sharp_value
 
 
 def test_singleton_box_shape():
@@ -48,17 +48,17 @@ def test_top_order_damping_factor():
 
 def test_profile_matches_pointwise(rng):
     s = make_samples(rng, 5, span=4.0)
+    grid = grid_edges(s, GridSpec(0.25))
     for k in (0, 1, 2):
-        prof = sharp_profile(s, 2, k, GridSpec(0.25))
-        expected = np.array([sharp_value(s, 2, k, float(x)) for x in prof.grid])
-        assert np.array_equal(prof.values, expected)
+        expected = np.array([sharp_value(s, 2, k, float(x)) for x in grid])
+        assert np.array_equal(profile_values(s, 2, k, grid), expected)
 
 
 def test_profile_nonnegative_and_supported(rng):
     s = make_samples(rng, 4, span=3.0)
-    prof = sharp_profile(s, 2, 1, GridSpec(0.5))
-    assert np.all(prof.values >= 0.0)
-    lo, hi = prof.support_bounds
+    grid = grid_edges(s, GridSpec(0.5))
+    assert np.all(profile_values(s, 2, 1, grid) >= 0.0)
+    lo, hi = grid[0], grid[-1]
     assert lo == s.points[0] - 1.0 and hi == s.points[-1] + 1.0
     for x in (lo - 0.5, hi + 0.5, lo - 3.0):
         assert sharp_value(s, 2, 1, float(x)) == 0.0
@@ -115,6 +115,17 @@ def test_wmf_rejects_p_infinity(rng):
         wmf_functional(s, 1, 1.0)
 
 
+def test_grid_spacing_and_cell_budget():
+    # the default spacing follows the closest pair: about 6e11 cells here
+    s = SampledFunction((0.0, 1e-9, 10.0), (1.0, 2.0, 3.0))
+    with pytest.raises(SizeCapError, match="--grid-h"):
+        wmf_functional(s, 1, 2.0)
+    assert wmf_functional(s, 1, 2.0, GridSpec(0.05)).value > 0.0
+    for h in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidInputError):
+            grid_edges(s, GridSpec(h))
+
+
 def test_grid_edges_cover_forced_nodes(rng):
     s = make_samples(rng, 4, span=5.0)
     edges = grid_edges(s, GridSpec(0.3))
@@ -134,3 +145,7 @@ def test_sharp_rejects_bad_order(rng):
         sharp_value(s, 2, 3, 0.0)
     with pytest.raises(InvalidInputError):
         sharp_value(s, 0, 0, 0.0)
+    with pytest.raises(InvalidInputError):
+        profile_values(s, 2, 3, [0.0])
+    with pytest.raises(InvalidInputError):
+        profile_values(s, 0, 0, [0.0])

@@ -25,6 +25,7 @@ from sobtrace import (
     sobolev_norm,
 )
 from sobtrace import splines
+from sobtrace.piecewise import shift_polynomial
 from sobtrace.splines import _gauss_jacobi
 from conftest import make_samples, polynomial_samples
 
@@ -98,20 +99,25 @@ def test_sup_norm_with_tails():
 def test_lp_rejects_bad_p():
     with pytest.raises(InvalidInputError):
         lp_norm(linear_piece(), 0.5)
+    for tol in (math.nan, -1e-10):
+        with pytest.raises(InvalidInputError):
+            lp_norm(linear_piece(), 1.5, quad_tol=tol)
 
 
 def test_lp_triangle_inequality_and_scaling(rng):
     for p in (1.5, 2.0, 3.0):
         for _ in range(5):
-            bp_f = np.sort(rng.uniform(0, 4, 3))
-            bp_g = np.sort(rng.uniform(1, 5, 3))
-            if np.diff(bp_f).min() < 0.1 or np.diff(bp_g).min() < 0.1:
+            bp = np.sort(rng.uniform(0, 5, 5))
+            if np.diff(bp).min() < 0.1:
                 continue
-            F = PiecewisePolynomial(bp_f, [rng.standard_normal(3) for _ in range(2)])
-            G = PiecewisePolynomial(bp_g, [rng.standard_normal(3) for _ in range(2)])
-            nf, ng, nfg = lp_norm(F, p), lp_norm(G, p), lp_norm(F + G, p)
+            # F and G as coefficient rows on shared breakpoints, F on the
+            # first three pieces and G on the last three
+            cf, cg = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+            cf[3:], cg[:1] = 0.0, 0.0
+            nf, ng = lp_norm(PiecewisePolynomial(bp, cf), p), lp_norm(PiecewisePolynomial(bp, cg), p)
+            nfg = lp_norm(PiecewisePolynomial(bp, cf + cg), p)
             assert nfg <= nf + ng + 1e-9 * (nf + ng)
-            assert lp_norm(-2.5 * F, p) == pytest.approx(2.5 * nf, rel=1e-9)
+            assert lp_norm(PiecewisePolynomial(bp, -2.5 * cf), p) == pytest.approx(2.5 * nf, rel=1e-9)
 
 
 def test_adaptive_depth_cap_raises():
@@ -309,13 +315,27 @@ def test_energy_triangle_inequality(rng):
     assert math.sqrt(efg) <= math.sqrt(ef) + math.sqrt(eg) + 1e-9
 
 
-def _bump_in_gap(a, b, m):
-    """C^{m-1} bump ((x-a)(b-x))^m supported inside (a, b)."""
+def _bump_in_gap(a, b, m, amp):
+    """C^{m-1} bump amp ((x-a)(b-x))^m supported inside (a, b)."""
     width = b - a
     coeffs = np.zeros(2 * m + 1)
     for i in range(m + 1):
-        coeffs[m + i] = math.comb(m, i) * width ** (m - i) * (-1.0) ** i
+        coeffs[m + i] = amp * math.comb(m, i) * width ** (m - i) * (-1.0) ** i
     return PiecewisePolynomial([a, b], [coeffs])
+
+
+def _plus_bump(F, bump):
+    """F plus a bump supported inside one piece of F: that piece is split at
+    the bump's ends, and the middle part takes the sum of both polynomials."""
+    (a, b), bump_row = bump.breakpoints, bump.coefficients[0]
+    j = int(np.searchsorted(F.breakpoints, a)) - 1
+    c, x0 = F.coefficients[j], F.breakpoints[j]
+    middle = np.zeros(max(len(c), len(bump_row)))
+    middle[: len(c)] = shift_polynomial(c, a - x0)
+    middle[: len(bump_row)] += bump_row
+    pieces = [*F.coefficients[:j], c, middle, shift_polynomial(c, b - x0), *F.coefficients[j + 1 :]]
+    bp = np.concatenate([F.breakpoints[: j + 1], [a, b], F.breakpoints[j + 1 :]])
+    return PiecewisePolynomial(bp, pieces, F.left_tail, F.right_tail)
 
 
 def test_minimizer_stationarity_under_bumps(rng):
@@ -331,10 +351,12 @@ def test_minimizer_stationarity_under_bumps(rng):
             if b <= a:
                 continue
             amp = float(rng.uniform(-2.0, 2.0))
-            bump = amp * _bump_in_gap(a, b, m)
+            bump = _bump_in_gap(a, b, m, amp)
             for x, v in zip(s.points, s.values):
                 assert bump(x) == 0.0
-            perturbed = F + bump
+            perturbed = _plus_bump(F, bump)
+            xs = np.linspace(s.points[0] - 1.0, s.points[-1] + 1.0, 41)
+            assert np.allclose(perturbed(xs), F(xs) + bump(xs), rtol=1e-12, atol=1e-12)
             deriv = perturbed
             for _ in range(m):
                 deriv = deriv.differentiate()
