@@ -47,7 +47,7 @@ from .functionals import (
 )
 from .piecewise import PiecewisePolynomial
 from .samples import SampledFunction
-from .sharp import ENUMERATION_CAP, GridSpec, wmf_functional
+from .sharp import GridSpec, wmf_functional
 from .splines import (
     NormReport,
     anchored_min_energy_spline,
@@ -59,7 +59,6 @@ from .splines import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_CAP",
     "ExtensionConfig",
     "FunctionalReport",
     "GapLattice",

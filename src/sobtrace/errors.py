@@ -20,15 +20,15 @@ class HypothesisViolationError(InvalidInputError):
 class SizeCapError(InvalidInputError):
     """A computation refused because its cost would exceed a fixed budget.
 
-    The budgets are the variational forms' count of divided differences
-    (``VARIATIONAL_BUDGET``), the sharp profiles' subset enumeration
-    (``ENUMERATION_CAP`` points) and the cells of a profile grid or an
+    The budgets are the count of divided differences over index subsets
+    that the variational forms and the sharp profiles share
+    (``VARIATIONAL_BUDGET``) and the cells of a profile grid or an
     extension sampling (``sharp.MAX_GRID_CELLS``).
     """
 
 
 class NumericalFailureError(SobtraceError):
-    """A linear solve or quadrature produced non-finite results."""
+    """A linear solve, a quadrature or a derivative produced non-finite results."""
 
 
 class NonintegrableError(SobtraceError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _expand_newton, divided_difference_rows
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedError
 from .functionals import (
     pad_small_set,
     sequence_functional,
@@ -39,7 +39,7 @@ from .functionals import (
 )
 from .piecewise import PiecewisePolynomial, scalar_powers
 from .samples import SampledFunction
-from .splines import NormReport, anchored_min_energy_spline, sobolev_norm
+from .splines import MAX_ORDER, NormReport, anchored_min_energy_spline, sobolev_norm
 
 #: Gaps wider than this receive lattice points.
 LONG_GAP = 4.0
@@ -71,6 +71,8 @@ class ExtensionConfig:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise InvalidInputError(f"m must be a positive integer, got {self.m}")
+        if self.m > MAX_ORDER:
+            raise UnsupportedError(f"order m = {self.m} is above {MAX_ORDER}: (2m-1)! overflows a float")
         if self.backend not in ("hermite", "natural2"):
             raise InvalidInputError(f"unknown backend {self.backend!r}")
         pad = self.window_pad

@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 
-def shift_polynomial(coeffs, t0: float) -> np.ndarray:
-    """Coefficients of p(t + t0) given monomial coefficients of p(t)."""
+def shift_polynomial(coeffs, t0) -> np.ndarray:
+    """Coefficients of p(t + t0), the Taylor coefficients of p at t0; each row
+    of a 2-D array shifts by its own entry of ``t0``."""
     c = np.array(coeffs, dtype=float)
-    if t0 == 0.0 or len(c) <= 1:
+    if not np.any(t0):
         return c
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] += t0 * c[j + 1]
+    cols = c.T  # a view: cols[j] holds coefficient j of every row
+    for i in range(len(cols) - 1):
+        for j in range(len(cols) - 2, i - 1, -1):
+            cols[j] += t0 * cols[j + 1]
     return c
 
 
@@ -64,13 +65,6 @@ def scalar_powers(h, width: int) -> np.ndarray:
     from it in the last ulp, which would move solutions built on it."""
     base, which = np.unique(np.asarray(h, dtype=float), return_inverse=True)
     return np.array([[x**k for k in range(width)] for x in base.tolist()]).reshape(-1, width)[which]
-
-
-def _derivative_value(coeffs, t: float, order: int) -> float:
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(order):
-        c = polynomial_derivative(c)
-    return float(polynomial_eval(c, t))
 
 
 def _pad(c, width: int) -> np.ndarray:
@@ -160,13 +154,12 @@ class PiecewisePolynomial:
         return out
 
     def differentiate(self) -> "PiecewisePolynomial":
-        """Piecewise derivative; breakpoints are preserved."""
-        return PiecewisePolynomial(
-            self.breakpoints,
-            polynomial_derivative(self.coefficients),
-            polynomial_derivative(self.left_tail),
-            polynomial_derivative(self.right_tail),
-        )
+        """Piecewise derivative; breakpoints are preserved.  Raises
+        NumericalFailureError when its coefficients overflow."""
+        rows = [polynomial_derivative(c) for c in (self.coefficients, self.left_tail, self.right_tail)]
+        if not all(np.all(np.isfinite(c)) for c in rows):
+            raise NumericalFailureError("the derivative's coefficients overflow")
+        return PiecewisePolynomial(self.breakpoints, *rows)
 
     # -------------------------------------------------------------- calculus
 
@@ -183,19 +176,14 @@ class PiecewisePolynomial:
         """
         if tol <= 0:
             raise InvalidInputError("tol must be positive")
-        joins = []
-        for j in range(1, self.n_pieces):
-            h = self.breakpoints[j] - self.breakpoints[j - 1]
-            joins.append((self.coefficients[j - 1], h, self.coefficients[j]))
-        order = -1
+        # derivative r at a join is r! times coefficient r of the rows shifted there
+        left, fact = shift_polynomial(self.coefficients[:-1], np.diff(self.breakpoints)[:-1]), 1.0
         for r in range(self.degree + 1):
-            for cl, t, cr in joins:
-                left = _derivative_value(cl, t, r)
-                right = _derivative_value(cr, 0.0, r)
-                if not abs(left - right) <= tol * (1.0 + max(abs(left), abs(right))):
-                    return order
-            order = r
-        return order
+            fact *= max(r, 1)
+            L, R = fact * left[:, r], fact * self.coefficients[1:, r]
+            if not np.all(np.abs(L - R) <= tol * (1.0 + np.maximum(np.abs(L), np.abs(R)))):
+                return r - 1
+        return self.degree
 
     # ---------------------------------------------------------- serialization
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
-from .functionals import FunctionalReport, effective_order, subset_differences
+from .functionals import FunctionalReport, effective_order, require_feasible, subset_differences
 from .samples import SampledFunction
 
-#: Sharp values enumerate every subset at each grid node; larger sets are refused.
-ENUMERATION_CAP = 20
 #: Most cells a grid may have; the default spacing follows the closest pair of
 #: points, so one tiny gap would otherwise ask for an unbounded grid.
 MAX_GRID_CELLS = 1_000_000
@@ -49,15 +47,7 @@ def _check_args(s: SampledFunction, m: int, k: int) -> None:
         raise InvalidInputError(f"m must be a positive integer, got {m}")
     if not 0 <= k <= m:
         raise InvalidInputError(f"order k must lie in [0, {m}], got {k}")
-    if len(s) > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"subset enumeration is capped at {ENUMERATION_CAP} points, got {len(s)}"
-        )
-
-
-def _subset_arrays(s: SampledFunction, k: int):
-    combos, dds = zip(*subset_differences(s.points, s.values, k)[1])
-    return np.array([[s.points[j] for j in c] for c in combos]), np.abs(dds)
+    require_feasible(len(s), m)
 
 
 def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.ndarray:
@@ -67,27 +57,40 @@ def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.nda
     within distance 1 of x; the rest may lie arbitrarily far away.  For
     k < m the value at x is the supremum of |D^k f[S]|; at k = m each
     candidate is damped by diam(S) / diam(S u {x}).  An empty admissible
-    family gives 0.  The reduction is deterministic: a running elementwise
-    maximum over the subsets in lexicographic order.
+    family gives 0.  Sets failing :func:`variational_feasible` at order m
+    raise SizeCapError.
+
+    One pass over the subsets keeps the largest |D^k f[S]| per sample j in
+    S, at k = m per (j, min S, max S): the damping sees only the ends of S
+    and fl(d r) is monotone in d, so the maxima are exact.  A node reads the
+    entries of the samples within 1 of it.
     """
     _check_args(s, m, k)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     if len(s) < k + 1:
         return out
-    coords, dds = _subset_arrays(s, k)
-    for row, dd in zip(coords, dds):
-        dist = np.min(np.abs(xs[None, :] - row[:, None]), axis=0)
-        mask = dist <= 1.0
-        if not np.any(mask):
-            continue
-        if k == m:
-            diam_s = row[-1] - row[0]
-            diam_sx = np.maximum(row[-1], xs) - np.minimum(row[0], xs)
-            cand = dd * (diam_s / diam_sx)
-        else:
-            cand = np.full_like(xs, dd)
-        np.maximum(out, np.where(mask, cand, 0.0), out=out)
+    combos, dds = zip(*subset_differences(s.points, s.values, k)[1])
+    W, n, pts = np.array(combos), len(s), np.asarray(s.points)
+    if k == m:  # one key per (member, first, last) index triple
+        W = (W * n + W[:, :1]) * n + W[:, -1:]
+    keys, at = np.unique(W.ravel(), return_inverse=True)
+    best = np.zeros(len(keys))
+    np.maximum.at(best, at, np.repeat(np.abs(dds), k + 1))
+    member = keys // n**2 if k == m else keys
+    first, last = pts[keys // n % n, None], pts[keys % n, None]
+    order = np.argsort(xs, kind="stable")
+    xsort = xs[order]
+    for j, a, count in zip(*np.unique(member, return_index=True, return_counts=True)):
+        e = slice(a, a + count)
+        u, v = np.searchsorted(xsort, (pts[j] - 2.0, pts[j] + 2.0))
+        near = order[u:v][np.abs(xsort[u:v] - pts[j]) <= 1.0]
+        # blocks of nodes keep the (entries x nodes) temporaries near 2^18 elements
+        for idx in np.array_split(near, 1 + len(near) * count // 2**18):
+            cand = best[e, None]
+            if k == m:
+                cand = cand * ((last[e] - first[e]) / (np.maximum(last[e], xs[idx]) - np.minimum(first[e], xs[idx])))
+            out[idx] = np.maximum(out[idx], cand.max(axis=0))
     return out
 
 

@@ -33,14 +33,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from .divdiff import lagrange_polynomial
-from .errors import InvalidInputError, NonintegrableError, NumericalFailureError
+from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError
 from .piecewise import (
     PiecewisePolynomial,
-    _derivative_value,
     polynomial_derivative,
     polynomial_eval,
     polynomial_eval_rows,
     scalar_powers,
+    shift_polynomial,
 )
 from .samples import SampledFunction
 
@@ -58,6 +58,8 @@ _ZERO_TAYLOR = 1e-12
 _MAX_DEPTH = 48
 #: Spline solves with a larger relative backward error raise.
 _MAX_BACKWARD_ERROR = 1e-10
+#: Highest order m whose factorials up to (2m-1)! = 169! fit in a float.
+MAX_ORDER = 85
 
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +323,8 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
         else:
             integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
         total += float(h[lo : lo + _CHUNK] @ integrals)
+    if not math.isfinite(total):
+        raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {total}")
     return total ** (1.0 / p)
 
 
@@ -369,6 +373,8 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     backward error |Ax - b| / (|A| |x| + |b|) in the infinity norm exceeds
     1e-10, raises NumericalFailureError.
     """
+    if m > MAX_ORDER:
+        raise UnsupportedError(f"order m = {m} is above {MAX_ORDER}: (2m-1)! overflows a float")
     n, w = len(t) - 1, 2 * m
     h = np.diff(t)
     fact = np.array([math.factorial(k) for k in range(w)], dtype=float)
@@ -443,12 +449,8 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     scaled = (pts - pts[0]) / g
     coef = _spline_system(scaled, vals, m, anchored=False)
     coef = coef / g ** np.arange(2 * m)
-    left_tail = coef[0][:m]
-    h_last = float(pts[-1] - pts[-2])
-    right_tail = np.array(
-        [_derivative_value(coef[-1], h_last, ell) / math.factorial(ell) for ell in range(m)]
-    )
-    F = PiecewisePolynomial(pts, coef, left_tail, right_tail)
+    right_tail = shift_polynomial(coef[-1], float(pts[-1] - pts[-2]))[:m]
+    F = PiecewisePolynomial(pts, coef, coef[0][:m], right_tail)
     deriv = F
     for _ in range(m):
         deriv = deriv.differentiate()

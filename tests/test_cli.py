@@ -181,18 +181,18 @@ def test_bad_p_rejected(tmp_path):
     assert main(["--command", "check", "--input", inp, "--m", "1", "--p", "zzz", "--out", str(tmp_path / "r.json")]) == 2
 
 
-def test_check_beyond_enumeration_cap(tmp_path):
-    # 25 points: past the sharp-maximal subset enumeration cap, which is
-    # skipped, but within the variational budget at m = 2
+def test_check_subset_budget(tmp_path):
+    # 25 points at m = 2: within the subset budget, which the variational
+    # forms and the sharp profiles share, so all of them are reported
     pts = [0.5 * i for i in range(25)]
     vals = [float((-1) ** i) for i in range(25)]
     inp = write_json_input(tmp_path / "big.json", pts, vals)
     out = tmp_path / "report.json"
     assert main(["--command", "check", "--input", inp, "--m", "2", "--p", "2", "--out", str(out)]) == 0
     got = set(json.loads(out.read_text())["functionals"])
-    assert got == {"sequence", "homogeneous_sequence", "variational", "homogeneous_variational"}
+    assert got == {"sequence", "homogeneous_sequence", "variational", "homogeneous_variational", "sharp_maximal"}
     # 52 points at m = 3: the subsets of at most 4 points exceed the budget; the variational
-    # forms are skipped, not fatal
+    # forms and the sharp profiles are skipped, not fatal
     pts = [0.5 * i for i in range(52)]
     vals = [float((-1) ** i) for i in range(52)]
     inp = write_json_input(tmp_path / "bigger.json", pts, vals)
@@ -206,6 +206,34 @@ def test_check_beyond_enumeration_cap(tmp_path):
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
     assert main(["--command", "check", "--input", inp, "--m", "40", "--p", "inf", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set"}
+
+
+def test_maximal_past_twenty_points(tmp_path, capsys):
+    pts = [0.5 * i for i in range(25)]
+    inp = write_json_input(tmp_path / "big.json", pts, [float((-1) ** i) for i in range(25)])
+    out = tmp_path / "prof.csv"
+    assert main(["--command", "maximal", "--input", inp, "--m", "2", "--p", "2", "--grid-h", "0.25", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("wmf,")
+    assert len(out.read_text().splitlines()) == 1 + 57  # a header, then the edges of 0.25 cells on [-1, 13]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize(
+    "points, values, m, backend, code",
+    [
+        ([0, 0.1, 0.2], [1, -1, 1], 75, "hermite", 3),  # an L^2 integral overflows
+        ([0, 0.01, *range(1, 9)], [(-1) ** i for i in range(10)], 60, "hermite", 3),
+        ([0, 0.1, 0.2], [1, -1, 1], 90, "natural2", 4),  # (2m-1)! overflows a float
+        ([0, 0.1, 0.2], [1, -1, 1], 200, "hermite", 4),
+    ],
+)
+def test_extend_high_order_overflow_is_typed(tmp_path, capsys, points, values, m, backend, code):
+    inp = write_json_input(tmp_path / "in.json", points, values)
+    out = tmp_path / "out.json"
+    args = ["--command", "extend", "--input", inp, "--m", str(m), "--p", "2", "--backend", backend, "--out", str(out)]
+    assert main(args) == code
+    assert capsys.readouterr().err.startswith(("numerical failure:", "unsupported:"))
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from sobtrace import (
     NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
+    UnsupportedError,
     build_gap_lattice,
     extend,
     extension,
@@ -118,6 +119,9 @@ def test_config_validation():
         with pytest.raises(InvalidInputError):
             ExtensionConfig(m=2, window_pad=pad)
     assert ExtensionConfig(m=2).window_pad == support_pad(2) == 12.0
+    assert ExtensionConfig(m=85).m == 85
+    with pytest.raises(UnsupportedError):
+        ExtensionConfig(m=86)  # (2m-1)! = 171! overflows a float
 
 
 @pytest.mark.parametrize("backend", ["hermite", "natural2"])

@@ -4,10 +4,11 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sobtrace import (
+    GridSpec,
     HypothesisViolationError,
     InvalidInputError,
     SampledFunction,
@@ -20,9 +21,11 @@ from sobtrace import (
     small_set_functional,
     variational_feasible,
     variational_functional,
+    wmf_functional,
 )
 from sobtrace.divdiff import divided_difference_rows
 from sobtrace.functionals import abs_pow
+from sobtrace.sharp import profile_values
 from conftest import make_samples, polynomial_samples
 
 INF = math.inf
@@ -232,6 +235,11 @@ def test_variational_size_cap(rng):
         for p in (2.0, INF):
             with pytest.raises(SizeCapError):
                 func(s, 3, p)
+    # the sharp profiles enumerate the same subsets under the same rule
+    with pytest.raises(SizeCapError):
+        profile_values(s, 3, 0, [0.0])
+    with pytest.raises(SizeCapError):
+        wmf_functional(s, 3, 2.0, GridSpec(0.5))
     s = make_samples(rng, 30, span=40.0)
     for func in (variational_functional, homogeneous_variational_functional):
         with pytest.raises(SizeCapError):
@@ -273,14 +281,30 @@ def test_longest_path_matches_oracles(case):
         assert hom == pytest.approx(oracle_homogeneous_variational(s, m, p), rel=1e-12, abs=0.0)
 
 
+def _rounding_scale(s, m):
+    """Largest sum of |y_i / omega'(x_i)| over the index subsets of at most
+    m+1 points: the size of the terms each divided difference adds up, which
+    bounds its rounding even when it cancels to nothing."""
+    return max(
+        sum(abs(s.values[i] / math.prod(s.points[i] - s.points[j] for j in S if j != i)) for i in S)
+        for size in range(1, m + 2)
+        for S in itertools.combinations(range(len(s)), size)
+    )
+
+
 @given(dp_cases(), st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
+@example(
+    (SampledFunction((0.0, 1.8374469167347898, 3.6748938334695795, 5.51234075020437), (-1.0, 0.0, 0.0, -1.0)), 3, 1.1),
+    5.0,
+)  # the top differences cancel to rounding noise of about 1e-17
 @settings(max_examples=60, deadline=None)
 def test_variational_value_scaling(case, c):
     s, m, p = case
     scaled = s.scaled_values(c)
+    noise = 1e-12 * abs(c) * _rounding_scale(s, m)
     for func in (variational_functional, homogeneous_variational_functional):
         base = func(s, m, p).value
-        assert func(scaled, m, p).value == pytest.approx(abs(c) * base, rel=1e-12, abs=0.0)
+        assert func(scaled, m, p).value == pytest.approx(abs(c) * base, rel=1e-12, abs=noise)
 
 
 # ------------------------------------------------------------- homogeneous

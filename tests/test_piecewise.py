@@ -142,6 +142,14 @@ def test_shift_polynomial_identity():
         )
 
 
+def test_shift_polynomial_rows(rng):
+    # each row shifts by its own amount, exactly as it would alone
+    C, t0 = rng.standard_normal((6, 5)), rng.uniform(-2.0, 2.0, 6)
+    rows = shift_polynomial(C, t0)
+    for c, t, row in zip(C, t0, rows):
+        assert np.array_equal(row, shift_polynomial(c, float(t)))
+
+
 def test_serialization_round_trip_bit_stable():
     F = PiecewisePolynomial(
         [0.0, 1.0 / 3.0, np.pi],

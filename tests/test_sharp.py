@@ -46,12 +46,25 @@ def test_top_order_damping_factor():
     assert sharp_value(s, 1, 1, 0.5) == pytest.approx(2.0, rel=1e-12)
 
 
+def _assert_matches_oracle(s, m, xs):
+    for k in range(m + 1):
+        expected = np.array([sharp_value(s, m, k, float(x)) for x in xs])
+        assert np.array_equal(profile_values(s, m, k, xs), expected)
+
+
 def test_profile_matches_pointwise(rng):
-    s = make_samples(rng, 5, span=4.0)
-    grid = grid_edges(s, GridSpec(0.25))
-    for k in (0, 1, 2):
-        expected = np.array([sharp_value(s, 2, k, float(x)) for x in grid])
-        assert np.array_equal(profile_values(s, 2, k, grid), expected)
+    for m in (1, 2, 3):
+        s = make_samples(rng, 5 + m, span=4.0)
+        grid = grid_edges(s, GridSpec(0.25))
+        _assert_matches_oracle(s, m, grid)
+        _assert_matches_oracle(s, m, rng.uniform(grid[0] - 1.0, grid[-1] + 1.0, 25))
+    # equally spaced integer values: many subsets tie at k = m
+    s = SampledFunction(tuple(0.5 * i for i in range(8)), (0.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0))
+    for m in (1, 2, 3):
+        _assert_matches_oracle(s, m, grid_edges(s, GridSpec(0.25)))
+    # past the 20 points that once capped the subset enumeration
+    s = make_samples(rng, 22, span=8.0)
+    _assert_matches_oracle(s, 2, grid_edges(s, GridSpec(0.5)))
 
 
 def test_profile_nonnegative_and_supported(rng):

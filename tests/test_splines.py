@@ -16,6 +16,7 @@ from sobtrace import (
     NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
+    UnsupportedError,
     anchored_min_energy_spline,
     extend,
     homogeneous_sequence_functional,
@@ -102,6 +103,22 @@ def test_lp_rejects_bad_p():
     for tol in (math.nan, -1e-10):
         with pytest.raises(InvalidInputError):
             lp_norm(linear_piece(), 1.5, quad_tol=tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_overflow_is_a_typed_failure():
+    huge = PiecewisePolynomial([0.0, 1.0], [[1e200, 0.0, 1e300]])
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(NumericalFailureError):
+            lp_norm(huge, p)
+    with pytest.raises(NumericalFailureError):
+        PiecewisePolynomial([0.0, 1.0], [[0.0, 0.0, 1e308]]).differentiate()
+    # (2m-1)! overflows a float from m = 86 on
+    with pytest.raises(UnsupportedError):
+        anchored_min_energy_spline([0.0, 1.0], [1.0, 2.0], 86, -10.0, 10.0)
+    s = SampledFunction(tuple(float(x) for x in range(90)), (1.0,) * 90)
+    with pytest.raises(UnsupportedError):
+        natural_spline_min_energy(s, 86)
 
 
 def test_lp_triangle_inequality_and_scaling(rng):
