@@ -100,7 +100,7 @@ def load_samples(path: str) -> SampledFunction:
             raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(obj, dict) or "points" not in obj or "values" not in obj:
             raise InvalidInputError(f"{path}: expected an object with 'points' and 'values'")
-        return SampledFunction(tuple(obj["points"]), tuple(obj["values"]))
+        return SampledFunction(obj["points"], obj["values"])
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -288,9 +288,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         passes = {}
         for backend in ("hermite", "natural2"):
             cfg = ExtensionConfig(m=m, backend=backend, window_pad=args.window_pad)
-            F = extend(s, cfg)
-            values[backend] = sobolev_norm(F, m, p, args.tol).w_norm
-            passes[backend] = verify_necessity(s, F, m, p, args.tol).passed
+            necessity = verify_necessity(s, extend(s, cfg), m, p, args.tol)
+            values[backend], passes[backend] = necessity.extension_norm, necessity.passed
         wmf = wmf_functional(s, m, p, GridSpec(args.grid_h if args.grid_h else 0.25)).value
         row_ratios = {
             "tilde_over_var": tilde / var if var else 0.0,

@@ -3,9 +3,9 @@
 Pipeline: very small sets are first padded to m+1 points with zero samples;
 complementary gaps wider than 4 receive lattice points at spacing between 2
 and 3 (spacing exactly 2 in the two unbounded gaps, truncated to the support
-window); the data is extended by zero onto the lattice; finally one of two
-backends interpolates the merged data with a piecewise polynomial of degree
-at most 2m-1 joining C^{m-1}:
+window); the data is extended by zero onto the lattice, giving arrays of
+knots and values; finally one of two backends interpolates the merged data
+with a piecewise polynomial of degree at most 2m-1 joining C^{m-1}:
 
 * ``hermite`` assigns a jet to every merged knot (zero at lattice knots; at
   a data knot, the derivatives of the polynomial through its m nearest data
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _expand_newton, divided_difference_rows
-from .errors import InvalidInputError, UnsupportedError
+from .errors import InvalidInputError, NumericalFailureError, UnsupportedError
 from .functionals import (
     pad_small_set,
     sequence_functional,
@@ -38,7 +38,7 @@ from .functionals import (
     variational_functional,
 )
 from .piecewise import PiecewisePolynomial, scalar_powers
-from .samples import SampledFunction
+from .samples import MIN_GAP, SampledFunction
 from .splines import MAX_ORDER, NormReport, anchored_min_energy_spline, sobolev_norm
 
 #: Gaps wider than this receive lattice points.
@@ -123,16 +123,20 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
     return GapLattice(tuple(lattice))
 
 
-def zero_extend(s: SampledFunction, lattice: GapLattice) -> SampledFunction:
-    """Merge the data with the lattice, assigning the value 0 on the lattice."""
-    pairs = sorted(
-        list(zip(s.points, s.values)) + [(x, 0.0) for x in lattice.lattice_points]
-    )
-    pts = tuple(x for x, _ in pairs)
-    vals = tuple(v for _, v in pairs)
-    # separation >= 2 between data and lattice makes collisions impossible;
-    # the constructor enforces strict monotonicity anyway
-    return SampledFunction(pts, vals)
+def zero_extend(s: SampledFunction, lattice: GapLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the data with the lattice, assigning the value 0 on the lattice.
+
+    Returns the merged knots and values as arrays in increasing knot order.
+    Far from the origin, rounding can bring a lattice point within
+    ``MIN_GAP`` of a data point; such a merge raises InvalidInputError.
+    """
+    knots = np.concatenate([s.points, lattice.lattice_points])
+    values = np.concatenate([s.values, np.zeros(len(lattice.lattice_points))])
+    order = np.argsort(knots, kind="stable")
+    knots, values = knots[order], values[order]
+    if not np.all(np.diff(knots) >= MIN_GAP):
+        raise InvalidInputError(f"merged knots closer than {MIN_GAP:g}: data and lattice collide")
+    return knots, values
 
 
 # ----------------------------------------------------------------- hermite
@@ -150,21 +154,24 @@ def _nearest_windows(points, m: int) -> list[int]:
     return starts
 
 
-def _hermite_extend(data: SampledFunction, merged: SampledFunction, m: int) -> PiecewisePolynomial:
+@np.errstate(all="ignore")  # an overflow surfaces as a non-finite coefficient
+def _hermite_extend(data: SampledFunction, knots: np.ndarray, m: int) -> PiecewisePolynomial:
     """Every knot gets a jet: zero at lattice knots, and at a data knot the
     derivatives of the polynomial through its m nearest data points.  Each
     piece takes the two-point Hermite interpolant of its end jets, solved on
     the unit interval (sigma = t/h), so one fixed m x m matrix serves all
-    pieces in a single batched solve."""
+    pieces in a single batched solve.  A coefficient that is not finite,
+    which includes an h**k that underflows to 0 at high order, raises
+    NumericalFailureError."""
     fact = np.array([math.factorial(k) for k in range(m)], dtype=float)
-    jets = np.zeros((len(merged), m))
-    at = np.searchsorted(merged.points, data.points)
+    jets = np.zeros((len(knots), m))
+    at = np.searchsorted(knots, data.points)
     pts, vals = data.points, data.values
     for i, (t, lo) in enumerate(zip(pts, _nearest_windows(pts, m))):
         xs = pts[lo : lo + m]
         newton = [row[0] for row in divided_difference_rows(xs, vals[lo : lo + m], m - 1)]
         jets[at[i]] = _expand_newton(newton, [x - t for x in xs[:-1]]) * fact
-    h = np.diff(merged.points)
+    h = np.diff(knots)
     live = np.flatnonzero(jets[:-1].any(axis=1) | jets[1:].any(axis=1))
     powers = scalar_powers(h[live], m)
     q_low = powers * jets[live] / fact
@@ -175,7 +182,9 @@ def _hermite_extend(data: SampledFunction, merged: SampledFunction, m: int) -> P
     q_high = np.linalg.solve(unit, (powers * jets[live + 1] - known).T).T
     coeffs = np.zeros((len(h), 2 * m))
     coeffs[live] = np.hstack([q_low, q_high]) / h[live, None] ** np.arange(2 * m)
-    return PiecewisePolynomial(merged.points, coeffs)
+    if not np.all(np.isfinite(coeffs[live])):
+        raise NumericalFailureError(f"hermite piece coefficients overflow at order m = {m}")
+    return PiecewisePolynomial(knots, coeffs)
 
 
 # -------------------------------------------------------------------- public
@@ -193,16 +202,11 @@ def extend(s: SampledFunction, cfg: ExtensionConfig) -> PiecewisePolynomial:
     m = cfg.m
     work = pad_small_set(s, m) if len(s) <= m else s
     lattice = build_gap_lattice(work.points, cfg)
-    merged = zero_extend(work, lattice)
+    knots, values = zero_extend(work, lattice)
     if cfg.backend == "hermite":
-        return _hermite_extend(work, merged, m)
-    return anchored_min_energy_spline(
-        merged.points,
-        merged.values,
-        m,
-        work.points[0] - cfg.window_pad,
-        work.points[-1] + cfg.window_pad,
-    )
+        return _hermite_extend(work, knots, m)
+    edges = (work.points[0] - cfg.window_pad, work.points[-1] + cfg.window_pad)
+    return anchored_min_energy_spline(knots, values, m, *edges)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,11 @@ class SampledFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(x) for x in self.points)
-        vals = tuple(float(v) for v in self.values)
+        try:
+            pts = tuple(float(x) for x in self.points)
+            vals = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"points and values must be sequences of numbers: {exc}") from exc
         if not pts:
             raise InvalidInputError("at least one sample point is required")
         if len(pts) != len(vals):

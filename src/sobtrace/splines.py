@@ -368,15 +368,17 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     boundary rows.  The natural system interpolates y at every knot and makes
     the derivatives of orders m..2m-2 vanish at both extreme knots; the
     anchored one interpolates y at the interior knots and clamps zero m-jets
-    at the extreme knots.  The rows are assembled as arrays into one COO
-    matrix and solved once.  A solution that is not finite, or whose
-    backward error |Ax - b| / (|A| |x| + |b|) in the infinity norm exceeds
-    1e-10, raises NumericalFailureError.
+    at the extreme knots.  The system is built on the knots scaled to unit
+    mean gap, assembled as arrays into one COO matrix and solved once; the
+    coefficients are scaled back to ``t``.  A solution that is not finite,
+    or whose backward error |Ax - b| / (|A| |x| + |b|) in the infinity norm
+    is not at most 1e-10, raises NumericalFailureError.
     """
     if m > MAX_ORDER:
         raise UnsupportedError(f"order m = {m} is above {MAX_ORDER}: (2m-1)! overflows a float")
     n, w = len(t) - 1, 2 * m
-    h = np.diff(t)
+    g = float(t[-1] - t[0]) / n
+    h = np.diff((t - t[0]) / g)
     fact = np.array([math.factorial(k) for k in range(w)], dtype=float)
     knot = np.arange(1, n)[:, None]  # interior knot between pieces knot-1 and knot
     joined = np.arange(1, w - 1)
@@ -420,13 +422,14 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     sol = np.asarray(spsolve(A, b), dtype=float)
     if not np.all(np.isfinite(sol)):
         raise NumericalFailureError("spline system is singular or badly scaled")
-    scale = abs(A).sum(axis=1).max() * np.abs(sol).max() + np.abs(b).max()
-    backward = np.abs(A @ sol - b).max() / scale if scale > 0 else 0.0
-    if backward > _MAX_BACKWARD_ERROR:
+    # |A| divides each term before |x| would multiply it, so nothing overflows
+    norm_a, residual = abs(A).sum(axis=1).max(), np.abs(A @ sol - b).max()
+    backward = residual / norm_a / (np.abs(sol).max() + np.abs(b).max() / norm_a) if residual else 0.0
+    if not backward <= _MAX_BACKWARD_ERROR:
         raise NumericalFailureError(
-            f"spline solve has backward error {backward:.3e} > {_MAX_BACKWARD_ERROR:g}"
+            f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}"
         )
-    return sol.reshape(n, w)
+    return sol.reshape(n, w) / g ** np.arange(w)
 
 
 def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePolynomial, float]:
@@ -436,19 +439,15 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     polynomial tails of degree <= m-1 (the energy density vanishes outside the
     data).  With fewer than m+1 samples the minimum is 0, attained by the
     interpolating polynomial itself; that degenerate case is returned as such.
-    Knots are pre-scaled to unit mean gap before the one sparse solve, which
-    raises NumericalFailureError on a backward error above 1e-10.
+    Otherwise the spline comes from one sparse solve, which raises
+    NumericalFailureError on a backward error above 1e-10.
     """
     if m < 1:
         raise InvalidInputError("m must be a positive integer")
     if len(s) <= m:
         return lagrange_polynomial(s), 0.0
     pts = np.asarray(s.points)
-    vals = np.asarray(s.values)
-    g = float(pts[-1] - pts[0]) / (len(pts) - 1)
-    scaled = (pts - pts[0]) / g
-    coef = _spline_system(scaled, vals, m, anchored=False)
-    coef = coef / g ** np.arange(2 * m)
+    coef = _spline_system(pts, np.asarray(s.values), m, anchored=False)
     right_tail = shift_polynomial(coef[-1], float(pts[-1] - pts[-2]))[:m]
     F = PiecewisePolynomial(pts, coef, coef[0][:m], right_tail)
     deriv = F
@@ -470,32 +469,23 @@ def anchored_min_energy_spline(
     produces the spline.  Interior joins are C^{2m-2}; the edge joins are
     C^{m-1} against the zero tails.
 
-    An interior knot that coincides with an edge must carry the value 0 and is
+    The knots come as arrays (or sequences) of coordinates and values.  A
+    knot within 1e-9 relative of an edge must carry the value 0 and is
     absorbed into the edge conditions.
     """
     if m < 1:
         raise InvalidInputError("m must be a positive integer")
-    pts = [float(x) for x in points]
-    vals = [float(v) for v in values]
+    pts, vals = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    if pts.ndim != 1 or not 0 < len(pts) == len(vals):
+        raise InvalidInputError("points and values must be two non-empty sequences of one length")
     # relative slack: the outermost lattice point may land exactly on an edge,
     # and far from the origin an absolute slack falls below half an ulp
     slack_left = 1e-9 * (1.0 + abs(edge_left))
     slack_right = 1e-9 * (1.0 + abs(edge_right))
     if not edge_left < pts[0] + slack_left or not edge_right > pts[-1] - slack_right:
         raise InvalidInputError("edges must bracket the data")
-    interior: list[tuple[float, float]] = []
-    for x, v in zip(pts, vals):
-        near_left = abs(x - edge_left) <= slack_left
-        near_right = abs(x - edge_right) <= slack_right
-        if near_left or near_right:
-            if v != 0.0:
-                raise InvalidInputError("a knot on the window edge must carry the value 0")
-            continue
-        interior.append((x, v))
-    knots = np.array([edge_left] + [x for x, _ in interior] + [edge_right])
-    yvals = np.array([v for _, v in interior])
-    g = float(knots[-1] - knots[0]) / (len(knots) - 1)
-    scaled = (knots - knots[0]) / g
-    coef = _spline_system(scaled, yvals, m, anchored=True)
-    coef = coef / g ** np.arange(2 * m)
-    return PiecewisePolynomial(knots, coef)
+    on_edge = (np.abs(pts - edge_left) <= slack_left) | (np.abs(pts - edge_right) <= slack_right)
+    if np.any(vals[on_edge] != 0.0):
+        raise InvalidInputError("a knot on the window edge must carry the value 0")
+    knots = np.concatenate([[edge_left], pts[~on_edge], [edge_right]])
+    return PiecewisePolynomial(knots, _spline_system(knots, vals[~on_edge], m, anchored=True))

@@ -4,11 +4,12 @@ Two kinds live here.  Brute-force checks of the theory: the full-order
 divided difference by the recurrence and by the 1/omega' sum, the wide-set
 reduction certificate, the convex-hull lemma for subset differences and the
 pointwise sharp maximal value by enumeration over subsets.  And the
-straightforward forms the library once used: a whole-set sort per data knot
-for the hermite jets, one dense solve per hermite piece, and spline systems
-filled entry by entry through ``lil_matrix``.  Those share the library's
-call signatures, so a test can swap one in and compare the public results
-exactly.
+straightforward forms the library once used: a zero fill that sorts
+(coordinate, value) pairs, a whole-set sort per data knot for the hermite
+jets, one dense solve per hermite piece, edge knots absorbed one at a time,
+and spline systems filled entry by entry through ``lil_matrix``.  Those
+share the library's call signatures, so a test can swap one in or call it
+beside the library and compare the results exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.piecewise import PiecewisePolynomial
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
+from sobtrace.splines import _spline_system
 
 
 # -------------------------------------------------------- divided differences
@@ -169,6 +171,17 @@ def sharp_value(s: SampledFunction, m: int, k: int, x: float) -> float:
     return best
 
 
+# -------------------------------------------------------------- zero fill
+
+
+def zero_extend(s: SampledFunction, lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The merged knots and values, by sorting (coordinate, value) pairs and
+    validating the result as a ``SampledFunction``."""
+    pairs = sorted(list(zip(s.points, s.values)) + [(x, 0.0) for x in lattice.lattice_points])
+    merged = SampledFunction(tuple(x for x, _ in pairs), tuple(v for _, v in pairs))
+    return np.array(merged.points), np.array(merged.values)
+
+
 # ------------------------------------------------------------------ hermite
 
 
@@ -217,15 +230,16 @@ def hermite_piece(h: float, jet_left, jet_right, m: int) -> np.ndarray:
     return q / h ** np.arange(2 * m)
 
 
-def hermite_extend(data, merged, m: int) -> PiecewisePolynomial:
+def hermite_extend(data, knots, m: int) -> PiecewisePolynomial:
     """The hermite backend, one jet sort and one solve per knot and piece."""
     data_set = set(data.points)
-    jets = [local_jet(data, t, m) if t in data_set else [0.0] * m for t in merged.points]
+    pts = [float(t) for t in knots]
+    jets = [local_jet(data, t, m) if t in data_set else [0.0] * m for t in pts]
     pieces = []
-    for i in range(len(merged) - 1):
-        h = merged.points[i + 1] - merged.points[i]
+    for i in range(len(pts) - 1):
+        h = pts[i + 1] - pts[i]
         pieces.append(hermite_piece(h, jets[i], jets[i + 1], m))
-    return PiecewisePolynomial(merged.points, pieces)
+    return PiecewisePolynomial(pts, pieces)
 
 
 # ------------------------------------------------------------------ splines
@@ -313,5 +327,34 @@ def anchored_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
 
 
 def spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
-    """Drop-in for ``splines._spline_system``."""
-    return anchored_system(t, y, m) if anchored else natural_system(t, y, m)
+    """Drop-in for ``splines._spline_system``: the same scaling of the knots
+    to unit mean gap around the entry-by-entry assembly."""
+    g = float(t[-1] - t[0]) / (len(t) - 1)
+    scaled = (t - t[0]) / g
+    coef = anchored_system(scaled, y, m) if anchored else natural_system(scaled, y, m)
+    return coef / g ** np.arange(2 * m)
+
+
+def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_right: float):
+    """``splines.anchored_min_energy_spline`` with its edge knots absorbed one
+    at a time, on the library's spline builder."""
+    if m < 1:
+        raise InvalidInputError("m must be a positive integer")
+    pts = [float(x) for x in points]
+    vals = [float(v) for v in values]
+    slack_left = 1e-9 * (1.0 + abs(edge_left))
+    slack_right = 1e-9 * (1.0 + abs(edge_right))
+    if not edge_left < pts[0] + slack_left or not edge_right > pts[-1] - slack_right:
+        raise InvalidInputError("edges must bracket the data")
+    interior: list[tuple[float, float]] = []
+    for x, v in zip(pts, vals):
+        near_left = abs(x - edge_left) <= slack_left
+        near_right = abs(x - edge_right) <= slack_right
+        if near_left or near_right:
+            if v != 0.0:
+                raise InvalidInputError("a knot on the window edge must carry the value 0")
+            continue
+        interior.append((x, v))
+    knots = np.array([edge_left] + [x for x, _ in interior] + [edge_right])
+    yvals = np.array([v for _, v in interior])
+    return PiecewisePolynomial(knots, _spline_system(knots, yvals, m, anchored=True))

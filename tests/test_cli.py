@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sobtrace import PiecewisePolynomial
+from sobtrace import PiecewisePolynomial, cli, extension
 from sobtrace.cli import main
 
 
@@ -53,11 +53,19 @@ def test_unsorted_input_rejected(tmp_path):
     assert main(["--command", "check", "--input", inp, "--m", "1", "--p", "2", "--out", str(out)]) == 2
 
 
-def test_malformed_input_rejected(tmp_path):
+def test_malformed_input_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     out = tmp_path / "r.json"
-    assert main(["--command", "check", "--input", str(bad), "--m", "1", "--p", "2", "--out", str(out)]) == 2
+    for text in (
+        "{not json",
+        '{"points": [0, "a"], "values": [1, 2]}',
+        '{"points": [0, 1], "values": [1, null]}',
+        '{"points": [0, [0, 1]], "values": [1, 2]}',
+        '{"points": 5, "values": [1]}',
+    ):
+        bad.write_text(text)
+        assert main(["--command", "check", "--input", str(bad), "--m", "1", "--p", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
     missing = tmp_path / "missing.json"
     assert main(["--command", "check", "--input", str(missing), "--m", "1", "--p", "2", "--out", str(out)]) == 2
 
@@ -147,11 +155,16 @@ def test_zero_maximal_profile(tmp_path, capsys):
         assert cells[1] == 0.0 and cells[2] == 0.0
 
 
-def test_compare_determinism_and_bounds(tmp_path):
+def test_compare_determinism_and_bounds(tmp_path, monkeypatch):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = ["--command", "compare", "--m", "1", "--p", "2", "--seed", "11"]
+    calls = []
+    for module in (cli, extension):
+        norm = module.sobolev_norm
+        monkeypatch.setattr(module, "sobolev_norm", lambda *a, norm=norm: calls.append(1) or norm(*a))
     assert main(args + ["--out", str(out1)]) == 0
+    monkeypatch.undo()
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
@@ -161,6 +174,7 @@ def test_compare_determinism_and_bounds(tmp_path):
     i_nn = header.index("necessity_natural2")
     data_rows = [l.split(",") for l in lines[1:] if not l.startswith(("min", "max"))]
     assert data_rows
+    assert len(calls) == 2 * len(data_rows)  # one norm per backend and instance
     for row in data_rows:
         assert float(row[i_ratio]) <= 1.0 + 1e-12
         assert row[i_nh] == "pass" and row[i_nn] == "pass"
@@ -225,6 +239,7 @@ def test_maximal_past_twenty_points(tmp_path, capsys):
         ([0, 0.01, *range(1, 9)], [(-1) ** i for i in range(10)], 60, "hermite", 3),
         ([0, 0.1, 0.2], [1, -1, 1], 90, "natural2", 4),  # (2m-1)! overflows a float
         ([0, 0.1, 0.2], [1, -1, 1], 200, "hermite", 4),
+        ([0, 0.01, *range(1, 9)], [(-1) ** i for i in range(10)], 85, "hermite", 3),  # h**k underflows
     ],
 )
 def test_extend_high_order_overflow_is_typed(tmp_path, capsys, points, values, m, backend, code):

@@ -95,17 +95,27 @@ def test_zero_extend_example():
     cfg = ExtensionConfig(m=1, window_pad=9.0)
     s = SampledFunction((0.0, 10.0), (1.0, 1.0))
     lat = build_gap_lattice(s.points, cfg)
-    merged = zero_extend(s, lat)
-    assert len(merged) == len(s) + len(lat.lattice_points)
-    inner = {x: v for x, v in zip(merged.points, merged.values) if 0 <= x <= 10}
+    knots, values = zero_extend(s, lat)
+    assert len(knots) == len(values) == len(s) + len(lat.lattice_points)
+    inner = {x: v for x, v in zip(knots.tolist(), values.tolist()) if 0 <= x <= 10}
     assert inner == {0.0: 1.0, 2.0: 0.0, 4.0: 0.0, 6.0: 0.0, 8.0: 0.0, 10.0: 1.0}
 
 
 def test_zero_extend_zero_data(rng):
     s = SampledFunction((0.0, 7.0), (0.0, 0.0))
     lat = build_gap_lattice(s.points, ExtensionConfig(m=2))
-    merged = zero_extend(s, lat)
-    assert all(v == 0.0 for v in merged.values)
+    _, values = zero_extend(s, lat)
+    assert not values.any()
+
+
+def test_zero_extend_refuses_colliding_knots():
+    # 2 is below half an ulp at 1e17, so every lattice point lands on a datum
+    s = SampledFunction((1e17,), (1.0,))
+    lat = build_gap_lattice(s.points, ExtensionConfig(m=1))
+    with pytest.raises(InvalidInputError, match="merged knots"):
+        zero_extend(s, lat)
+    with pytest.raises(InvalidInputError):
+        oracles.zero_extend(s, lat)
 
 
 def test_config_validation():
@@ -226,7 +236,7 @@ def test_merged_set_energy_identity(rng):
 
     s = make_samples(rng, 4, span=20.0)
     cfg = ExtensionConfig(m=1)
-    merged = zero_extend(s, build_gap_lattice(s.points, cfg))
+    merged = SampledFunction(*zero_extend(s, build_gap_lattice(s.points, cfg)))
     _, energy = natural_spline_min_energy(merged, 1)
     h = homogeneous_sequence_functional(merged, 1, 2.0).value
     assert energy == pytest.approx(h * h, rel=1e-10)
@@ -380,6 +390,39 @@ def test_extensions_match_oracles(case):
             (F_ref.coefficients, F_ref.left_tail, F_ref.right_tail, energy_ref),
         ):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def shifted_wide_sets(draw):
+    """Sets of 1-30 points with gaps up to 60 (lattice points) under shifts
+    up to 1e6, and an order m whose even values put the outermost lattice
+    points on the window edges."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    gaps = draw(st.lists(st.sampled_from([1e-6, 0.3, 1.0, 4.5, 7.0, 12.0, 60.0]), min_size=n - 1, max_size=n - 1))
+    shift = draw(st.sampled_from([0.0, 1.0, -1e3]) | st.floats(-1e6, 1e6))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return SampledFunction(tuple(np.cumsum([shift, *gaps])), tuple(values)), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_wide_sets())
+def test_merged_knots_match_oracles(case):
+    s, m = case
+    cfg = ExtensionConfig(m=m, backend="natural2")
+    work = pad_small_set(s, m) if len(s) <= m else s
+    lattice = build_gap_lattice(work.points, cfg)
+    knots, values = zero_extend(work, lattice)
+    ref_knots, ref_values = oracles.zero_extend(work, lattice)
+    assert np.array_equal(knots, ref_knots) and np.array_equal(values, ref_values)
+    edges = (work.points[0] - cfg.window_pad, work.points[-1] + cfg.window_pad)
+    if m % 2 == 0:  # the outermost lattice points lie on the edges and are absorbed
+        assert (knots[0], knots[-1]) == edges
+    F = splines.anchored_min_energy_spline(knots, values, m, *edges)
+    F_ref = oracles.anchored_min_energy_spline(knots, values, m, *edges)
+    assert np.array_equal(F.breakpoints, F_ref.breakpoints)
+    assert np.array_equal(F.coefficients, F_ref.coefficients)
+    assert np.array_equal(extend(s, cfg).coefficients, F.coefficients)
 
 
 @pytest.mark.parametrize("backend", ["hermite", "natural2"])

@@ -418,6 +418,8 @@ def test_anchored_coincident_edge_knot():
     assert F(-6.5) == 0.0
     with pytest.raises(InvalidInputError):
         anchored_min_energy_spline((-6.0, 0.0), (1.0, 1.0), 2, -6.0, 6.0)
+    with pytest.raises(InvalidInputError, match="one length"):
+        anchored_min_energy_spline((0.0, 1.0, 2.0), (1.0, 2.0), 2, -6.0, 6.0)
 
 
 def test_spline_solve_residual_is_checked(rng, monkeypatch):
@@ -425,6 +427,9 @@ def test_spline_solve_residual_is_checked(rng, monkeypatch):
     s = make_samples(rng, 8, span=10.0)
     natural_spline_min_energy(s, 2)
     extend(s, ExtensionConfig(m=2, backend="natural2"))
+    # at m = 85, |A| |x| overflows a float while the backward error is 2.2e-175
+    high = SampledFunction((0.0, 0.1, 0.2), (1.0, -1.0, 1.0))
+    extend(high, ExtensionConfig(m=85, backend="natural2"))
     solve = splines.spsolve
 
     def perturbed(A, b):
@@ -436,6 +441,8 @@ def test_spline_solve_residual_is_checked(rng, monkeypatch):
         natural_spline_min_energy(s, 2)
     with pytest.raises(NumericalFailureError, match="backward error"):
         extend(s, ExtensionConfig(m=2, backend="natural2"))
+    with pytest.raises(NumericalFailureError, match="backward error"):
+        extend(high, ExtensionConfig(m=85, backend="natural2"))
 
 
 def test_lagrange_degenerate_tail_integrity(rng):
