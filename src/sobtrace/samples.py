@@ -24,6 +24,8 @@ class SampledFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.points, (str, bytes)) or isinstance(self.values, (str, bytes)):
+            raise InvalidInputError("points and values must be sequences of numbers, not text")
         try:
             pts = tuple(float(x) for x in self.points)
             vals = tuple(float(v) for v in self.values)

@@ -1,24 +1,27 @@
 """L^p norms of piecewise polynomials and minimal-energy interpolating splines.
 
-Quadrature policy.  ``lp_norm`` skips identically zero pieces and treats the
-others in batches of coefficient rows, each piece in its scaled coordinate
-s = t/h on [0, 1]:
+Quadrature policy.  ``sobolev_norm`` integrates F and its derivatives up to
+order m in one pass (``lp_norm`` is the case m = 0): the non-zero pieces of
+every order, each in its scaled coordinate s = t/h on [0, 1], are stacked
+into batches of coefficient rows and their integrals summed per order:
 
 * even integer p: |q|^p is a polynomial, so one Gauss-Legendre rule of
   sufficient order is exact; one Horner pass evaluates every piece at once;
 * odd integer p: the same exact rule on the subintervals between the real
-  roots of q, where the sign of q is constant;
+  roots of q, where the sign of q is constant.  The cuts also fall at each
+  complex pair of roots within 0.1 of the real axis, where |q|^p bends too
+  sharply for the rules below;
 * fractional p: on the same subintervals |q|^p behaves like |s - r|^(p k) at
-  an end where q has a k-fold zero.  k is 1 at an interior root; at a piece
-  end it is read from the scaled Taylor coefficients there (hermite pieces
-  next to lattice knots carry m-fold zeros).  Gauss-Jacobi rules put these
-  factors into the weight (Golub & Welsch 1969) and leave a smooth
-  integrand.  A subinterval keeps its 32-node value when the 16-node value
-  differs from it by at most the subinterval's share (by length) of
+  an end where q has a k-fold zero: k is 1 at a real root, 0 at a complex
+  pair, and at a piece end it is read from the scaled Taylor coefficients there
+  (hermite pieces next to lattice knots carry m-fold zeros).  Gauss-Jacobi
+  rules put these factors into the weight (Golub & Welsch 1969) and leave a
+  smooth integrand.  A subinterval keeps its 32-node value when the 16-node
+  value differs from it by at most the subinterval's share (by length) of
   quad_tol times the piece's integral, the larger of its two estimates.
-  Otherwise adaptive Gauss-Legendre panels integrate that subinterval
-  alone; the adaptive recursion raises NumericalFailureError when it
-  reaches depth 48 rather than return an unconverged value;
+  Otherwise adaptive Gauss-Legendre panels integrate that subinterval alone;
+  the adaptive recursion raises NumericalFailureError when it reaches depth
+  48 rather than return an unconverged value;
 * p = inf: the largest |q| over the piece ends and the real critical points.
 """
 
@@ -47,13 +50,16 @@ from .samples import SampledFunction
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _JACOBI_CACHE: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
-#: Pieces per batch; bounds the (pieces x nodes) temporaries of lp_norm.
+#: Rows per batch; bounds the (rows x nodes) temporaries of sobolev_norm.
 _CHUNK = 2048
 #: Orders of the two Gauss-Jacobi rules compared for fractional p.
 _LOW_ORDER, _HIGH_ORDER = 16, 32
 #: A scaled Taylor coefficient at a piece end counts as zero below this
 #: fraction of the piece's largest scaled coefficient.
 _ZERO_TAYLOR = 1e-12
+#: Pieces are also cut at a complex pair of roots this close to the real axis
+#: (unit scale), where |q|^p bends too sharply for the Gauss rules.
+_NEAR_REAL = 0.1
 #: Adaptive quadrature raises instead of splitting a panel this deep.
 _MAX_DEPTH = 48
 #: Spline solves with a larger relative backward error raise.
@@ -156,18 +162,15 @@ def _degrees(C: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     return np.where(big.any(axis=1), C.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
 
 
-def _real_roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of the polynomial rows of P, as flat arrays (row, root).
-
-    One batched companion-matrix eigenvalue solve per degree, as
-    ``numpy.roots`` does per polynomial; a root within 1e-9 relative of the
-    real axis counts as real.  Top coefficients below ``_ZERO_TAYLOR`` of the
-    row's largest are dropped: the roots they add lie beyond 1e12 (on the
-    unit scale of the rows) and would overflow the companion matrix.
+def _roots_near_axis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real roots of the polynomial rows of P and the real part of each complex
+    pair within ``_NEAR_REAL`` of the real axis, as flat arrays (row, root,
+    real), from one batched companion-matrix solve per degree; a root within
+    1e-9 relative of the real axis counts as real.  Top coefficients below
+    ``_ZERO_TAYLOR`` of the row's largest are dropped: their roots lie beyond
+    1e12 (on the unit scale of the rows) and would overflow the companion matrix.
     """
-    rows, roots = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    if P.shape[1] < 2:
-        return rows[0], roots[0]
+    rows, roots, real = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0, dtype=bool)]
     deg = _degrees(P, _ZERO_TAYLOR)
     for d in np.unique(deg[deg > 0]):
         sel = np.flatnonzero(deg == d)
@@ -175,22 +178,34 @@ def _real_roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         comp[:, 0, :] = -P[sel, d - 1 :: -1] / P[sel, d, None]
         comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         z = np.linalg.eigvals(comp)
-        r, c = np.nonzero(np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real)))
+        is_real = np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
+        r, c = np.nonzero(is_real | ((z.imag > 0.0) & (z.imag <= _NEAR_REAL)))
         rows.append(sel[r])
         roots.append(z.real[r, c])
-    return np.concatenate(rows), np.concatenate(roots)
+        real.append(is_real[r, c])
+    return np.concatenate(rows), np.concatenate(roots), np.concatenate(real)
+
+
+def _drop_leading(C: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row i of C without its first k[i] coefficients, zero-padded on the right."""
+    w = C.shape[1]
+    idx = k[:, None] + np.arange(w)
+    return np.where(idx < w, np.take_along_axis(C, np.minimum(idx, w - 1), axis=1), 0.0)
 
 
 def _root_split(C: np.ndarray):
     """Cut the unit interval of each (non-zero) row of C at the real roots of
-    its polynomial.
+    its polynomial, and at the real part of each complex pair near the real
+    axis (see ``_roots_near_axis``).
 
     Returns flat arrays over the subintervals: the row, the ends a < b, and
-    the multiplicity of the zero of the polynomial at each end.  A piece end
-    takes the number of its leading scaled Taylor coefficients below
-    ``_ZERO_TAYLOR`` of the row's largest; those zeros are divided out before
-    the interior roots are sought, so that a multiple zero at an end does not
-    scatter into spurious roots beside it.
+    the multiplicity of the zero of the polynomial at each end (0 at the cut
+    of a complex pair).  A piece end takes the number of its leading scaled
+    Taylor coefficients below ``_ZERO_TAYLOR`` of the row's largest; those
+    zeros are divided out before the interior roots are sought, so that a
+    multiple zero at an end does not scatter into spurious roots beside it.
+    A row with a zero at s = 1 is searched in u = s - 1 (root offset 1), the
+    others in s; all rows share one padded matrix and one root solve.
     """
     K, w = C.shape
     binom = np.array([[math.comb(i, j) for j in range(w)] for i in range(w)], dtype=float)
@@ -198,27 +213,19 @@ def _root_split(C: np.ndarray):
     k0 = np.argmax(np.abs(C) > tiny, axis=1)
     # Taylor coefficients at s = 1, in u = s - 1
     k1 = np.minimum(np.argmax(np.abs(C @ binom) > tiny, axis=1), _degrees(C) - k0)
-    cut_rows, cuts = [np.arange(K), np.arange(K)], [np.zeros(K), np.ones(K)]
-    group = k0 * w + k1
-    for key in np.unique(group):
-        sel = np.flatnonzero(group == key)
-        lo, hi = divmod(int(key), w)
-        P = C[sel, lo:]
-        if hi:
-            r, z = _real_roots((P @ binom[: w - lo, : w - lo])[:, hi:])
-            z = z + 1.0
-        else:
-            r, z = _real_roots(P)
-        inside = (z > 0.0) & (z < 1.0)
-        cut_rows.append(sel[r[inside]])
-        cuts.append(z[inside])
-    row, cut = np.concatenate(cut_rows), np.concatenate(cuts)
+    reduced, offset = _drop_leading(C, k0), (k1 > 0).astype(float)
+    reduced = np.where(offset[:, None] > 0, _drop_leading(reduced @ binom, k1), reduced)
+    r, z, real = _roots_near_axis(reduced)
+    z = z + offset[r]
+    inside = (z > 0.0) & (z < 1.0)
+    row = np.concatenate([np.arange(K), np.arange(K), r[inside]])
+    cut = np.concatenate([np.zeros(K), np.ones(K), z[inside]])
+    zeros = np.concatenate([k0, k1, real[inside].astype(int)])
     order = np.lexsort((cut, row))
-    row, cut = row[order], cut[order]
+    row, cut, zeros = row[order], cut[order], zeros[order]
     same = row[1:] == row[:-1]
     row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
-    left = np.where(a == 0.0, k0[row], 1)
-    right = np.where(b == 1.0, k1[row], 1)
+    left, right = zeros[:-1][same], zeros[1:][same]
     return row, a, b, left, right
 
 
@@ -265,8 +272,8 @@ def _unit_sup(C: np.ndarray) -> np.ndarray:
     """max |q_i| over [0, 1] for each row i of C: the ends and the real
     critical points inside."""
     best = np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
-    row, z = _real_roots(polynomial_derivative(C))
-    inside = (z > 0.0) & (z < 1.0)
+    row, z, real = _roots_near_axis(polynomial_derivative(C))
+    inside = real & (z > 0.0) & (z < 1.0)
     row, z = row[inside], z[inside]
     np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z)))
     return best
@@ -278,12 +285,12 @@ def _scaled_nonzero_pieces(F: PiecewisePolynomial) -> tuple[np.ndarray, np.ndarr
     keep = np.flatnonzero(np.any(F.coefficients != 0.0, axis=1))
     C = F.coefficients[keep]
     h = np.diff(F.breakpoints)[keep]
-    width = int(_degrees(C).max(initial=0)) + 1
+    width = int(np.flatnonzero(C.any(axis=0)).max(initial=0)) + 1
     return C[:, :width] * h[:, None] ** np.arange(width), h
 
 
 def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
-    """||F||_{L^p} over the whole line.
+    """||F||_{L^p} over the whole line: :func:`sobolev_norm` with m = 0.
 
     For finite p the tails must vanish identically (a nonzero polynomial tail
     is not integrable); for p = inf a constant tail contributes its modulus
@@ -291,54 +298,60 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
     computed to within quad_tol relative, which must be a non-negative
     number; see the module docstring for the quadrature policy.
     """
+    return sobolev_norm(F, 0, p, quad_tol).lp_norms[0]
+
+
+def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-10) -> NormReport:
+    """Norms of F and its derivatives up to order m, plus their sum.
+
+    The orders are integrated in one batched pass: the non-zero pieces of
+    every order are stacked into one zero-padded matrix with their order's
+    index, integrated ``_CHUNK`` rows at a time and summed per order.  The
+    tails, p and quad_tol follow the rules of :func:`lp_norm`.
+    """
+    if m < 0:
+        raise InvalidInputError("m must be nonnegative")
     if not p >= 1:
         raise InvalidInputError(f"p must be in [1, inf], got {p}")
     if not quad_tol >= 0:
         raise InvalidInputError(f"quad_tol must be non-negative, got {quad_tol}")
-    C, h = _scaled_nonzero_pieces(F)
-    if p == math.inf:
-        best = 0.0
-        for lo in range(0, len(C), _CHUNK):
-            best = max(best, float(_unit_sup(C[lo : lo + _CHUNK]).max()))
-        for tail in (F.left_tail, F.right_tail):
-            t = _trimmed(tail)
-            if len(t) > 1:
-                return math.inf
-            if len(t) == 1:
-                best = max(best, abs(float(t[0])))
-        return best
-    if not F.has_zero_tails():
+    if p != math.inf and not F.has_zero_tails():
         raise NonintegrableError(
             "finite-p norm requires identically zero tails; differentiate away "
             "polynomial tails first or restrict to a compactly supported function"
         )
-    q = int(p)
-    total = 0.0
-    for lo in range(0, len(C), _CHUNK):
-        rows = C[lo : lo + _CHUNK]
-        if p != q:
-            integrals = _fractional_integrals(rows, p, quad_tol)
-        elif q % 2:
-            integrals = _odd_integrals(rows, q)
-        else:
-            integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
-        total += float(h[lo : lo + _CHUNK] @ integrals)
-    if not math.isfinite(total):
-        raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {total}")
-    return total ** (1.0 / p)
-
-
-def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-10) -> NormReport:
-    """Norms of F and its derivatives up to order m, plus their sum."""
-    if m < 0:
-        raise InvalidInputError("m must be nonnegative")
-    norms = []
-    current = F
-    for k in range(m + 1):
-        norms.append(lp_norm(current, p, quad_tol))
-        if k < m:
-            current = current.differentiate()
-    lp = tuple(norms)
+    derivatives = [F]
+    for _ in range(m):
+        derivatives.append(derivatives[-1].differentiate())
+    pieces = [_scaled_nonzero_pieces(f) for f in derivatives]
+    sizes = [len(h) for _, h in pieces]
+    C = np.zeros((sum(sizes), max(c.shape[1] for c, _ in pieces)))
+    for (c, _), lo in zip(pieces, np.cumsum([0] + sizes)):
+        C[lo : lo + len(c), : c.shape[1]] = c
+    h = np.concatenate([h for _, h in pieces])
+    order = np.repeat(np.arange(m + 1), sizes)
+    if p == math.inf:
+        norms = np.zeros(m + 1)
+        for lo in range(0, len(C), _CHUNK):
+            np.maximum.at(norms, order[lo : lo + _CHUNK], _unit_sup(C[lo : lo + _CHUNK]))
+        for k, f in enumerate(derivatives):
+            for t in (_trimmed(f.left_tail), _trimmed(f.right_tail)):
+                norms[k] = math.inf if len(t) > 1 else max(norms[k], abs(t[0]) if len(t) else 0.0)
+    else:
+        q, totals = int(p), np.zeros(m + 1)
+        for lo in range(0, len(C), _CHUNK):
+            rows, part = C[lo : lo + _CHUNK], slice(lo, lo + _CHUNK)
+            if p != q:
+                integrals = _fractional_integrals(rows, p, quad_tol)
+            elif q % 2:
+                integrals = _odd_integrals(rows, q)
+            else:
+                integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
+            totals += np.bincount(order[part], h[part] * integrals, minlength=m + 1)
+        if not np.all(np.isfinite(totals)):
+            raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {totals.max()}")
+        norms = [float(t) ** (1.0 / p) for t in totals]
+    lp = tuple(float(v) for v in norms)
     return NormReport(lp, sum(lp), lp[-1])
 
 

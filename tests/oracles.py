@@ -7,7 +7,8 @@ pointwise sharp maximal value by enumeration over subsets.  And the
 straightforward forms the library once used: a zero fill that sorts
 (coordinate, value) pairs, a whole-set sort per data knot for the hermite
 jets, one dense solve per hermite piece, edge knots absorbed one at a time,
-and spline systems filled entry by entry through ``lil_matrix``.  Those
+spline systems filled entry by entry through ``lil_matrix``, one ``lp_norm``
+call per derivative order and a real-root search per group of end zeros.  Those
 share the library's call signatures, so a test can swap one in or call it
 beside the library and compare the results exactly.
 """
@@ -26,7 +27,7 @@ from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.piecewise import PiecewisePolynomial
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
-from sobtrace.splines import _spline_system
+from sobtrace.splines import NormReport, _degrees, _roots_near_axis, _spline_system, _ZERO_TAYLOR, lp_norm
 
 
 # -------------------------------------------------------- divided differences
@@ -358,3 +359,51 @@ def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_ri
     knots = np.array([edge_left] + [x for x, _ in interior] + [edge_right])
     yvals = np.array([v for _, v in interior])
     return PiecewisePolynomial(knots, _spline_system(knots, yvals, m, anchored=True))
+
+
+# -------------------------------------------------------------------- norms
+
+
+def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-10) -> NormReport:
+    """``splines.sobolev_norm`` as one ``lp_norm`` call per derivative order."""
+    if m < 0:
+        raise InvalidInputError("m must be nonnegative")
+    norms = []
+    current = F
+    for k in range(m + 1):
+        norms.append(lp_norm(current, p, quad_tol))
+        if k < m:
+            current = current.differentiate()
+    lp = tuple(norms)
+    return NormReport(lp, sum(lp), lp[-1])
+
+
+def root_split(C: np.ndarray):
+    """Drop-in for ``splines._root_split`` that seeks the interior roots of
+    each group of rows with the same end-zero multiplicities separately."""
+    K, w = C.shape
+    binom = np.array([[math.comb(i, j) for j in range(w)] for i in range(w)], dtype=float)
+    tiny = _ZERO_TAYLOR * np.max(np.abs(C), axis=1, keepdims=True)
+    k0 = np.argmax(np.abs(C) > tiny, axis=1)
+    k1 = np.minimum(np.argmax(np.abs(C @ binom) > tiny, axis=1), _degrees(C) - k0)
+    cut_rows, cuts, zeros = [np.arange(K), np.arange(K)], [np.zeros(K), np.ones(K)], [k0, k1]
+    group = k0 * w + k1
+    for key in np.unique(group):
+        sel = np.flatnonzero(group == key)
+        lo, hi = divmod(int(key), w)
+        P = C[sel, lo:]
+        if hi:
+            r, z, real = _roots_near_axis((P @ binom[: w - lo, : w - lo])[:, hi:])
+            z = z + 1.0
+        else:
+            r, z, real = _roots_near_axis(P)
+        inside = (z > 0.0) & (z < 1.0)
+        cut_rows.append(sel[r[inside]])
+        cuts.append(z[inside])
+        zeros.append(real[inside].astype(int))
+    row, cut, zero = np.concatenate(cut_rows), np.concatenate(cuts), np.concatenate(zeros)
+    order = np.lexsort((cut, row))
+    row, cut, zero = row[order], cut[order], zero[order]
+    same = row[1:] == row[:-1]
+    row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
+    return row, a, b, zero[:-1][same], zero[1:][same]

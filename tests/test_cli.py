@@ -62,6 +62,7 @@ def test_malformed_input_rejected(tmp_path, capsys):
         '{"points": [0, 1], "values": [1, null]}',
         '{"points": [0, [0, 1]], "values": [1, 2]}',
         '{"points": 5, "values": [1]}',
+        '{"points": "01", "values": "12"}',
     ):
         bad.write_text(text)
         assert main(["--command", "check", "--input", str(bad), "--m", "1", "--p", "2", "--out", str(out)]) == 2

@@ -27,6 +27,13 @@ def test_rejects_near_duplicates():
         SampledFunction((0.0, 1e-13), (0.0, 0.0))
 
 
+def test_rejects_text():
+    # a string or bytes object iterates as characters or byte values
+    for points, values in (("01", "12"), (b"01", b"12"), ("01", (1.0, 2.0)), ((0.0, 1.0), b"12")):
+        with pytest.raises(InvalidInputError):
+            SampledFunction(points, values)
+
+
 def test_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         SampledFunction((0.0, math.inf), (0.0, 0.0))

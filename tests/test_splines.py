@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+import oracles
 from sobtrace import (
     ExtensionConfig,
     InvalidInputError,
@@ -26,6 +28,7 @@ from sobtrace import (
     sobolev_norm,
 )
 from sobtrace import splines
+from sobtrace.corpus import random_sampled_function
 from sobtrace.piecewise import shift_polynomial
 from sobtrace.splines import _gauss_jacobi
 from conftest import make_samples, polynomial_samples
@@ -197,6 +200,14 @@ def real_roots_inside(c, h):
 
 @given(norm_test_pieces(), st.sampled_from([1.1, 1.5, 2.5]))
 @settings(max_examples=150, deadline=None)
+@example(  # a near-double complex pair inside each piece
+    piece=(
+        1.5170116679612322,
+        np.array([-0.05600801084514823, -3.6742052250753114, 1.275292101153262,
+                  6.664973402140967, -6.186814358108782, 1.517578125]),
+    ),
+    p=1.5,
+)
 def test_fractional_lp_norm_matches_scipy_quad(piece, p):
     h, c = piece
     F = PiecewisePolynomial([0.0, h, h + 1.0, 2 * h + 1.0], [c, [0.0], c[::-1]])
@@ -231,6 +242,30 @@ def test_fractional_lp_norm_sharply_peaked():
         epsrel=1e-12,
     )[0]
     assert lp_norm(F, 60.5) ** 60.5 == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "h, c, p",
+    [
+        (1.2156842962338434, [0.4792295258560019, -1.5526704157406237, 1.2576367084859035], 1.1),
+        (2.8429123237781964, [-2.8836273350063717, 4.740460154407935, -1.9482373990799804], 2.5),
+        (1.8949468702433467, [4.109255634106997, -2.919463757936183, -1.5592504778240266,
+                              1.1195173581224758], 2.5),
+        (1.5170116679612322, [1.517578125, -6.186814358108782, 6.664973402140967, 1.275292101153262,
+                              -3.6742052250753114, -0.05600801084514823], 1.5),
+    ],
+)
+def test_fractional_lp_norm_near_double_complex_roots(h, c, p):
+    # each piece has a complex root pair 7e-9 to 5e-4 off the real axis
+    # inside it, where |q|^p bends like |s - r|^(2p); uncut, the 16/32-node
+    # rules and then the adaptive whole-vs-split test accept values 1.5e-9
+    # to 1.4e-8 relative off
+    roots = sorted(z.real for z in P.polyroots(c) if 0.0 < z.real < h)
+    ref = quad(
+        lambda t: abs(P.polyval(t, c)) ** p, 0.0, h, points=roots, limit=500, epsabs=0.0, epsrel=1e-13
+    )[0]
+    got = lp_norm(PiecewisePolynomial([0.0, h], [c]), p, quad_tol=1e-10) ** p
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 @given(norm_test_pieces(), st.sampled_from([1, 2, 3, 4]))
@@ -269,6 +304,69 @@ def test_w_norm_dominates_homogeneous(rng):
     # the natural spline has polynomial tails; compare on a clipped copy
     rep = sobolev_norm(_clip_to_window(F), 2, 2.0)
     assert rep.w_norm >= rep.l_homog
+
+
+@st.composite
+def corpus_like_sets(draw):
+    """Sets of m+1 to 14 points from the calibration corpus's generator on
+    spans 2, 10 and 50, under shifts up to 1e6, with an order m of 1-3."""
+    m = draw(st.integers(1, 3))
+    size = draw(st.integers(m + 1, 14))
+    span = draw(st.sampled_from([2.0, 10.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.just(0.0) | st.floats(-1e6, 1e6))
+    return random_sampled_function(rng, size, span).shifted(shift), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_like_sets())
+def test_batched_sobolev_norm_matches_oracle(case):
+    # the oracle integrates one order at a time and seeks roots group by
+    # group; the batch sizes its Gauss rules by the widest order and sums
+    # through bincount, so integer p and p = inf agree to rounding and
+    # fractional p to the quadrature tolerance
+    s, m = case
+    for backend in ("hermite", "natural2"):
+        F = extend(s, ExtensionConfig(m=m, backend=backend))
+        for p in (1.5, 2.0, 2.5, 3.0, INF):
+            got = sobolev_norm(F, m, p, 1e-9)
+            with mock.patch.object(splines, "_root_split", oracles.root_split):
+                ref = oracles.sobolev_norm(F, m, p, 1e-9)
+            tol = 1e-9 if p in (1.5, 2.5) else 1e-13
+            for a, b in zip(got.lp_norms + (got.w_norm,), ref.lp_norms + (ref.w_norm,)):
+                assert abs(a - b) <= tol * b
+            assert got.l_homog == got.lp_norms[-1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_batched_sobolev_norm_raises_as_oracle():
+    s = SampledFunction((0.0, 1.0, 2.5), (1.0, -1.0, 2.0))
+    F = extend(s, ExtensionConfig(m=2))
+    natural, _ = natural_spline_min_energy(s, 2)  # polynomial tails
+    huge = PiecewisePolynomial([0.0, 1.0], [[0.0, 0.0, 1e308]])  # its derivative overflows
+    cases = [
+        (NonintegrableError, (natural, 2, 2.0)),
+        (NonintegrableError, (natural, 2, 1.5)),
+        (InvalidInputError, (F, 2, 0.5)),
+        (InvalidInputError, (F, 2, 1.5, -1.0)),
+        (NumericalFailureError, (huge, 1, INF)),
+    ]
+    for error, args in cases:
+        for norm in (sobolev_norm, oracles.sobolev_norm):
+            with pytest.raises(error):
+                norm(*args)
+
+
+def test_sobolev_norm_makes_one_root_split(monkeypatch):
+    # all four orders of this extension fit one batch, so their roots come
+    # from one call
+    F = extend(make_samples(np.random.default_rng(3), 8, span=10.0), ExtensionConfig(m=3))
+    assert 4 * F.n_pieces <= splines._CHUNK
+    calls = []
+    root_split = splines._root_split
+    monkeypatch.setattr(splines, "_root_split", lambda C: calls.append(1) or root_split(C))
+    sobolev_norm(F, 3, 1.5)
+    assert len(calls) == 1
 
 
 def _clip_to_window(F):
