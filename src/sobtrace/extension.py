@@ -13,9 +13,9 @@ with a piecewise polynomial of degree at most 2m-1 joining C^{m-1}:
   two-point Hermite piece on each knot interval.  The pieces with a non-zero
   end jet are solved together against one fixed m x m matrix; the others
   are zero;
-* ``natural2`` solves one sparse minimal-bending-energy system on the merged
-  knots, clamped to zero jets at the window edges, built by the same COO
-  assembly as ``natural_spline_min_energy``.
+* ``natural2`` solves one minimal-bending-energy system on the merged knots,
+  clamped to zero jets at the window edges, filled into LAPACK band storage
+  and factored once by the builder of ``natural_spline_min_energy``.
 
 Both backends cost O(n m) plus one solve, vanish identically outside the
 support window, reproduce the data exactly up to solver precision, and
@@ -109,16 +109,13 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
         raise InvalidInputError("at least one point is required")
     if any(b - a <= 0 for a, b in zip(pts, pts[1:])):
         raise InvalidInputError("points must be strictly increasing")
-    pad = cfg.window_pad
-    lattice: list[float] = []
-    n_left = int(math.floor(pad / EDGE_SPACING))
-    lattice.extend(pts[0] - EDGE_SPACING * n for n in range(n_left, 0, -1))
+    n_left = math.floor(cfg.window_pad / EDGE_SPACING)
+    lattice = [pts[0] - EDGE_SPACING * n for n in range(n_left, 0, -1)]
     for a, b in zip(pts, pts[1:]):
         width = b - a
-        if width > LONG_GAP:
-            n_j = int(math.floor(width / 2.0))
-            ell = width / n_j
-            lattice.extend(a + ell * n for n in range(1, n_j))
+        if width > LONG_GAP:  # a gap can hold thousands of points: one arange
+            n_j = math.floor(width / 2.0)
+            lattice.extend((a + width / n_j * np.arange(1, n_j)).tolist())
     lattice.extend(pts[-1] + EDGE_SPACING * n for n in range(1, n_left + 1))
     return GapLattice(tuple(lattice))
 

@@ -64,7 +64,8 @@ def scalar_powers(h, width: int) -> np.ndarray:
     evaluated once per distinct h_i.  numpy's vectorised power can differ
     from it in the last ulp, which would move solutions built on it."""
     base, which = np.unique(np.asarray(h, dtype=float), return_inverse=True)
-    return np.array([[x**k for k in range(width)] for x in base.tolist()]).reshape(-1, width)[which]
+    values = base.tolist()
+    return np.array([[x**k for x in values] for k in range(width)]).reshape(width, -1).T[which]
 
 
 def _pad(c, width: int) -> np.ndarray:
@@ -115,12 +116,15 @@ class PiecewisePolynomial:
             coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])
         if not np.all(np.isfinite(coef)):
             raise InvalidInputError("non-finite piece coefficients")
-        self.breakpoints = bp
-        self.coefficients = coef
-        self.left_tail = _pad(lt, width)
-        self.right_tail = _pad(rt, width)
-        for arr in (self.breakpoints, self.coefficients, self.left_tail, self.right_tail):
+        self._freeze(bp, coef, _pad(lt, width), _pad(rt, width))
+
+    def _freeze(self, breakpoints, coefficients, left_tail, right_tail) -> "PiecewisePolynomial":
+        """Store arrays of one width, already checked, made read-only."""
+        self.breakpoints, self.coefficients = breakpoints, coefficients
+        self.left_tail, self.right_tail = left_tail, right_tail
+        for arr in (breakpoints, coefficients, left_tail, right_tail):
             arr.setflags(write=False)
+        return self
 
     # ------------------------------------------------------------------ info
 
@@ -159,7 +163,7 @@ class PiecewisePolynomial:
         rows = [polynomial_derivative(c) for c in (self.coefficients, self.left_tail, self.right_tail)]
         if not all(np.all(np.isfinite(c)) for c in rows):
             raise NumericalFailureError("the derivative's coefficients overflow")
-        return PiecewisePolynomial(self.breakpoints, *rows)
+        return PiecewisePolynomial.__new__(PiecewisePolynomial)._freeze(self.breakpoints, *rows)
 
     # -------------------------------------------------------------- calculus
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbsv
 
 from .divdiff import lagrange_polynomial
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError
@@ -360,32 +359,54 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
 #
 # Both splines below come from one builder, _spline_system: the unknowns are
 # the 2m monomial coefficients of each piece, and every row is a value, a
-# derivative or a join condition at a knot.  The rows are made as arrays and
-# assembled into one sparse matrix in a single pass, so the cost is linear in
-# the number of knots plus one sparse solve.
+# derivative or a join condition at a knot.  Taken knot by knot, the rows
+# couple only neighbouring pieces, so the matrix is banded (de Boor, A
+# Practical Guide to Splines): it is filled straight into LAPACK band storage
+# and factored once, at a cost linear in the number of knots.
 
 
-def _rows(end, ell, start, value, rhs) -> np.ndarray:
-    """A block of spline-system rows, its five fields broadcast to one shape.
-    A row asks that derivative ``ell`` at the right end of piece ``end``,
-    plus ``value`` times coefficient ``ell`` of piece ``start``, equal
-    ``rhs``; a piece of -1 leaves that part out."""
-    return np.stack(np.broadcast_arrays(end, ell, start, value, rhs)).astype(float)
+def _band_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """x with A x = b for A with kl sub- and ku super-diagonals in LAPACK band
+    storage: A[i, j] at ``ab[kl + ku + i - j, j]``, the first kl rows left
+    free for fill.  An exactly zero pivot, a non-finite x or a backward error
+    |Ax - b| / (|A| |x| + |b|) in the infinity norm above 1e-10 raises
+    NumericalFailureError."""
+    _, _, x, info = dgbsv(kl, ku, ab, b)
+    if info > 0 or not np.all(np.isfinite(x)):  # an exactly zero pivot, or overflow
+        raise NumericalFailureError("spline system is singular or badly scaled")
+    # entries below the smallest normal float times the largest datum are rounding
+    # debris where x decays through runs of zero knots; subnormals slow all later steps
+    x[np.abs(x) < np.finfo(float).tiny * np.abs(b).max()] = 0.0
+    # A x and the row sums of |A|, one stored diagonal at a time: column j of
+    # band row kl + r holds A[j + r - ku, j]
+    size, ax, row_abs = len(b), np.zeros(len(b)), np.zeros(len(b))
+    for r, diag in enumerate(ab[kl:]):
+        lo, hi = max(ku - r, 0), min(size + ku - r, size)
+        ax[lo + r - ku : hi + r - ku] += diag[lo:hi] * x[lo:hi]
+        row_abs[lo + r - ku : hi + r - ku] += np.abs(diag[lo:hi])
+    # |A| divides each term before |x| would multiply it, so nothing overflows
+    norm_a, residual = row_abs.max(), np.abs(ax - b).max()
+    backward = residual / norm_a / (np.abs(x).max() + np.abs(b).max() / norm_a) if residual else 0.0
+    if not backward <= _MAX_BACKWARD_ERROR:
+        raise NumericalFailureError(
+            f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}"
+        )
+    return x
 
 
 def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
     """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant on
     knots ``t``: degree 2m-1 pieces with C^{2m-2} joins.
 
-    The two systems share their value and join rows and differ in their
-    boundary rows.  The natural system interpolates y at every knot and makes
-    the derivatives of orders m..2m-2 vanish at both extreme knots; the
-    anchored one interpolates y at the interior knots and clamps zero m-jets
-    at the extreme knots.  The system is built on the knots scaled to unit
-    mean gap, assembled as arrays into one COO matrix and solved once; the
-    coefficients are scaled back to ``t``.  A solution that is not finite,
-    or whose backward error |Ax - b| / (|A| |x| + |b|) in the infinity norm
-    is not at most 1e-10, raises NumericalFailureError.
+    The natural system interpolates y at every knot and makes the
+    derivatives of orders m..2m-2 vanish at both extreme knots; the anchored
+    one interpolates y at the interior knots and clamps zero m-jets at the
+    extreme knots.  The rows come in band order: m at the left end; 2m at
+    each interior knot j (the value at the right end of piece j-1,
+    coefficient 0 of piece j, the joins of derivatives 1..2m-2), which both
+    systems share; m at the right end.  The system is built on the knots
+    scaled to unit mean gap, with m+1 sub- and m-1 super-diagonals, and
+    solved by :func:`_band_solve`; the coefficients are scaled back to ``t``.
     """
     if m > MAX_ORDER:
         raise UnsupportedError(f"order m = {m} is above {MAX_ORDER}: (2m-1)! overflows a float")
@@ -393,56 +414,33 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     g = float(t[-1] - t[0]) / n
     h = np.diff((t - t[0]) / g)
     fact = np.array([math.factorial(k) for k in range(w)], dtype=float)
-    knot = np.arange(1, n)[:, None]  # interior knot between pieces knot-1 and knot
-    joined = np.arange(1, w - 1)
-    joins = _rows(knot - 1, joined, knot, -fact[joined], 0.0)
-    # the row order decides the solver's choice among equal pivots, so each
-    # system keeps its own: anchored edges first, then knot by knot; natural
-    # values piece by piece, then the joins, then the end conditions
-    if anchored:
-        edge, at_knot = np.arange(m), y[:, None]
-        from_left, from_right = _rows(knot - 1, 0, -1, 0.0, at_knot), _rows(-1, 0, knot, 1.0, at_knot)
-        blocks = [
-            _rows(-1, edge, 0, fact[edge], 0.0),
-            _rows(n - 1, edge, -1, 0.0, 0.0),
-            np.concatenate([from_left, from_right, joins], axis=2),
-        ]
-    else:
-        piece, top = np.arange(n)[:, None], np.arange(m, w - 1)
-        first, last = _rows(-1, 0, piece, 1.0, y[:-1, None]), _rows(piece, 0, -1, 0.0, y[1:, None])
-        blocks = [
-            np.concatenate([first, last], axis=2),
-            joins,
-            _rows(-1, top, 0, 1.0, 0.0),
-            _rows(n - 1, top, -1, 0.0, 0.0),
-        ]
-    end, ell, start, value, b = np.concatenate([blk.reshape(5, -1) for blk in blocks], axis=1)
-    end, ell, start = end.astype(int), ell.astype(int), start.astype(int)
-    # right-end part: perm(d, ell) h^(d-ell) on coefficient d >= ell
-    ends, d = np.flatnonzero(end >= 0), np.arange(w)
-    k = np.maximum(d - ell[ends, None], 0)
-    keep = d >= ell[ends, None]
-    entries = fact[d] / fact[k] * scalar_powers(h, w)[end[ends, None], k]
-    if not anchored:  # the natural value rows take numpy's vectorised power, as the
-        # entry-by-entry assembly in tests/oracles.py does, so results stay bit-identical
-        value_rows = ell[ends] == 0
-        entries[value_rows] = h[end[ends[value_rows]], None] ** d
-    starts = np.flatnonzero(start >= 0)
-    rows = np.concatenate([np.broadcast_to(ends[:, None], keep.shape)[keep], starts])
-    cols = np.concatenate([(end[ends, None] * w + d)[keep], start[starts] * w + ell[starts]])
-    entries = np.concatenate([entries[keep], value[starts]])
-    A = coo_matrix((entries, (rows, cols)), shape=(n * w, n * w)).tocsc()
-    sol = np.asarray(spsolve(A, b), dtype=float)
-    if not np.all(np.isfinite(sol)):
-        raise NumericalFailureError("spline system is singular or badly scaled")
-    # |A| divides each term before |x| would multiply it, so nothing overflows
-    norm_a, residual = abs(A).sum(axis=1).max(), np.abs(A @ sol - b).max()
-    backward = residual / norm_a / (np.abs(sol).max() + np.abs(b).max() / norm_a) if residual else 0.0
-    if not backward <= _MAX_BACKWARD_ERROR:
-        raise NumericalFailureError(
-            f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}"
-        )
-    return sol.reshape(n, w) / g ** np.arange(w)
+    kl, ku = m + 1, m - 1
+    ab, b = np.zeros((2 * kl + ku + 1, n * w)), np.zeros(n * w)
+    # derivative ell of each piece at its right end: perm(d, ell) h^(d-ell)
+    # on coefficient d >= ell, for every pair (ell, d) with ell < 2m-1
+    ell, d = np.nonzero(np.arange(w) >= np.arange(w - 1)[:, None])
+    right_end = fact[d] / fact[d - ell] * scalar_powers(h, w)[:, d - ell]
+    if not anchored:  # the value rows take numpy's vectorised power, as the entry-by-entry
+        # assembly in tests/oracles.py does, so results stay bit-identical
+        right_end[:, ell == 0] = h[:, None] ** np.arange(w)
+        b[0], b[-m] = y[0], y[-1]
+    # the derivative order ell of each of the m boundary rows at either end
+    edge = np.arange(m) if anchored else np.r_[0, m : w - 1]
+    at_edge = np.full(w - 1, -1)
+    at_edge[edge] = np.arange(m)
+    # A[i, j] sits at ab[kl + ku + i - j, j].  The left end's rows hold
+    # coefficient ell of piece 0
+    ab[kl + ku + np.arange(m) - edge, edge] = fact[edge] if anchored else 1.0
+    # rows m + (j-1) w + i of knot j meet piece j-1 on band rows that do not
+    # depend on j, and so do the right end's rows, taken as knot n
+    at_knot = np.where(ell == 0, 0, ell + 1)
+    ab[kl + ku + m + at_knot - d, np.arange(n - 1)[:, None] * w + d] = right_end[:-1]
+    on = at_edge[ell] >= 0
+    ab[kl + ku + m + at_edge[ell[on]] - d[on], (n - 1) * w + d[on]] = right_end[-1, on]
+    # ... and meet piece j on band row kl: coefficient 0, then minus the joins
+    ab[kl, w:].reshape(n - 1, w)[:, : w - 1] = np.r_[1.0, -fact[1 : w - 1]]
+    b[m : m + (n - 1) * w].reshape(n - 1, w)[:, :2] = (y if anchored else y[1:-1])[:, None]
+    return _band_solve(ab, b, kl, ku).reshape(n, w) / g ** np.arange(w)
 
 
 def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePolynomial, float]:
@@ -452,8 +450,9 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     polynomial tails of degree <= m-1 (the energy density vanishes outside the
     data).  With fewer than m+1 samples the minimum is 0, attained by the
     interpolating polynomial itself; that degenerate case is returned as such.
-    Otherwise the spline comes from one sparse solve, which raises
-    NumericalFailureError on a backward error above 1e-10.
+    Otherwise the spline comes from one banded solve, which raises
+    NumericalFailureError on an exactly zero pivot or a backward error
+    above 1e-10.
     """
     if m < 1:
         raise InvalidInputError("m must be a positive integer")
@@ -478,7 +477,7 @@ def anchored_min_energy_spline(
     The result vanishes identically outside [edge_left, edge_right]: the edge
     knots carry m zero conditions each (value and derivatives up to m-1),
     realized as interpolation rows rather than a constrained optimization, so
-    the single sparse solve of :func:`natural_spline_min_energy`'s builder
+    the single banded solve of :func:`natural_spline_min_energy`'s builder
     produces the spline.  Interior joins are C^{2m-2}; the edge joins are
     C^{m-1} against the zero tails.
 

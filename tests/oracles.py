@@ -7,10 +7,12 @@ pointwise sharp maximal value by enumeration over subsets.  And the
 straightforward forms the library once used: a zero fill that sorts
 (coordinate, value) pairs, a whole-set sort per data knot for the hermite
 jets, one dense solve per hermite piece, edge knots absorbed one at a time,
-spline systems filled entry by entry through ``lil_matrix``, one ``lp_norm``
-call per derivative order and a real-root search per group of end zeros.  Those
-share the library's call signatures, so a test can swap one in or call it
-beside the library and compare the results exactly.
+spline systems filled entry by entry through ``lil_matrix`` in the library's
+row order, one ``lp_norm`` call per derivative order and a real-root search
+per group of end zeros.  Those share the library's call signatures, so a test
+can swap one in or call it beside the library and compare the results
+exactly.  The spline systems can also go to SuperLU instead of the library's
+band solve, an independent solver that agrees up to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.piecewise import PiecewisePolynomial
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
-from sobtrace.splines import NormReport, _degrees, _roots_near_axis, _spline_system, _ZERO_TAYLOR, lp_norm
+from sobtrace.splines import (
+    NormReport,
+    _band_solve,
+    _degrees,
+    _roots_near_axis,
+    _spline_system,
+    _ZERO_TAYLOR,
+    lp_norm,
+)
 
 
 # -------------------------------------------------------- divided differences
@@ -250,90 +260,125 @@ def _perm(d: int, ell: int) -> float:
     return float(math.perm(d, ell))
 
 
-def _solve_sparse(A, b, n_pieces: int, width: int) -> np.ndarray:
-    sol = spsolve(A.tocsc(), b)
-    if not np.all(np.isfinite(sol)):
-        raise NumericalFailureError("spline system is singular or badly scaled")
-    return np.asarray(sol, dtype=float).reshape(n_pieces, width)
+def _right_end_row(A, row: int, col: int, h: float, ell: int, w: int) -> None:
+    """Derivative ``ell`` at the right end of the piece whose coefficients
+    start at column ``col``."""
+    for d in range(ell, w):
+        A[row, col + d] = _perm(d, ell) * h ** (d - ell)
 
 
-def natural_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients (pieces x 2m) of the minimal energy interpolant on knots
-    ``t`` with vanishing derivatives of orders m..2m-2 at both extreme knots."""
+def _knot_rows(A, b, row: int, j: int, h: float, powers, yj: float, w: int) -> int:
+    """The 2m rows of interior knot j: the value at the right end of piece
+    j-1 (``powers`` of its width h), coefficient 0 of piece j, and the joins
+    of derivatives 1..2m-2."""
+    for d in range(w):
+        A[row, (j - 1) * w + d] = powers[d]
+    A[row + 1, j * w] = 1.0
+    b[row : row + 2] = yj
+    for ell in range(1, w - 1):
+        _right_end_row(A, row + 1 + ell, (j - 1) * w, h, ell, w)
+        A[row + 1 + ell, j * w + ell] = -_perm(ell, ell)
+    return row + w
+
+
+def natural_system(t: np.ndarray, y: np.ndarray, m: int):
+    """The system (A, b) of the minimal energy interpolant on knots ``t`` with
+    vanishing derivatives of orders m..2m-2 at both extreme knots; rows in
+    band order, unknowns the 2m coefficients of each piece."""
     n = len(t) - 1
     w = 2 * m
     size = w * n
     A = lil_matrix((size, size))
     b = np.zeros(size)
     h = np.diff(t)
-    row = 0
-    for j in range(n):
-        A[row, j * w] = 1.0
-        b[row] = y[j]
-        row += 1
-        powers = h[j] ** np.arange(w)
-        for d in range(w):
-            A[row, j * w + d] = powers[d]
-        b[row] = y[j + 1]
-        row += 1
-    for j in range(n - 1):
-        for ell in range(1, 2 * m - 1):
-            for d in range(ell, w):
-                A[row, j * w + d] = _perm(d, ell) * h[j] ** (d - ell)
-            A[row, (j + 1) * w + ell] = -_perm(ell, ell)
-            row += 1
-    for ell in range(m, 2 * m - 1):
+    A[0, 0] = 1.0
+    b[0] = y[0]
+    row = 1
+    for ell in range(m, w - 1):
         A[row, ell] = 1.0
         row += 1
-    for ell in range(m, 2 * m - 1):
-        for d in range(ell, w):
-            A[row, (n - 1) * w + d] = _perm(d, ell) * h[n - 1] ** (d - ell)
+    for j in range(1, n):  # numpy's vectorised power on the value rows, as the library
+        row = _knot_rows(A, b, row, j, h[j - 1], h[j - 1] ** np.arange(w), y[j], w)
+    powers = h[n - 1] ** np.arange(w)
+    for d in range(w):
+        A[row, (n - 1) * w + d] = powers[d]
+    b[row] = y[n]
+    row += 1
+    for ell in range(m, w - 1):
+        _right_end_row(A, row, (n - 1) * w, h[n - 1], ell, w)
         row += 1
     assert row == size
-    return _solve_sparse(A, b, n, w)
+    return A, b
 
 
-def anchored_system(t: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients (pieces x 2m) of the minimal energy interpolant of the
-    interior knots of ``t``, clamped to zero m-jets at both extreme knots."""
+def anchored_system(t: np.ndarray, y: np.ndarray, m: int):
+    """The system (A, b) of the minimal energy interpolant of the interior
+    knots of ``t``, clamped to zero m-jets at both extreme knots; rows in band
+    order, unknowns the 2m coefficients of each piece."""
     n = len(t) - 1  # pieces; interior knots carry the data
     w = 2 * m
     size = w * n
     A = lil_matrix((size, size))
     b = np.zeros(size)
     h = np.diff(t)
-    row = 0
     for ell in range(m):  # zero jet at the left edge
-        A[row, ell] = _perm(ell, ell)
-        row += 1
+        A[ell, ell] = _perm(ell, ell)
+    row = m
+    for j in range(1, n):
+        row = _knot_rows(A, b, row, j, h[j - 1], [h[j - 1] ** d for d in range(w)], y[j - 1], w)
     for ell in range(m):  # zero jet at the right edge
-        for d in range(ell, w):
-            A[row, (n - 1) * w + d] = _perm(d, ell) * h[n - 1] ** (d - ell)
+        _right_end_row(A, row, (n - 1) * w, h[n - 1], ell, w)
         row += 1
-    for q in range(1, n):  # data knot between piece q-1 and piece q
-        for d in range(w):
-            A[row, (q - 1) * w + d] = h[q - 1] ** d
-        b[row] = y[q - 1]
-        row += 1
-        A[row, q * w] = 1.0
-        b[row] = y[q - 1]
-        row += 1
-        for ell in range(1, 2 * m - 1):
-            for d in range(ell, w):
-                A[row, (q - 1) * w + d] = _perm(d, ell) * h[q - 1] ** (d - ell)
-            A[row, q * w + ell] = -_perm(ell, ell)
-            row += 1
     assert row == size
-    return _solve_sparse(A, b, n, w)
+    return A, b
+
+
+def spline_matrix(t: np.ndarray, y: np.ndarray, m: int, anchored: bool):
+    """The system (A, b) of ``splines._spline_system`` filled entry by entry,
+    on the knots scaled to unit mean gap g, and g."""
+    g = float(t[-1] - t[0]) / (len(t) - 1)
+    scaled = (t - t[0]) / g
+    A, b = anchored_system(scaled, y, m) if anchored else natural_system(scaled, y, m)
+    return A, b, g
+
+
+def backward_error(A, x: np.ndarray, b: np.ndarray) -> float:
+    """|Ax - b| / (|A| |x| + |b|) in the infinity norm."""
+    A = A.tocsr()
+    residual = np.abs(A @ x - b).max()
+    return residual / (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()) if residual else 0.0
+
+
+def _solve_sparse(A, b) -> np.ndarray:
+    sol = spsolve(A.tocsc(), b)
+    if not np.all(np.isfinite(sol)):
+        raise NumericalFailureError("spline system is singular or badly scaled")
+    return np.asarray(sol, dtype=float)
+
+
+def _solve_band(A, b, m: int) -> np.ndarray:
+    """The library's LAPACK band solve, with A moved entry by entry into band
+    storage with m+1 sub- and m-1 super-diagonals."""
+    kl, ku = m + 1, m - 1
+    A = A.tocoo()
+    assert np.all(A.row - A.col <= kl) and np.all(A.col - A.row <= ku)
+    ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
+    ab[kl + ku + A.row - A.col, A.col] = A.data
+    return _band_solve(ab, b, kl, ku)
 
 
 def spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
-    """Drop-in for ``splines._spline_system``: the same scaling of the knots
-    to unit mean gap around the entry-by-entry assembly."""
-    g = float(t[-1] - t[0]) / (len(t) - 1)
-    scaled = (t - t[0]) / g
-    coef = anchored_system(scaled, y, m) if anchored else natural_system(scaled, y, m)
-    return coef / g ** np.arange(2 * m)
+    """Drop-in for ``splines._spline_system``: the entry-by-entry assembly
+    handed to the library's band solve, so results are bit-identical."""
+    A, b, g = spline_matrix(t, y, m, anchored)
+    return _solve_band(A, b, m).reshape(-1, 2 * m) / g ** np.arange(2 * m)
+
+
+def spline_system_superlu(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
+    """Drop-in for ``splines._spline_system`` solved by SuperLU instead: an
+    independent solver, equal to the library's up to rounding."""
+    A, b, g = spline_matrix(t, y, m, anchored)
+    return _solve_sparse(A, b).reshape(-1, 2 * m) / g ** np.arange(2 * m)
 
 
 def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_right: float):

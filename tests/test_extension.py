@@ -26,7 +26,7 @@ from sobtrace import (
     verify_necessity,
     zero_extend,
 )
-from sobtrace.corpus import random_sampled_function
+from sobtrace.corpus import SPANS, random_sampled_function
 from sobtrace.samples import MIN_GAP
 from conftest import make_samples
 
@@ -149,16 +149,11 @@ def test_extension_contract_random(rng, backend):
         assert F.degree <= 2 * m - 1
         lo = s.points[0] - cfg.window_pad
         hi = s.points[-1] + cfg.window_pad
-        pad_geom = 2.0 * (m - size) if size <= m else 0.0  # padding continues right
+        # a padded set ends 2(m + 1 - size) past the data, and so does its window
+        pad_geom = 2.0 * (m + 1 - size) if size <= m else 0.0
+        assert F.breakpoints[-1] <= hi + pad_geom
         for x in (lo - 1.0, hi + pad_geom + 1.0, lo - 50.0, hi + pad_geom + 50.0):
             assert F(x) == 0.0
-        # a padded set ends 2(m + 1 - size) past the data, and so does its
-        # window; the probes above can fall inside it, these two cannot
-        if size <= m:
-            outside = hi + 2.0 * (m + 1 - size)
-            assert F.breakpoints[-1] <= outside
-            for x in (outside + 1.0, outside + 50.0):
-                assert F(x) == 0.0
 
 
 def bounded_gap_poly_samples(rng, m, size, max_gap=4.0):
@@ -423,6 +418,74 @@ def test_merged_knots_match_oracles(case):
     assert np.array_equal(F.breakpoints, F_ref.breakpoints)
     assert np.array_equal(F.coefficients, F_ref.coefficients)
     assert np.array_equal(extend(s, cfg).coefficients, F.coefficients)
+
+
+def _solved_systems(*calls) -> list:
+    """Run each (function, *args) call and return every spline system it
+    solved, as (t, y, m, anchored, coefficients)."""
+    systems = []
+    solve = splines._spline_system
+
+    def record(t, y, m, anchored):
+        coef = solve(t, y, m, anchored)
+        systems.append((t, y, m, anchored, coef))
+        return coef
+
+    with mock.patch.object(splines, "_spline_system", record):
+        for f, *args in calls:
+            _outcome(f, *args)
+    return systems
+
+
+def _oracle_backward_error(t, y, m, anchored, coef) -> float:
+    """Backward error of the library's coefficients in the oracle's system."""
+    A, b, g = oracles.spline_matrix(t, y, m, anchored)
+    return oracles.backward_error(A, (coef * g ** np.arange(2 * m)).ravel(), b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_sets())
+def test_spline_solutions_solve_the_oracle_system(case):
+    s, m = case
+    for system in _solved_systems(
+        (extend, s, ExtensionConfig(m=m, backend="natural2")), (natural_spline_min_energy, s, m)
+    ):
+        assert _oracle_backward_error(*system) <= 1e-12
+
+
+def test_band_solve_matches_superlu(rng):
+    # corpus-style sets: F and its derivatives up to m agree with the
+    # SuperLU solution of the same system, and so do the energies
+    for i in range(60):
+        m, span = 1 + i % 3, SPANS[(i // 3) % 3]
+        s = make_samples(rng, int(rng.integers(1, 13)), span=span)
+        natural2 = ExtensionConfig(m=m, backend="natural2")
+        got = [extend(s, natural2), natural_spline_min_energy(s, m)]
+        with mock.patch.object(splines, "_spline_system", oracles.spline_system_superlu):
+            ref = [extend(s, natural2), natural_spline_min_energy(s, m)]
+        for F, F_ref in ((got[0], ref[0]), (got[1][0], ref[1][0])):
+            xs = np.linspace(F_ref.breakpoints[0] - 1.0, F_ref.breakpoints[-1] + 1.0, 2000)
+            for _ in range(m + 1):
+                want = F_ref(xs)
+                assert np.abs(F(xs) - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+                F, F_ref = F.differentiate(), F_ref.differentiate()
+        energy, energy_ref = got[1][1], ref[1][1]
+        assert abs(energy - energy_ref) <= 1e-11 * energy_ref
+
+
+def test_near_min_gap_cluster_is_solved():
+    # gaps of 1e-9 and 4e-12 at m = 3: a sparse LU met an exactly zero pivot
+    # on this set and natural2 raised NumericalFailureError; the banded LU
+    # returns an interpolant that solves its system to rounding
+    s = SampledFunction(
+        (62.00000400001599, 62.00000400101599, 62.00000400101999, 62.00000400102399),
+        (-7.979, 6.129, -8.853, 0.287),
+    )
+    cfg = ExtensionConfig(m=3, backend="natural2")
+    [(t, y, m, anchored, coef)] = _solved_systems((extend, s, cfg))
+    assert anchored and _oracle_backward_error(t, y, m, anchored, coef) <= 1e-12
+    F = extend(s, cfg)
+    assert np.array_equal(F(np.array(s.points)), np.array(s.values))
 
 
 @pytest.mark.parametrize("backend", ["hermite", "natural2"])

@@ -525,16 +525,16 @@ def test_spline_solve_residual_is_checked(rng, monkeypatch):
     s = make_samples(rng, 8, span=10.0)
     natural_spline_min_energy(s, 2)
     extend(s, ExtensionConfig(m=2, backend="natural2"))
-    # at m = 85, |A| |x| overflows a float while the backward error is 2.2e-175
+    # at m = 85, |A| |x| overflows a float while the backward error is near 1e-175
     high = SampledFunction((0.0, 0.1, 0.2), (1.0, -1.0, 1.0))
     extend(high, ExtensionConfig(m=85, backend="natural2"))
-    solve = splines.spsolve
+    solve = splines.dgbsv
 
-    def perturbed(A, b):
-        x = solve(A, b)
-        return x + 1e-6 * np.abs(x).max()
+    def perturbed(kl, ku, ab, b):
+        lub, piv, x, info = solve(kl, ku, ab, b)
+        return lub, piv, x + 1e-6 * np.abs(x).max(), info
 
-    monkeypatch.setattr(splines, "spsolve", perturbed)
+    monkeypatch.setattr(splines, "dgbsv", perturbed)
     with pytest.raises(NumericalFailureError, match="backward error"):
         natural_spline_min_energy(s, 2)
     with pytest.raises(NumericalFailureError, match="backward error"):
