@@ -163,7 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     small_route = len(s) <= m
     if small_route:
         record("small_set", small_set_functional(s, m, p))
-    feasible = variational_feasible(len(s), m)
+    feasible = p == math.inf or variational_feasible(len(s), m)  # p = inf enumerates nothing
     if feasible and (p == math.inf or len(s) >= m + 1):
         record("variational", variational_functional(s, m, p))
     if len(s) >= m + 1:

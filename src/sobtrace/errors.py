@@ -21,8 +21,9 @@ class SizeCapError(InvalidInputError):
     """A computation refused because its cost would exceed a fixed budget.
 
     The budgets are the count of divided differences over index subsets
-    that the variational forms and the sharp profiles share
-    (``VARIATIONAL_BUDGET``) and the cells of a profile grid or an
+    that the finite-p variational forms and the sharp profiles share
+    (``VARIATIONAL_BUDGET``; the p = inf variational forms are window
+    maxima and never refuse) and the cells of a profile grid or an
     extension sampling (``sharp.MAX_GRID_CELLS``).
     """
 

@@ -236,9 +236,10 @@ def verify_necessity(
     """Check the proven inequality between the trace functional of the data
     and the full norm of an interpolating extension.
 
-    The variational functional is used while the set is within its window
-    budget (:func:`variational_feasible`), the sequence functional beyond
-    it.  At finite p a set of at most m points
+    The variational functional is used at p = inf, where it is the
+    consecutive-window maximum, and at finite p while the set is within its
+    subset budget (:func:`variational_feasible`); the sequence functional
+    beyond it.  At finite p a set of at most m points
     is first padded to m+1 points by :func:`pad_small_set`, the set that
     :func:`extend` interpolates, since the variational functional needs m+1
     points.  F must interpolate the (padded) data, checked to 1e-9 relative.
@@ -254,7 +255,8 @@ def verify_necessity(
             f"F does not interpolate {data}: residual {residual:.3e} exceeds "
             f"{1e-9 * scale:.3e}"
         )
-    functional = variational_functional if variational_feasible(len(work), m) else sequence_functional
+    feasible = p == math.inf or variational_feasible(len(work), m)
+    functional = variational_functional if feasible else sequence_functional
     report = functional(work, m, p)
     norm: NormReport = sobolev_norm(F, m, p, quad_tol)
     factor = necessity_bound_factor(m, p)

@@ -2,25 +2,26 @@
 
 Two families are computed.  Sequence forms run over consecutive windows of
 the data; variational forms take the exact supremum over all strictly
-increasing subsequences, as a longest path whose states are the last m
-chosen indices, within the cost rule :func:`variational_feasible`.
-Homogeneous variants keep only the top-order term with the plain gap weight.
-p = inf is a distinct code path, never a large-p approximation.
+increasing subsequences: at finite p a longest path whose states are the
+last m chosen indices, within :func:`variational_feasible`; at p = inf the
+window maximum, as a divided difference over any k+1 points is a convex
+combination of the window differences in their hull (de Boor).  Homogeneous
+variants keep only the top-order term with the plain gap weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .divdiff import divided_difference_rows
 from .errors import HypothesisViolationError, InvalidInputError, SizeCapError
 from .samples import SampledFunction
 
-#: Most divided differences a subset enumeration (variational forms, sharp profiles) computes,
-#: one per index subset of at most m+1 points.  At the budget a variational form takes about
-#: 1 s and 40 MB; wmf_functional 0.7-0.9 s on GridSpec(0.05), 5-27 s near 9e5 cells, 80-90 MB.
+#: Most divided differences a subset enumeration (finite-p variational forms, sharp profiles)
+#: computes, one per index subset of at most m+1 points.  At the budget a variational form takes
+#: about 1 s and 40 MB; wmf_functional 0.7-0.9 s on GridSpec(0.05), 5-27 s near 9e5 cells, 80-90 MB.
 VARIATIONAL_BUDGET = 250_000
 
 
@@ -96,18 +97,9 @@ def require_feasible(n_points: int, m: int) -> None:
     if not variational_feasible(n_points, m):
         raise SizeCapError(
             f"{n_points} points at m = {m} need more than {VARIATIONAL_BUDGET} divided "
-            "differences, one per index subset of at most m+1 points; use the sequence "
-            "functional, which is equivalent up to a constant depending only on m"
-        )
-
-
-def _variational_guard(s: SampledFunction, m: int, p: float) -> None:
-    require_feasible(len(s), m)
-    if p != math.inf and len(s) < m + 1:
-        raise HypothesisViolationError(
-            f"the variational functional for finite p needs at least m+1 = {m + 1} "
-            f"points, got {len(s)}; route small sets through the max-of-differences "
-            "small-set functional instead"
+            "differences, one per index subset of at most m+1 points, for a finite-p "
+            "variational form or a sharp profile; use the sequence functional, which is "
+            "equivalent up to a constant depending only on m, or p = inf, which enumerates nothing"
         )
 
 
@@ -154,7 +146,7 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
     Finite p: every subsequence of length >= m+1 competes with the same
     weighted double sum as the sequence functional, weights and the +inf
     convention applied within the subsequence.  p = inf: supremum of |D^k f|
-    over all (k+1)-point subsets for k = 0..m.
+    over all (k+1)-point subsets for k = 0..m, the p = inf sequence functional.
 
     Finite p is a longest path over windows of m+1 consecutive subsequence
     elements, each worth min(1, gap) sum_k |D^k f|^p on its first k+1 points,
@@ -162,19 +154,23 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
     sequence functional.  Sets failing :func:`variational_feasible` raise :class:`SizeCapError`.
     """
     _check_mp(m, p)
-    _variational_guard(s, m, p)
-    pts, vals = s.points, s.values
-    M = effective_order(s, m)
-    table, top = subset_differences(pts, vals, M)
     if p == math.inf:
-        value = max(map(abs, itertools.chain(table.values(), (d for _, d in top))))
-        return FunctionalReport(m, p, value, "variational", M)
+        return replace(sequence_functional(s, m, p), kind="variational")
+    require_feasible(len(s), m)
+    if len(s) < m + 1:
+        raise HypothesisViolationError(
+            f"the variational functional for finite p needs at least m+1 = {m + 1} "
+            f"points, got {len(s)}; route small sets through the max-of-differences "
+            "small-set functional instead"
+        )
+    pts = s.points
+    table, top = subset_differences(pts, s.values, m)
     prefix: dict[tuple[int, ...], float] = {}  # sum of |D^k f|^p on the first k+1 points of S
     for S, d in table.items():
         prefix[S] = prefix.get(S[:-1], 0.0) + abs_pow(d, p)
     terms = ((w, min(1.0, pts[w[-1]] - pts[w[0]]) * (prefix[w[:-1]] + abs_pow(d, p))) for w, d in top)
     sub = _best_subsequence(s, m, terms, lambda state: sum(prefix[state[a:]] for a in range(m)))
-    return FunctionalReport(m, p, sequence_functional(sub, m, p).value, "variational", M)
+    return FunctionalReport(m, p, sequence_functional(sub, m, p).value, "variational", m)
 
 
 def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
@@ -200,18 +196,19 @@ def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> Fun
 
 def homogeneous_variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
     """Supremum of the top-order weighted sum over increasing subsequences
-    (finite p, a longest path with window terms gap |D^m f|^p and no tail), or
-    of |D^m f| over all (m+1)-point subsets (p = inf)."""
+    (finite p, a longest path with window terms gap |D^m f|^p and no tail,
+    within :func:`variational_feasible`), or of |D^m f| over all (m+1)-point
+    subsets (p = inf), the p = inf homogeneous sequence functional."""
     _check_mp(m, p)
     if len(s) < m + 1:
         raise HypothesisViolationError(
             f"need at least m+1 = {m + 1} points, got {len(s)}"
         )
-    _variational_guard(s, m, p)
+    if p == math.inf:
+        return replace(homogeneous_sequence_functional(s, m, p), kind="homogeneous_variational")
+    require_feasible(len(s), m)
     pts = s.points
     _, top = subset_differences(pts, s.values, m)
-    if p == math.inf:
-        return FunctionalReport(m, p, max(abs(d) for _, d in top), "homogeneous_variational", m)
     terms = ((w, (pts[w[-1]] - pts[w[0]]) * abs_pow(d, p)) for w, d in top)
     value = homogeneous_sequence_functional(_best_subsequence(s, m, terms, lambda _: 0.0), m, p).value
     return FunctionalReport(m, p, value, "homogeneous_variational", m)

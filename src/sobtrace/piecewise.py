@@ -90,7 +90,7 @@ class PiecewisePolynomial:
     def __init__(self, breakpoints, coefficients, left_tail=None, right_tail=None):
         """``coefficients`` is a sequence of rows of any lengths, or a 2-D
         array with one row per piece."""
-        bp = np.asarray(breakpoints, dtype=float)
+        bp = np.array(breakpoints, dtype=float)  # copies: the stored arrays are made read-only
         if bp.ndim != 1 or len(bp) < 2:
             raise InvalidInputError("need at least two breakpoints")
         if not np.all(np.isfinite(bp)):
@@ -109,8 +109,8 @@ class PiecewisePolynomial:
             raise InvalidInputError(
                 f"{len(bp)} breakpoints require {len(bp) - 1} pieces, got {len(coef)}"
             )
-        lt = np.atleast_1d(np.asarray(left_tail, dtype=float)) if left_tail is not None else np.zeros(1)
-        rt = np.atleast_1d(np.asarray(right_tail, dtype=float)) if right_tail is not None else np.zeros(1)
+        lt = np.array(left_tail, dtype=float, ndmin=1) if left_tail is not None else np.zeros(1)
+        rt = np.array(right_tail, dtype=float, ndmin=1) if right_tail is not None else np.zeros(1)
         width = max(coef.shape[1], len(lt), len(rt))
         if coef.shape[1] < width:
             coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])

@@ -2,8 +2,9 @@
 
 Two kinds live here.  Brute-force checks of the theory: the full-order
 divided difference by the recurrence and by the 1/omega' sum, the wide-set
-reduction certificate, the convex-hull lemma for subset differences and the
-pointwise sharp maximal value by enumeration over subsets.  And the
+reduction certificate, the convex-hull lemma for subset differences, the
+p = inf variational suprema and the pointwise sharp maximal value by
+enumeration over subsets.  And the
 straightforward forms the library once used: a zero fill that sorts
 (coordinate, value) pairs, a whole-set sort per data knot for the hermite
 jets, one dense solve per hermite piece, edge knots absorbed one at a time,
@@ -155,6 +156,55 @@ def convex_hull_check(full: SampledFunction, subset_indices, k: int) -> bool:
     lo, hi = min(generators), max(generators)
     guard = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     return lo - guard <= value <= hi + guard
+
+
+# ---------------------------------------------------- p = inf variational
+
+
+def fresh_dd(pts, vals, idx) -> float:
+    """Divided difference over selected indices by the plain recursive
+    definition; identical operation tree to the production table, but an
+    independent code path."""
+    xs = [pts[j] for j in idx]
+    ys = [vals[j] for j in idx]
+
+    def rec(lo, hi):
+        if lo == hi:
+            return ys[lo]
+        return (rec(lo + 1, hi) - rec(lo, hi - 1)) / (xs[hi] - xs[lo])
+
+    return rec(0, len(xs) - 1)
+
+
+def oracle_variational_sup(s: SampledFunction, m: int) -> float:
+    """The p = inf variational functional by its definition: the largest
+    |D^k f| over every index subset of 1..min(m, n-1)+1 points."""
+    pts, vals = s.points, s.values
+    n1 = len(pts)
+    best = 0.0
+    limit = min(m, n1 - 1) + 1
+
+    def walk(i, chosen):
+        nonlocal best
+        if len(chosen) >= 1 and len(chosen) <= limit:
+            best = max(best, abs(fresh_dd(pts, vals, chosen)))
+        if i == n1 or len(chosen) == limit:
+            return
+        for j in range(i, n1):
+            walk(j + 1, chosen + [j])
+
+    walk(0, [])
+    return best
+
+
+def oracle_homogeneous_variational_sup(s: SampledFunction, m: int) -> float:
+    """The p = inf homogeneous variational functional by its definition: the
+    largest |D^m f| over every (m+1)-point index subset."""
+    pts, vals = s.points, s.values
+    return max(
+        abs(fresh_dd(pts, vals, sub))
+        for sub in itertools.combinations(range(len(pts)), m + 1)
+    )
 
 
 # --------------------------------------------------------------------- sharp

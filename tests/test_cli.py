@@ -213,14 +213,19 @@ def test_check_subset_budget(tmp_path):
     inp = write_json_input(tmp_path / "bigger.json", pts, vals)
     assert main(["--command", "check", "--input", inp, "--m", "3", "--p", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
-    # 30 points at m = 29, or at m = 40 with p = inf: one window, or none,
-    # but nearly all 2^30 subsets in the table, so the variational forms are skipped
+    # at p = inf the variational forms are window maxima, outside the budget
+    assert main(["--command", "check", "--input", inp, "--m", "3", "--p", "inf", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["functionals"]) == {
+        "sequence", "homogeneous_sequence", "variational", "homogeneous_variational"
+    }
+    # 30 points at m = 29: one window, but nearly all 2^30 subsets in the
+    # table, so the finite-p variational forms are skipped
     pts, vals = pts[:30], vals[:30]
     inp = write_json_input(tmp_path / "high_m.json", pts, vals)
     assert main(["--command", "check", "--input", inp, "--m", "29", "--p", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
     assert main(["--command", "check", "--input", inp, "--m", "40", "--p", "inf", "--out", str(out)]) == 0
-    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set"}
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set", "variational"}
 
 
 def test_maximal_past_twenty_points(tmp_path, capsys):

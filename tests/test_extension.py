@@ -315,9 +315,14 @@ def test_verify_necessity_beyond_cap_uses_sequence_form(rng):
     assert rep.functional_kind == "variational"
     # 52 points at m = 3 are past it: the consecutive window functional takes over
     s = make_samples(rng, 52, span=60.0)
-    rep = verify_necessity(s, extend(s, ExtensionConfig(m=3)), 3, 2.0)
+    F = extend(s, ExtensionConfig(m=3))
+    rep = verify_necessity(s, F, 3, 2.0)
     assert rep.passed
     assert rep.functional_kind == "sequence"
+    # except at p = inf, where the variational functional is the window maximum at any size
+    rep = verify_necessity(s, F, 3, math.inf)
+    assert rep.passed
+    assert rep.functional_kind == "variational"
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from sobtrace.divdiff import divided_difference_rows
 from sobtrace.functionals import abs_pow
 from sobtrace.sharp import profile_values
 from conftest import make_samples, polynomial_samples
+from oracles import fresh_dd, oracle_homogeneous_variational_sup, oracle_variational_sup
 
 INF = math.inf
 
@@ -36,21 +38,6 @@ CALIBRATION = json.loads(
 
 
 # ----------------------------------------------------- independent oracles
-
-
-def _fresh_dd(pts, vals, idx):
-    """Divided difference over selected indices by the plain recursive
-    definition; identical operation tree to the production table, but an
-    independent code path."""
-    xs = [pts[j] for j in idx]
-    ys = [vals[j] for j in idx]
-
-    def rec(lo, hi):
-        if lo == hi:
-            return ys[lo]
-        return (rec(lo + 1, hi) - rec(lo, hi - 1)) / (xs[hi] - xs[lo])
-
-    return rec(0, len(xs) - 1)
 
 
 def oracle_variational(s, m, p):
@@ -73,7 +60,7 @@ def oracle_variational(s, m, p):
                     w = 1.0
                 else:
                     w = min(1.0, pts[sub[i + m]] - pts[sub[i]])
-                total += w * abs_pow(_fresh_dd(pts, vals, sub[i : i + k + 1]), p)
+                total += w * abs_pow(fresh_dd(pts, vals, sub[i : i + k + 1]), p)
         return total
 
     def walk(i, chosen):
@@ -89,25 +76,6 @@ def oracle_variational(s, m, p):
     return best ** (1.0 / p)
 
 
-def oracle_variational_sup(s, m):
-    pts, vals = s.points, s.values
-    n1 = len(pts)
-    best = 0.0
-    limit = min(m, n1 - 1) + 1
-
-    def walk(i, chosen):
-        nonlocal best
-        if len(chosen) >= 1 and len(chosen) <= limit:
-            best = max(best, abs(_fresh_dd(pts, vals, chosen)))
-        if i == n1 or len(chosen) == limit:
-            return
-        for j in range(i, n1):
-            walk(j + 1, chosen + [j])
-
-    walk(0, [])
-    return best
-
-
 def oracle_homogeneous_variational(s, m, p):
     """Sum of (gap) |D^m f|^p over the windows of every subsequence of at
     least m+1 points, windows left to right; the largest sum."""
@@ -119,17 +87,9 @@ def oracle_homogeneous_variational(s, m, p):
             for i in range(size - m):
                 window = sub[i : i + m + 1]
                 gap = pts[window[-1]] - pts[window[0]]
-                total += gap * abs_pow(_fresh_dd(pts, vals, window), p)
+                total += gap * abs_pow(fresh_dd(pts, vals, window), p)
             best = max(best, total)
     return best ** (1.0 / p)
-
-
-def oracle_homogeneous_variational_sup(s, m):
-    pts, vals = s.points, s.values
-    return max(
-        abs(_fresh_dd(pts, vals, sub))
-        for sub in itertools.combinations(range(len(pts)), m + 1)
-    )
 
 
 @st.composite
@@ -232,9 +192,14 @@ def test_variational_size_cap(rng):
     assert not variational_feasible(30, 29) and not variational_feasible(30, 40)
     s = make_samples(rng, 50, span=80.0)
     for func in (variational_functional, homogeneous_variational_functional):
-        for p in (2.0, INF):
-            with pytest.raises(SizeCapError):
-                func(s, 3, p)
+        with pytest.raises(SizeCapError):
+            func(s, 3, 2.0)
+    # p = inf enumerates nothing: the variational forms are the window maxima at any size
+    assert variational_functional(s, 3, INF).value == sequence_functional(s, 3, INF).value
+    assert (
+        homogeneous_variational_functional(s, 3, INF).value
+        == homogeneous_sequence_functional(s, 3, INF).value
+    )
     # the sharp profiles enumerate the same subsets under the same rule
     with pytest.raises(SizeCapError):
         profile_values(s, 3, 0, [0.0])
@@ -244,8 +209,7 @@ def test_variational_size_cap(rng):
     for func in (variational_functional, homogeneous_variational_functional):
         with pytest.raises(SizeCapError):
             func(s, 29, 2.0)
-    with pytest.raises(SizeCapError):
-        variational_functional(s, 40, INF)
+    assert variational_functional(s, 40, INF).value == sequence_functional(s, 40, INF).value
     # the 20-point limit of exhaustive enumeration is gone
     t = make_samples(rng, 25, span=40.0)
     assert variational_functional(t, 2, 2.0).value >= sequence_functional(t, 2, 2.0).value
@@ -290,6 +254,54 @@ def _rounding_scale(s, m):
         for size in range(1, m + 2)
         for S in itertools.combinations(range(len(s)), size)
     )
+
+
+@st.composite
+def window_max_cases(draw):
+    """(samples, m) with 2-12 points whose values are random or a polynomial
+    of degree m or m-1.  On polynomial data many subset differences of the
+    top orders tie with the window ones in exact arithmetic, so only rounding
+    can set them apart."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    start = draw(st.floats(-20, 20))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    pts = list(itertools.accumulate(gaps, initial=start))
+    degree = draw(st.sampled_from((m, m - 1, None)))
+    if degree is None:
+        vals = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    else:
+        coef = draw(st.lists(st.floats(-5, 5), min_size=degree + 1, max_size=degree + 1))
+        vals = np.polyval(coef, pts).tolist()
+    return SampledFunction(tuple(pts), tuple(vals)), m
+
+
+@given(window_max_cases())
+@example(
+    (
+        SampledFunction(
+            (-0.7938456937481035, 2.1565771624771535, 3.3041776181560967, 5.598252374318535),
+            (0.48724596373259044, 1.3001322149926255, 1.6163135482523154, 2.248365941932928),
+        ),
+        2,
+    )
+)  # linear data: one 3-point subset difference rounds above every window's
+@settings(max_examples=150, deadline=None)
+def test_sup_variational_is_window_maximum(case):
+    # every subset difference is a convex combination of the window differences
+    # in its hull, so the p = inf suprema are the window maxima, bit for bit,
+    # and the enumeration exceeds them by rounding only
+    s, m = case
+    bound = 4 * np.finfo(float).eps * _rounding_scale(s, m)
+    forms = [(variational_functional, sequence_functional, oracle_variational_sup)]
+    if len(s) >= m + 1:
+        forms.append(
+            (homogeneous_variational_functional, homogeneous_sequence_functional, oracle_homogeneous_variational_sup)
+        )
+    for func, window, oracle in forms:
+        value = func(s, m, INF).value
+        assert value == window(s, m, INF).value
+        assert 0.0 <= oracle(s, m) - value <= bound
 
 
 @given(dp_cases(), st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
@@ -478,3 +490,32 @@ def test_absolute_homogeneity(alpha):
         base = func(s, m, p).value
         got = func(scaled, m, p).value
         assert got == pytest.approx(abs(alpha) * base, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def dyadic_translates(draw):
+    """(samples, translate, m, p): points k 2^-6 with |k| <= 2^12 and the same
+    set moved by an integer c with |c| <= 1e8.  Every moved point and every
+    gap is exact in binary, so no functional can tell the two sets apart."""
+    ks = sorted(draw(st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=9, unique=True)))
+    pts = tuple(k / 64 for k in ks)
+    vals = tuple(draw(st.lists(st.floats(-10, 10), min_size=len(pts), max_size=len(pts))))
+    c = draw(st.integers(-(10**8), 10**8))
+    m = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((1.5, 2.0, 3.0, INF)))
+    return SampledFunction(pts, vals), SampledFunction(tuple(x + c for x in pts), vals), m, p
+
+
+@given(dyadic_translates())
+@settings(max_examples=100, deadline=None)
+def test_translation_invariance(case):
+    s, moved, m, p = case
+    funcs = [sequence_functional]
+    if p == INF or len(s) >= m + 1:
+        funcs.append(variational_functional)
+    if len(s) >= m + 1:
+        funcs += [homogeneous_sequence_functional, homogeneous_variational_functional]
+    else:
+        funcs.append(small_set_functional)
+    for func in funcs:
+        assert func(moved, m, p) == func(s, m, p)

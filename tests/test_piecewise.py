@@ -78,6 +78,17 @@ def test_two_d_coefficients_match_rows(rng):
     assert np.array_equal(constant.coefficients, [[0.0]])
 
 
+def test_constructor_leaves_caller_arrays_writable():
+    bp, tail = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0])
+    F = PiecewisePolynomial(bp, [[1.0, 0.0], [2.0, 0.0]], left_tail=tail, right_tail=tail)
+    assert bp.flags.writeable and tail.flags.writeable
+    bp[0], tail[0] = -5.0, 7.0  # the stored arrays are copies
+    assert F.breakpoints[0] == 0.0 and F.left_tail[0] == F.right_tail[0] == 1.0
+    assert not (F.breakpoints.flags.writeable or F.left_tail.flags.writeable)
+    # a derivative shares the already frozen breakpoints instead of copying them
+    assert F.differentiate().breakpoints is F.breakpoints
+
+
 def test_differentiate_twice_linear_piece():
     F = PiecewisePolynomial([0.0, 2.0], [[3.0, 4.0]])
     dd = F.differentiate().differentiate()
