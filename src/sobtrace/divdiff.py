@@ -9,6 +9,8 @@ f(x_i)/omega'(x_i), which lives in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .piecewise import PiecewisePolynomial, shift_polynomial
 from .samples import SampledFunction
 
@@ -38,8 +40,8 @@ def lagrange_polynomial(s: SampledFunction) -> PiecewisePolynomial:
     """
     pts, vals = s.points, s.values
     n = len(pts) - 1
-    newton = [row[0] for row in divided_difference_rows(pts, vals, n)]
-    coeffs = _expand_newton(newton, [x - pts[0] for x in pts[:-1]])
+    newton = [[row[0] for row in divided_difference_rows(pts, vals, n)]]
+    (coeffs,) = _expand_newton(newton, [[x - pts[0] for x in pts[:-1]]])
     if n == 0:
         breakpoints = (pts[0], pts[0] + 1.0)
     else:
@@ -48,15 +50,17 @@ def lagrange_polynomial(s: SampledFunction) -> PiecewisePolynomial:
     return PiecewisePolynomial(breakpoints, [coeffs], left_tail=coeffs, right_tail=right)
 
 
-def _expand_newton(newton, roots) -> list[float]:
+def _expand_newton(newton, roots) -> np.ndarray:
     """Monomial coefficients (centered at the expansion origin) of the Newton
-    form sum_k newton[k] * prod_{j<k} (t - roots[j])."""
-    coeffs = [newton[-1]]
-    for k in range(len(newton) - 2, -1, -1):
-        new = [0.0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            new[d + 1] += c
-            new[d] -= roots[k] * c
-        new[0] += newton[k]
+    forms sum_k newton[i, k] * prod_{j<k} (t - roots[i, j]), one per row;
+    each row takes the operations of a scalar expansion, in the same order,
+    so expanding many rows at once changes no bit of any of them."""
+    newton, roots = np.asarray(newton, dtype=float), np.asarray(roots, dtype=float)
+    coeffs = newton[:, -1:]
+    for k in range(newton.shape[1] - 2, -1, -1):
+        new = np.zeros((len(coeffs), coeffs.shape[1] + 1))
+        new[:, 1:] += coeffs
+        new[:, :-1] -= roots[:, k, None] * coeffs
+        new[:, 0] += newton[:, k]
         coeffs = new
     return coeffs

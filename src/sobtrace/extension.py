@@ -9,8 +9,9 @@ with a piecewise polynomial of degree at most 2m-1 joining C^{m-1}:
 
 * ``hermite`` assigns a jet to every merged knot (zero at lattice knots; at
   a data knot, the derivatives of the polynomial through its m nearest data
-  points, whose windows one two-pointer pass finds) and places the unique
-  two-point Hermite piece on each knot interval.  The pieces with a non-zero
+  points, whose windows one two-pointer pass finds and whose Newton
+  coefficients are columns of one divided-difference table) and places the
+  unique two-point Hermite piece on each knot interval.  The pieces with a non-zero
   end jet are solved together against one fixed m x m matrix; the others
   are zero;
 * ``natural2`` solves one minimal-bending-energy system on the merged knots,
@@ -154,20 +155,22 @@ def _nearest_windows(points, m: int) -> list[int]:
 @np.errstate(all="ignore")  # an overflow surfaces as a non-finite coefficient
 def _hermite_extend(data: SampledFunction, knots: np.ndarray, m: int) -> PiecewisePolynomial:
     """Every knot gets a jet: zero at lattice knots, and at a data knot the
-    derivatives of the polynomial through its m nearest data points.  Each
+    derivatives of the polynomial through its m nearest data points, whose
+    Newton coefficients all come from one divided-difference table.  Each
     piece takes the two-point Hermite interpolant of its end jets, solved on
     the unit interval (sigma = t/h), so one fixed m x m matrix serves all
     pieces in a single batched solve.  A coefficient that is not finite,
     which includes an h**k that underflows to 0 at high order, raises
     NumericalFailureError."""
     fact = np.array([math.factorial(k) for k in range(m)], dtype=float)
+    pts = np.asarray(data.points)
+    lo = np.array(_nearest_windows(data.points, m))
+    # column lo of the whole-set table is the Newton form on window lo
+    table = divided_difference_rows(data.points, data.values, m - 1)
+    newton = np.stack([np.asarray(row)[lo] for row in table], axis=1)
+    roots = pts[lo[:, None] + np.arange(m - 1)] - pts[:, None]
     jets = np.zeros((len(knots), m))
-    at = np.searchsorted(knots, data.points)
-    pts, vals = data.points, data.values
-    for i, (t, lo) in enumerate(zip(pts, _nearest_windows(pts, m))):
-        xs = pts[lo : lo + m]
-        newton = [row[0] for row in divided_difference_rows(xs, vals[lo : lo + m], m - 1)]
-        jets[at[i]] = _expand_newton(newton, [x - t for x in xs[:-1]]) * fact
+    jets[np.searchsorted(knots, pts)] = _expand_newton(newton, roots) * fact
     h = np.diff(knots)
     live = np.flatnonzero(jets[:-1].any(axis=1) | jets[1:].any(axis=1))
     powers = scalar_powers(h[live], m)

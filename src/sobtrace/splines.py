@@ -1,9 +1,10 @@
 """L^p norms of piecewise polynomials and minimal-energy interpolating splines.
 
 Quadrature policy.  ``sobolev_norm`` integrates F and its derivatives up to
-order m in one pass (``lp_norm`` is the case m = 0): the non-zero pieces of
-every order, each in its scaled coordinate s = t/h on [0, 1], are stacked
-into batches of coefficient rows and their integrals summed per order:
+order m in one pass (``lp_norm`` is the case m = 0): F's non-zero pieces are
+differentiated order by order in one table, scaled once to the coordinate
+s = t/h on [0, 1], and the table's non-zero rows are integrated in batches
+and summed per order:
 
 * even integer p: |q|^p is a polynomial, so one Gauss-Legendre rule of
   sufficient order is exact; one Horner pass evaluates every piece at once;
@@ -19,9 +20,10 @@ into batches of coefficient rows and their integrals summed per order:
   smooth integrand.  A subinterval keeps its 32-node value when the 16-node
   value differs from it by at most the subinterval's share (by length) of
   quad_tol times the piece's integral, the larger of its two estimates.
-  Otherwise adaptive Gauss-Legendre panels integrate that subinterval alone;
-  the adaptive recursion raises NumericalFailureError when it reaches depth
-  48 rather than return an unconverged value;
+  Otherwise adaptive Gauss-Legendre panels integrate that subinterval alone,
+  each keeping its 32-node value when the sum of its two 16-node halves
+  agrees with it; the adaptive recursion raises NumericalFailureError when it
+  reaches depth 48 rather than return an unconverged value;
 * p = inf: the largest |q| over the piece ends and the real critical points.
 """
 
@@ -118,14 +120,6 @@ class NormReport:
     l_homog: float
 
 
-def _trimmed(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return np.zeros(0)
-    return c[: nz[-1] + 1]
-
-
 def _gl_abs_pow(coeffs, a: float, b: float, p: float, n: int = 16) -> float:
     nodes, weights = _gauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -138,12 +132,13 @@ def _adaptive_abs_pow(coeffs, a: float, b: float, p: float, atol: float, depth: 
     # integral of |q|^p shrinks like h^{p+1} >> the budget's factor 2, so the
     # recursion grades into the root and terminates; a per-panel relative
     # test would never converge there (the Gauss error of |t|^p is
-    # scale-invariant)
-    whole = _gl_abs_pow(coeffs, a, b, p)
+    # scale-invariant).  Two 16-node halves confirm a 32-node whole panel:
+    # a 16-node whole panel could err like them
+    whole = _gl_abs_pow(coeffs, a, b, p, 32)
     mid = 0.5 * (a + b)
     split = _gl_abs_pow(coeffs, a, mid, p) + _gl_abs_pow(coeffs, mid, b, p)
     if abs(split - whole) <= atol:
-        return split
+        return whole
     if depth >= _MAX_DEPTH:
         raise NumericalFailureError(
             f"adaptive quadrature of |q|^{p} did not reach the tolerance {atol:.3e} "
@@ -206,16 +201,16 @@ def _root_split(C: np.ndarray):
     A row with a zero at s = 1 is searched in u = s - 1 (root offset 1), the
     others in s; all rows share one padded matrix and one root solve.
     """
-    K, w = C.shape
-    binom = np.array([[math.comb(i, j) for j in range(w)] for i in range(w)], dtype=float)
+    K = len(C)
     tiny = _ZERO_TAYLOR * np.max(np.abs(C), axis=1, keepdims=True)
     k0 = np.argmax(np.abs(C) > tiny, axis=1)
-    # Taylor coefficients at s = 1, in u = s - 1
-    k1 = np.minimum(np.argmax(np.abs(C @ binom) > tiny, axis=1), _degrees(C) - k0)
-    reduced, offset = _drop_leading(C, k0), (k1 > 0).astype(float)
-    reduced = np.where(offset[:, None] > 0, _drop_leading(reduced @ binom, k1), reduced)
+    reduced = _drop_leading(C, k0)
+    # Taylor coefficients at s = 1, in u = s - 1, of the rows and of their reduced forms
+    at_one, reduced_at_one = np.split(shift_polynomial(np.vstack([C, reduced]), 1.0), 2)
+    k1 = np.minimum(np.argmax(np.abs(at_one) > tiny, axis=1), _degrees(C) - k0)
+    reduced = np.where((k1 > 0)[:, None], _drop_leading(reduced_at_one, k1), reduced)
     r, z, real = _roots_near_axis(reduced)
-    z = z + offset[r]
+    z = z + (k1[r] > 0)
     inside = (z > 0.0) & (z < 1.0)
     row = np.concatenate([np.arange(K), np.arange(K), r[inside]])
     cut = np.concatenate([np.zeros(K), np.ones(K), z[inside]])
@@ -223,9 +218,7 @@ def _root_split(C: np.ndarray):
     order = np.lexsort((cut, row))
     row, cut, zeros = row[order], cut[order], zeros[order]
     same = row[1:] == row[:-1]
-    row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
-    left, right = zeros[:-1][same], zeros[1:][same]
-    return row, a, b, left, right
+    return row[:-1][same], cut[:-1][same], cut[1:][same], zeros[:-1][same], zeros[1:][same]
 
 
 def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +256,7 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarra
     converged = np.abs(high - low) <= 2.0 * half * quad_tol * rough[row]
     for i in np.flatnonzero(~converged):
         atol = quad_tol * (rough[row[i]] + 1e-300)
-        high[i] = _adaptive_abs_pow(_trimmed(C[row[i]]), a[i], b[i], p, atol)
+        high[i] = _adaptive_abs_pow(C[row[i]], a[i], b[i], p, atol)
     return np.bincount(row, high, minlength=len(C))
 
 
@@ -276,16 +269,6 @@ def _unit_sup(C: np.ndarray) -> np.ndarray:
     row, z = row[inside], z[inside]
     np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z)))
     return best
-
-
-def _scaled_nonzero_pieces(F: PiecewisePolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The non-zero pieces of F as coefficient rows in s = t/h, without
-    all-zero top columns, and their widths h."""
-    keep = np.flatnonzero(np.any(F.coefficients != 0.0, axis=1))
-    C = F.coefficients[keep]
-    h = np.diff(F.breakpoints)[keep]
-    width = int(np.flatnonzero(C.any(axis=0)).max(initial=0)) + 1
-    return C[:, :width] * h[:, None] ** np.arange(width), h
 
 
 def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
@@ -303,10 +286,13 @@ def lp_norm(F: PiecewisePolynomial, p: float, quad_tol: float = 1e-10) -> float:
 def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-10) -> NormReport:
     """Norms of F and its derivatives up to order m, plus their sum.
 
-    The orders are integrated in one batched pass: the non-zero pieces of
-    every order are stacked into one zero-padded matrix with their order's
-    index, integrated ``_CHUNK`` rows at a time and summed per order.  The
-    tails, p and quad_tol follow the rules of :func:`lp_norm`.
+    The orders are integrated in one batched pass over one table: F's
+    non-zero pieces and its tails, with the rows of order k the derivative
+    of those of order k-1, scaled to s = t/h at once.  A coefficient of the
+    table that overflows raises NumericalFailureError.  Its non-zero piece
+    rows, each with its order's index, are integrated ``_CHUNK`` rows at a
+    time and summed per order.  The tails, p and quad_tol follow the rules
+    of :func:`lp_norm`.
     """
     if m < 0:
         raise InvalidInputError("m must be nonnegative")
@@ -319,23 +305,29 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
             "finite-p norm requires identically zero tails; differentiate away "
             "polynomial tails first or restrict to a compactly supported function"
         )
-    derivatives = [F]
-    for _ in range(m):
-        derivatives.append(derivatives[-1].differentiate())
-    pieces = [_scaled_nonzero_pieces(f) for f in derivatives]
-    sizes = [len(h) for _, h in pieces]
-    C = np.zeros((sum(sizes), max(c.shape[1] for c, _ in pieces)))
-    for (c, _), lo in zip(pieces, np.cumsum([0] + sizes)):
-        C[lo : lo + len(c), : c.shape[1]] = c
-    h = np.concatenate([h for _, h in pieces])
-    order = np.repeat(np.arange(m + 1), sizes)
+    # the non-zero pieces, then the two tails, differentiated in t order by
+    # order and scaled to s = t/h once (h = 1 for the tails)
+    keep = np.flatnonzero(np.any(F.coefficients != 0.0, axis=1))
+    h = np.concatenate([np.diff(F.breakpoints)[keep], [1.0, 1.0]])
+    rows = np.vstack([F.coefficients[keep], F.left_tail, F.right_tail])
+    width = int(np.flatnonzero(rows.any(axis=0)).max(initial=0)) + 1
+    table = np.zeros((m + 1, len(h), width))
+    table[0] = rows[:, :width]
+    for k in range(m):
+        table[k + 1, :, : width - 1] = polynomial_derivative(table[k])[:, : width - 1]
+    table *= h[:, None] ** np.arange(width)
+    if not np.all(np.isfinite(table)):
+        raise NumericalFailureError("the derivatives' scaled coefficients overflow")
+    tails, table = table[:, -2:], table[:, :-2]
+    live = np.any(table != 0.0, axis=2)
+    C, h = table[live], np.broadcast_to(h[:-2], live.shape)[live]
+    order = np.nonzero(live)[0]
     if p == math.inf:
         norms = np.zeros(m + 1)
         for lo in range(0, len(C), _CHUNK):
             np.maximum.at(norms, order[lo : lo + _CHUNK], _unit_sup(C[lo : lo + _CHUNK]))
-        for k, f in enumerate(derivatives):
-            for t in (_trimmed(f.left_tail), _trimmed(f.right_tail)):
-                norms[k] = math.inf if len(t) > 1 else max(norms[k], abs(t[0]) if len(t) else 0.0)
+        constant = ~np.any(tails[:, :, 1:], axis=(1, 2))  # a non-constant tail is unbounded
+        norms = np.where(constant, np.maximum(norms, np.abs(tails[:, :, 0]).max(axis=1)), math.inf)
     else:
         q, totals = int(p), np.zeros(m + 1)
         for lo in range(0, len(C), _CHUNK):

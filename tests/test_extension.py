@@ -368,7 +368,12 @@ def test_extensions_match_oracles(case):
         assert list(range(lo, lo + m)) == oracles.nearest_indices(work.points, t, m)
     hermite = ExtensionConfig(m=m, backend="hermite")
     natural2 = ExtensionConfig(m=m, backend="natural2")
-    got = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(natural_spline_min_energy, s, m)]
+    expanded, expand = [], extension._expand_newton
+    with mock.patch.object(extension, "_expand_newton", lambda *a: expanded.append(expand(*a)) or expanded[-1]):
+        got = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(natural_spline_min_energy, s, m)]
+    # the jets, all expanded from one whole-set table, are the per-point loop's bit for bit
+    jets = [oracles.local_jet(work, t, m) for t in work.points]
+    assert len(expanded) == 1 and np.array_equal(expanded[0] * [math.factorial(k) for k in range(m)], jets)
     with mock.patch.object(extension, "_hermite_extend", oracles.hermite_extend), mock.patch.object(
         splines, "_spline_system", oracles.spline_system
     ):
@@ -504,5 +509,6 @@ def test_extension_scales_linearly(backend, monkeypatch):
     start = time.perf_counter()
     F = extend(s, ExtensionConfig(m=3, backend=backend))
     assert time.perf_counter() - start < 5.0
-    assert len(calls) == (len(s) if backend == "hermite" else 0)
+    # every hermite jet comes from one whole-set table
+    assert len(calls) == (1 if backend == "hermite" else 0)
     assert F.n_pieces >= len(s)

@@ -238,8 +238,11 @@ def test_longest_path_matches_oracles(case):
     var = variational_functional(s, m, p).value
     hom = homogeneous_variational_functional(s, m, p).value
     if p == INF:
-        assert var == oracle_variational_sup(s, m)
-        assert hom == oracle_homogeneous_variational_sup(s, m)
+        # the enumeration can round above the window maximum the library
+        # returns; see test_sup_variational_is_window_maximum
+        bound = 4 * np.finfo(float).eps * _rounding_scale(s, m)
+        assert 0.0 <= oracle_variational_sup(s, m) - var <= bound
+        assert 0.0 <= oracle_homogeneous_variational_sup(s, m) - hom <= bound
     else:
         assert var == pytest.approx(oracle_variational(s, m, p), rel=1e-12, abs=0.0)
         assert hom == pytest.approx(oracle_homogeneous_variational(s, m, p), rel=1e-12, abs=0.0)

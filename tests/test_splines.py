@@ -253,13 +253,17 @@ def test_fractional_lp_norm_sharply_peaked():
                               1.1195173581224758], 2.5),
         (1.5170116679612322, [1.517578125, -6.186814358108782, 6.664973402140967, 1.275292101153262,
                               -3.6742052250753114, -0.05600801084514823], 1.5),
+        (0.5655835811751397, [-0.05473294247376953, 0.2021331120018276, -0.07098019610705669,
+                              -0.2402784955234334], 1.1),
     ],
 )
 def test_fractional_lp_norm_near_double_complex_roots(h, c, p):
-    # each piece has a complex root pair 7e-9 to 5e-4 off the real axis
+    # each piece has a complex root pair 7e-9 to 3e-3 off the real axis
     # inside it, where |q|^p bends like |s - r|^(2p); uncut, the 16/32-node
     # rules and then the adaptive whole-vs-split test accept values 1.5e-9
-    # to 1.4e-8 relative off
+    # to 1.4e-8 relative off.  On the last piece, cut there, the adaptive
+    # panels' 16-node whole and split estimates once agreed while both erred,
+    # 5.0e-10 relative off
     roots = sorted(z.real for z in P.polyroots(c) if 0.0 < z.real < h)
     ref = quad(
         lambda t: abs(P.polyval(t, c)) ** p, 0.0, h, points=roots, limit=500, epsabs=0.0, epsrel=1e-13
@@ -344,12 +348,14 @@ def test_batched_sobolev_norm_raises_as_oracle():
     F = extend(s, ExtensionConfig(m=2))
     natural, _ = natural_spline_min_energy(s, 2)  # polynomial tails
     huge = PiecewisePolynomial([0.0, 1.0], [[0.0, 0.0, 1e308]])  # its derivative overflows
+    huge_tail = PiecewisePolynomial([0.0, 1.0], [[1.0]], right_tail=[0.0, 1e308, 1e308])
     cases = [
         (NonintegrableError, (natural, 2, 2.0)),
         (NonintegrableError, (natural, 2, 1.5)),
         (InvalidInputError, (F, 2, 0.5)),
         (InvalidInputError, (F, 2, 1.5, -1.0)),
         (NumericalFailureError, (huge, 1, INF)),
+        (NumericalFailureError, (huge_tail, 1, INF)),  # so does its tail's
     ]
     for error, args in cases:
         for norm in (sobolev_norm, oracles.sobolev_norm):
@@ -367,6 +373,18 @@ def test_sobolev_norm_makes_one_root_split(monkeypatch):
     monkeypatch.setattr(splines, "_root_split", lambda C: calls.append(1) or root_split(C))
     sobolev_norm(F, 3, 1.5)
     assert len(calls) == 1
+
+
+def test_sobolev_norm_differentiates_one_table(monkeypatch):
+    # the derivative orders come from one scaled coefficient table, not from
+    # one derivative object per order
+    F = extend(make_samples(np.random.default_rng(3), 8, span=10.0), ExtensionConfig(m=3))
+    calls = []
+    differentiate = PiecewisePolynomial.differentiate
+    monkeypatch.setattr(PiecewisePolynomial, "differentiate", lambda f: calls.append(1) or differentiate(f))
+    for p in (1.5, 2.0, 3.0, INF):
+        sobolev_norm(F, 3, p)
+    assert calls == []
 
 
 def _clip_to_window(F):
