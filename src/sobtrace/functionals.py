@@ -3,7 +3,9 @@
 Two families are computed.  Sequence forms run over consecutive windows of
 the data; variational forms take the exact supremum over all strictly
 increasing subsequences: at finite p a longest path whose states are the
-last m chosen indices, within :func:`variational_feasible`; at p = inf the
+last m chosen indices, run over the array table of differences on every
+index subset of at most m+1 points (:func:`subset_differences`, which the
+sharp profiles share), within :func:`variational_feasible`; at p = inf the
 window maximum, as a divided difference over any k+1 points is a convex
 combination of the window differences in their hull (de Boor).  Homogeneous
 variants keep only the top-order term with the plain gap weight.
@@ -15,13 +17,15 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .divdiff import divided_difference_rows
 from .errors import HypothesisViolationError, InvalidInputError, SizeCapError
 from .samples import SampledFunction
 
 #: Most divided differences a subset enumeration (finite-p variational forms, sharp profiles)
 #: computes, one per index subset of at most m+1 points.  At the budget a variational form takes
-#: about 1 s and 40 MB; wmf_functional 0.7-0.9 s on GridSpec(0.05), 5-27 s near 9e5 cells, 80-90 MB.
+#: 0.04-0.06 s and 20 MB; wmf_functional 0.2-0.8 s on GridSpec(0.05), 7-37 s near 9e5 cells, 40-55 MB.
 VARIATIONAL_BUDGET = 250_000
 
 
@@ -103,40 +107,45 @@ def require_feasible(n_points: int, m: int) -> None:
         )
 
 
-def subset_differences(points, values, k: int):
-    """(table, top): ``table`` maps each index subset S of at most k points to
-    D f[S]; ``top`` yields (W, D^k f[W]) for each (k+1)-point index tuple W in
-    lexicographic order, unstored.  Both follow the recurrence of
-    :func:`divided_difference_rows`, so they are bit-identical to it."""
-    table: dict[tuple[int, ...], float] = {}
+def subset_differences(points, values, k: int) -> list[tuple[np.ndarray, ...]]:
+    """One entry (W, D, lo, hi) per order j = 0..k: the (j+1)-point index subsets W in
+    lexicographic order, one per row, which lists the children W + (last,) of each row of order
+    j-1 in turn; their differences D f[W] by the recurrence of :func:`divided_difference_rows`,
+    so bit-identical to it; and (j >= 1) the rows of W[:, :-1] and W[:, 1:] in order j-1."""
+    pts, n = np.asarray(points, dtype=float), len(points)
+    table = [(np.arange(n)[:, None], np.asarray(values, dtype=float), None, None)]
+    for _ in range(k):
+        W, D, _, hi = table[-1]
+        counts = n - 1 - W[:, -1]
+        lo, first = np.repeat(np.arange(len(W)), counts), np.cumsum(counts) - counts
+        sibling = np.arange(len(lo)) - first[lo]
+        last = W[lo, -1] + 1 + sibling
+        # W[1:] + (last,) is child `sibling` of the row of W[1:] in order j-2
+        hi = last if W.shape[1] == 1 else first_child[hi[lo]] + sibling
+        first_child = first
+        table.append((np.column_stack([W[lo], last]), (D[hi] - D[lo]) / (pts[last] - pts[W[lo, 0]]), lo, hi))
+    return table
 
-    def order(j):
-        for w in itertools.combinations(range(len(points)), j + 1):
-            if j == 0:
-                yield w, values[w[0]]
-            else:
-                yield w, (table[w[1:]] - table[w[:-1]]) / (points[w[-1]] - points[w[0]])
 
-    for j in range(k):
-        table.update(order(j))
-    return table, order(k)
-
-
-def _best_subsequence(s: SampledFunction, m: int, terms, tail) -> SampledFunction:
-    """The increasing subsequence of at least m+1 samples maximising the sum of
-    ``terms`` over its windows of m+1 consecutive elements plus ``tail`` of its
-    last m indices.  ``terms`` yields (W, term) for each (m+1)-point index
-    window W in lexicographic order, so windows into a state precede those out."""
-    best: dict[tuple[int, ...], float] = {}
-    back: dict[tuple[int, ...], int] = {}
-    for w, term in terms:
-        value = best.get(w[:-1], 0.0) + term
-        if value > best.get(w[1:], -1.0):
-            best[w[1:]] = value
-            back[w[1:]] = w[0]
-    path = list(max(best, key=lambda state: best[state] + tail(state)))
-    while (state := tuple(path[:m])) in back:
-        path.insert(0, back[state])
+def _best_subsequence(s: SampledFunction, m: int, table, term: np.ndarray, tail: np.ndarray) -> SampledFunction:
+    """The increasing subsequence of at least m+1 samples maximising the sum of ``term`` over
+    its windows of m+1 consecutive elements (rows of table[m]) plus ``tail`` of its last m
+    indices (rows of table[m-1]).  A longest path, one first index i at a time: windows from i
+    read states starting at i, final by then, and write later ones, once per step, earlier
+    steps winning ties.  Paths start at states starting at 0; step 0 reaches all the others,
+    so the first maximal one in lexicographic order is the first reached."""
+    W, _, lo, hi = table[m]
+    steps = np.searchsorted(W[:, 0], np.arange(len(s) - m + 1))
+    best, back = np.where(table[m - 1][0][:, 0] == 0, 0.0, -np.inf), np.full(len(tail), -1)
+    for i in range(len(s) - m):
+        w = np.arange(steps[i], steps[i + 1])
+        value = best[lo[w]] + term[w]
+        w = w[value > best[hi[w]]]
+        best[hi[w]], back[hi[w]] = value[w - steps[i]], w
+    path = list(table[m - 1][0][state := np.argmax(np.where(back >= 0, best + tail, -np.inf))])
+    while back[state] >= 0:
+        path.insert(0, W[back[state], 0])
+        state = lo[back[state]]
     return SampledFunction(tuple(s.points[j] for j in path), tuple(s.values[j] for j in path))
 
 
@@ -163,13 +172,15 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
             f"points, got {len(s)}; route small sets through the max-of-differences "
             "small-set functional instead"
         )
-    pts = s.points
-    table, top = subset_differences(pts, s.values, m)
-    prefix: dict[tuple[int, ...], float] = {}  # sum of |D^k f|^p on the first k+1 points of S
-    for S, d in table.items():
-        prefix[S] = prefix.get(S[:-1], 0.0) + abs_pow(d, p)
-    terms = ((w, min(1.0, pts[w[-1]] - pts[w[0]]) * (prefix[w[:-1]] + abs_pow(d, p))) for w, d in top)
-    sub = _best_subsequence(s, m, terms, lambda state: sum(prefix[state[a:]] for a in range(m)))
+    table = subset_differences(s.points, s.values, m)
+    prefix = [np.abs(table[0][1]) ** p]  # sum of |D^k f|^p on the first k+1 points of S
+    for _, d, lo, _ in table[1:]:
+        prefix.append(prefix[-1][lo] + np.abs(d) ** p)
+    tail, at = prefix[m - 1].copy(), np.arange(len(prefix[m - 1]))
+    for j in range(m - 1, 0, -1):  # add the prefix of state[a:], a = 1..m-1, in order j - 1
+        tail += prefix[j - 1][at := table[j][3][at]]
+    W, pts = table[m][0], np.asarray(s.points)
+    sub = _best_subsequence(s, m, table, np.minimum(1.0, pts[W[:, -1]] - pts[W[:, 0]]) * prefix[m], tail)
     return FunctionalReport(m, p, sequence_functional(sub, m, p).value, "variational", m)
 
 
@@ -207,10 +218,10 @@ def homogeneous_variational_functional(s: SampledFunction, m: int, p: float) -> 
     if p == math.inf:
         return replace(homogeneous_sequence_functional(s, m, p), kind="homogeneous_variational")
     require_feasible(len(s), m)
-    pts = s.points
-    _, top = subset_differences(pts, s.values, m)
-    terms = ((w, (pts[w[-1]] - pts[w[0]]) * abs_pow(d, p)) for w, d in top)
-    value = homogeneous_sequence_functional(_best_subsequence(s, m, terms, lambda _: 0.0), m, p).value
+    table = subset_differences(s.points, s.values, m)
+    (W, d, _, _), pts = table[m], np.asarray(s.points)
+    sub = _best_subsequence(s, m, table, (pts[W[:, -1]] - pts[W[:, 0]]) * np.abs(d) ** p, np.zeros(len(table[m - 1][0])))
+    value = homogeneous_sequence_functional(sub, m, p).value
     return FunctionalReport(m, p, value, "homogeneous_variational", m)
 
 

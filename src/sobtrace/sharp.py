@@ -6,10 +6,13 @@ leaves the window [x-1, x+1], i.e. at the points e +- 1 for e in the data.
 At the top order a diameter damping factor makes the profile decay smoothly
 between those same break locations.  Quadrature therefore uses a composite
 midpoint rule on a grid with forced nodes at the data points and at e +- 1.
+Every order's profile is one array reduction over the subset table of
+:func:`functionals.subset_differences`, built once per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,38 +62,60 @@ def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.nda
     candidate is damped by diam(S) / diam(S u {x}).  An empty admissible
     family gives 0.  Sets failing :func:`variational_feasible` at order m
     raise SizeCapError.
-
-    One pass over the subsets keeps the largest |D^k f[S]| per sample j in
-    S, at k = m per (j, min S, max S): the damping sees only the ends of S
-    and fl(d r) is monotone in d, so the maxima are exact.  A node reads the
-    entries of the samples within 1 of it.
     """
     _check_args(s, m, k)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    if len(s) < k + 1:
+    return _profile(s, subset_differences(s.points, s.values, k)[k][:2], k == m, _nodes(s, xs))
+
+
+def _nodes(s: SampledFunction, xs):
+    """(order, xsort, first, end): the nodes' sort order, the sorted nodes and the run
+    first..end-1 of samples within 1 of each, from searches at e -+ 1 moved to the exact test."""
+    pts, order = np.asarray(s.points), np.argsort(xs, kind="stable")
+    x = np.concatenate([[-np.inf], np.asarray(xs, dtype=float)[order], [np.inf]])  # x[c] is node c - 1
+    counts = []
+    for test, edge in ((np.less, -1.0), (np.less_equal, 1.0)):  # the nodes with test(fl(x - e), edge)
+        c = np.searchsorted(x[1:-1], pts + edge)
+        while (step := ~test(x[c] - pts, edge)).any():
+            c -= step
+        while (step := test(x[c + 1] - pts, edge)).any():
+            c += step
+        counts.append(c)
+    return order, x[1:-1], *(np.searchsorted(c, np.arange(len(xs)), "right") for c in counts[::-1])
+
+
+def _profile(s: SampledFunction, top_order, damped: bool, nodes) -> np.ndarray:
+    """:func:`profile_values` from the order's (subsets, differences) at the :func:`_nodes`.
+    The largest |D f[S]| is kept per sample j in S, if ``damped`` per (j, min S, max S): the
+    damping sees only the ends of S and fl(d r) is monotone in d, so the maxima are exact.
+    Sorted by sample, they give each node one slice, reduced in blocks of about 2^18 elements:
+    one (entries x nodes) array per run of nodes reading one slice if the runs are long, as on
+    fine grids, else the slices laid end to end for ``np.maximum.reduceat``."""
+    (order, xsort, first_sample, end_sample), (W, dds) = nodes, top_order
+    out, n, pts = np.zeros(len(xsort)), len(s), np.asarray(s.points)
+    key = ((W * n + W[:, :1]) * n + W[:, -1:] if damped else W).ravel()  # (member, first, last) triples
+    at = np.argsort(key, kind="stable")
+    key, cand = key[at], np.repeat(np.abs(dds), W.shape[1])[at]
+    new = np.flatnonzero(np.diff(key, prepend=-1))
+    key, best = key[new], np.maximum.reduceat(cand, new)[:, None]
+    first, last = pts[key // n % n, None], pts[key % n, None]
+    start = np.searchsorted(key // n**2 if damped else key, np.arange(n + 1))  # the entries of each sample
+    lo, size = start[first_sample], start[end_sample] - start[first_sample]
+    def cands(e, x):  # the entries e at the nodes x
+        return best[e] * ((last[e] - first[e]) / (np.maximum(last[e], x) - np.minimum(first[e], x))) if damped else best[e]
+    runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(size, prepend=-1))  # nodes reading one slice
+    total = np.concatenate([[0], np.cumsum(size)])
+    if total[-1] > 500 * len(runs):  # long runs (fine grids): one (entries x nodes) array per run
+        for q0, q1 in itertools.pairwise(np.append(runs, len(lo))):
+            e, step = slice(lo[q0], lo[q0] + size[q0]), 1 + 2**18 // max(size[q0], 1)
+            for r in range(q0, q1 if size[q0] else q0, step):  # an empty slice leaves its nodes at 0
+                out[order[r : r + step][: q1 - r]] = cands(e, xsort[r : min(r + step, q1)]).max(axis=0)
         return out
-    combos, dds = zip(*subset_differences(s.points, s.values, k)[1])
-    W, n, pts = np.array(combos), len(s), np.asarray(s.points)
-    if k == m:  # one key per (member, first, last) index triple
-        W = (W * n + W[:, :1]) * n + W[:, -1:]
-    keys, at = np.unique(W.ravel(), return_inverse=True)
-    best = np.zeros(len(keys))
-    np.maximum.at(best, at, np.repeat(np.abs(dds), k + 1))
-    member = keys // n**2 if k == m else keys
-    first, last = pts[keys // n % n, None], pts[keys % n, None]
-    order = np.argsort(xs, kind="stable")
-    xsort = xs[order]
-    for j, a, count in zip(*np.unique(member, return_index=True, return_counts=True)):
-        e = slice(a, a + count)
-        u, v = np.searchsorted(xsort, (pts[j] - 2.0, pts[j] + 2.0))
-        near = order[u:v][np.abs(xsort[u:v] - pts[j]) <= 1.0]
-        # blocks of nodes keep the (entries x nodes) temporaries near 2^18 elements
-        for idx in np.array_split(near, 1 + len(near) * count // 2**18):
-            cand = best[e, None]
-            if k == m:
-                cand = cand * ((last[e] - first[e]) / (np.maximum(last[e], xs[idx]) - np.minimum(first[e], xs[idx])))
-            out[idx] = np.maximum(out[idx], cand.max(axis=0))
+    # short runs: the slices laid end to end, each block starting at a node that holds its first element
+    blocks = np.unique(np.searchsorted(total, np.arange(0, total[-1], 2**18), "right") - 1)
+    for q0, q1 in itertools.pairwise(np.append(blocks, len(size))):
+        sz, offset = size[q0:q1], total[q0:q1] - total[q0]
+        e = np.arange(total[q1] - total[q0]) + np.repeat(lo[q0:q1] - offset, sz)
+        out[order[q0:q1][sz > 0]] = np.maximum.reduceat(cands(e, np.repeat(xsort[q0:q1], sz)[:, None]), offset[sz > 0])[:, 0]
     return out
 
 
@@ -131,12 +156,11 @@ def grid_edges(s: SampledFunction, grid_spec: GridSpec | None = None) -> np.ndar
     for v in nodes[1:]:
         if v - merged[-1] > 1e-12:
             merged.append(v)
-    stretches = list(zip(merged, merged[1:]))
-    edges = [merged[0]]
-    for (a, b), ncell in zip(stretches, grid_cells([b - a for a, b in stretches], h)):
-        for q in range(1, ncell + 1):
-            edges.append(a + (b - a) * q / ncell)
-    return np.array(edges)
+    a, b = np.array(merged[:-1]), np.array(merged[1:])
+    ncell = np.array(grid_cells((b - a).tolist(), h))
+    stretch = np.repeat(np.arange(len(a)), ncell)
+    q = np.arange(1, len(stretch) + 1) - np.repeat(np.cumsum(ncell) - ncell, ncell)
+    return np.concatenate([merged[:1], a[stretch] + (b - a)[stretch] * q / ncell[stretch]])
 
 
 def wmf_functional(
@@ -153,11 +177,10 @@ def wmf_functional(
     if not p > 1:
         raise InvalidInputError(f"p must lie in (1, inf), got {p}")
     edges = grid_edges(s, grid_spec)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
+    mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+    _check_args(s, m, 0)
+    table, nodes = subset_differences(s.points, s.values, m), _nodes(s, mids)  # shared by every order
     total = 0.0
     for k in range(m + 1):
-        vals = profile_values(s, m, k, mids)
-        integral = float(np.dot(widths, vals**p))
-        total += integral ** (1.0 / p)
+        total += float(np.dot(widths, _profile(s, table[k][:2], k == m, nodes) ** p)) ** (1.0 / p)
     return FunctionalReport(m, p, total, "sharp_maximal", effective_order(s, m))

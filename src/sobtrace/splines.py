@@ -9,20 +9,22 @@ and summed per order:
 * even integer p: |q|^p is a polynomial, so one Gauss-Legendre rule of
   sufficient order is exact; one Horner pass evaluates every piece at once;
 * odd integer p: the same exact rule on the subintervals between the real
-  roots of q, where the sign of q is constant.  The cuts also fall at each
-  complex pair of roots within 0.1 of the real axis, where |q|^p bends too
-  sharply for the rules below;
+  roots of q, where the sign of q is constant, all from one eigenvalue solve
+  per batch.  The cuts also fall at each complex pair of roots within 0.1 of
+  the real axis, where |q|^p bends too sharply for the rules below;
 * fractional p: on the same subintervals |q|^p behaves like |s - r|^(p k) at
   an end where q has a k-fold zero: k is 1 at a real root, 0 at a complex
   pair, and at a piece end it is read from the scaled Taylor coefficients there
   (hermite pieces next to lattice knots carry m-fold zeros).  Gauss-Jacobi
   rules put these factors into the weight (Golub & Welsch 1969) and leave a
   smooth integrand.  A subinterval keeps its 32-node value when the 16-node
-  value differs from it by at most the subinterval's share (by length) of
-  quad_tol times the piece's integral, the larger of its two estimates.
-  Otherwise adaptive Gauss-Legendre panels integrate that subinterval alone,
-  each keeping its 32-node value when the sum of its two 16-node halves
-  agrees with it; the adaptive recursion raises NumericalFailureError when it
+  value differs from it by at most its share (by length) of quad_tol times
+  the piece's integral, the larger of its two estimates.  Otherwise it is
+  cut into panels graded geometrically toward the nearest root of q off it,
+  all integrated in one pass under the same test.  Only a subinterval with a
+  panel that still fails goes to adaptive Gauss-Legendre panels, each
+  keeping its 32-node value when the sum of its two 16-node halves agrees
+  with it; the adaptive recursion raises NumericalFailureError when it
   reaches depth 48 rather than return an unconverged value;
 * p = inf: the largest |q| over the piece ends and the real critical points.
 """
@@ -156,28 +158,21 @@ def _degrees(C: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     return np.where(big.any(axis=1), C.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
 
 
-def _roots_near_axis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real roots of the polynomial rows of P and the real part of each complex
-    pair within ``_NEAR_REAL`` of the real axis, as flat arrays (row, root,
-    real), from one batched companion-matrix solve per degree; a root within
-    1e-9 relative of the real axis counts as real.  Top coefficients below
-    ``_ZERO_TAYLOR`` of the row's largest are dropped: their roots lie beyond
-    1e12 (on the unit scale of the rows) and would overflow the companion matrix.
-    """
-    rows, roots, real = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0, dtype=bool)]
+def _roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, real): the roots of the polynomial rows of P, NaN past a row's degree, and whether
+    each lies within 1e-9 relative of the real axis, from one eigenvalue solve: a lower-degree
+    companion matrix is padded with isolated diagonal sentinels, which LAPACK peels off untouched.
+    Top coefficients below ``_ZERO_TAYLOR`` of the row's largest are dropped (roots beyond 1e12)."""
     deg = _degrees(P, _ZERO_TAYLOR)
-    for d in np.unique(deg[deg > 0]):
-        sel = np.flatnonzero(deg == d)
-        comp = np.zeros((len(sel), d, d))
-        comp[:, 0, :] = -P[sel, d - 1 :: -1] / P[sel, d, None]
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        z = np.linalg.eigvals(comp)
-        is_real = np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
-        r, c = np.nonzero(is_real | ((z.imag > 0.0) & (z.imag <= _NEAR_REAL)))
-        rows.append(sel[r])
-        roots.append(z.real[r, c])
-        real.append(is_real[r, c])
-    return np.concatenate(rows), np.concatenate(roots), np.concatenate(real)
+    sel, c = np.flatnonzero(deg > 0), np.arange(deg.max(initial=0))
+    d = deg[sel, None]
+    comp = np.zeros((len(sel), len(c), len(c)))
+    comp[:, :1] = np.where(c < d, -P[sel[:, None], np.maximum(d - 1 - c, 0)] / P[sel, d[:, 0], None], 0.0)[:, None]
+    comp[:, c[1:], c[:-1]] = c[1:] < d
+    comp[:, c, c] = np.where(c < d, comp[:, c, c], 1e3)
+    z = np.full((len(P), len(c)), np.nan, dtype=complex)
+    z[sel] = np.where(c < d, np.linalg.eigvals(comp), np.nan)
+    return z, np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
 
 
 def _drop_leading(C: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -188,19 +183,14 @@ def _drop_leading(C: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _root_split(C: np.ndarray):
-    """Cut the unit interval of each (non-zero) row of C at the real roots of
-    its polynomial, and at the real part of each complex pair near the real
-    axis (see ``_roots_near_axis``).
-
-    Returns flat arrays over the subintervals: the row, the ends a < b, and
-    the multiplicity of the zero of the polynomial at each end (0 at the cut
-    of a complex pair).  A piece end takes the number of its leading scaled
-    Taylor coefficients below ``_ZERO_TAYLOR`` of the row's largest; those
-    zeros are divided out before the interior roots are sought, so that a
-    multiple zero at an end does not scatter into spurious roots beside it.
-    A row with a zero at s = 1 is searched in u = s - 1 (root offset 1), the
-    others in s; all rows share one padded matrix and one root solve.
-    """
+    """Cut the unit interval of each (non-zero) row of C at the real roots of its polynomial
+    and at the real part of each complex pair near the real axis.  Returns flat arrays over the
+    subintervals (the row, the ends a < b, the multiplicity of the zero at each end, 0 at a
+    complex pair's cut) and each row's roots in s, the real ones on the axis, with its end zeros.
+    A piece end takes the number of its leading scaled Taylor coefficients below
+    ``_ZERO_TAYLOR`` of the row's largest; those zeros are divided out before the interior roots
+    are sought, so that a multiple zero at an end does not scatter into spurious roots beside
+    it.  A row with a zero at s = 1 is searched in u = s - 1, the others in s, in one solve."""
     K = len(C)
     tiny = _ZERO_TAYLOR * np.max(np.abs(C), axis=1, keepdims=True)
     k0 = np.argmax(np.abs(C) > tiny, axis=1)
@@ -209,16 +199,19 @@ def _root_split(C: np.ndarray):
     at_one, reduced_at_one = np.split(shift_polynomial(np.vstack([C, reduced]), 1.0), 2)
     k1 = np.minimum(np.argmax(np.abs(at_one) > tiny, axis=1), _degrees(C) - k0)
     reduced = np.where((k1 > 0)[:, None], _drop_leading(reduced_at_one, k1), reduced)
-    r, z, real = _roots_near_axis(reduced)
-    z = z + (k1[r] > 0)
-    inside = (z > 0.0) & (z < 1.0)
+    z, real = _roots(reduced)
+    r, c = np.nonzero(real | ((z.imag > 0.0) & (z.imag <= _NEAR_REAL)))
+    cut = z.real[r, c] + (k1[r] > 0)
+    inside = (cut > 0.0) & (cut < 1.0)
     row = np.concatenate([np.arange(K), np.arange(K), r[inside]])
-    cut = np.concatenate([np.zeros(K), np.ones(K), z[inside]])
-    zeros = np.concatenate([k0, k1, real[inside].astype(int)])
+    cut = np.concatenate([np.zeros(K), np.ones(K), cut[inside]])
+    zeros = np.concatenate([k0, k1, real[r, c][inside].astype(int)])
     order = np.lexsort((cut, row))
     row, cut, zeros = row[order], cut[order], zeros[order]
     same = row[1:] == row[:-1]
-    return row[:-1][same], cut[:-1][same], cut[1:][same], zeros[:-1][same], zeros[1:][same]
+    # every root of each row in s, the real ones on the axis, and the end zeros
+    z = np.column_stack([np.where(real, z.real, z) + (k1 > 0)[:, None], np.where(k0, 0.0, np.nan), np.where(k1, 1.0, np.nan)])
+    return row[:-1][same], cut[:-1][same], cut[1:][same], zeros[:-1][same], zeros[1:][same], z
 
 
 def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,33 +223,47 @@ def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.
     return half * (polynomial_eval_rows(C, s) ** p @ weights)
 
 
-def _odd_integrals(C: np.ndarray, p: int) -> np.ndarray:
-    """Integral of |q_i|^p over [0, 1] for each row i of C, odd p."""
-    row, a, b, _, _ = _root_split(C)
-    return np.bincount(row, np.abs(_power_integrals(C[row], p, a, b)), minlength=len(C))
+def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """16- and 32-node Gauss-Jacobi values of the integral of |q_row|^p over
+    each [a, b], weight |s - a|^(p left) |s - b|^(p right): one pass per rule."""
+    keys, group = np.unique(left * C.shape[1] + right, return_inverse=True)
+    alpha, beta = p * (keys // C.shape[1]), p * (keys % C.shape[1])
+    half, out = 0.5 * (b - a), np.empty((2, len(row)))
+    for n, values in zip((_LOW_ORDER, _HIGH_ORDER), out):
+        x, w = np.reshape([_gauss_jacobi(n, *ab) for ab in zip(beta, alpha)], (-1, 2, n)).transpose(1, 0, 2)
+        w = w / ((1.0 - x) ** beta[:, None] * (1.0 + x) ** alpha[:, None])
+        for i in range(0, len(row), _CHUNK):
+            s, g = slice(i, i + _CHUNK), group[i : i + _CHUNK]
+            q = polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))
+            values[s] = half[s] * np.einsum("ij,ij->i", np.abs(q) ** p, w[g])
+    return out[0], out[1]
 
 
 def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarray:
     """Integral of |q_i|^p over [0, 1] for each row i of C, fractional p,
     to within quad_tol relative (see the module docstring)."""
-    row, a, b, left, right = _root_split(C)
-    half = 0.5 * (b - a)
-    low, high = np.empty(len(row)), np.empty(len(row))
-    group = left * C.shape[1] + right
-    for key in np.unique(group):
-        sel = np.flatnonzero(group == key)
-        alpha, beta = p * left[sel[0]], p * right[sel[0]]
-        rows = C[row[sel]]
-        for n, out in ((_LOW_ORDER, low), (_HIGH_ORDER, high)):
-            x, w = _gauss_jacobi(n, beta, alpha)
-            w = w / ((1.0 - x) ** beta * (1.0 + x) ** alpha)
-            s = a[sel, None] + half[sel, None] * (1.0 + x)
-            out[sel] = half[sel] * (np.abs(polynomial_eval_rows(rows, s)) ** p @ w)
+    row, a, b, left, right, roots = _root_split(C)
+    low, high = _jacobi_pair(C, p, row, a, b, left, right)
     rough = np.bincount(row, np.maximum(low, high), minlength=len(C))
-    converged = np.abs(high - low) <= 2.0 * half * quad_tol * rough[row]
-    for i in np.flatnonzero(~converged):
-        atol = quad_tol * (rough[row[i]] + 1e-300)
-        high[i] = _adaptive_abs_pow(C[row[i]], a[i], b[i], p, atol)
+    tol = quad_tol * rough[row]
+    bad = np.flatnonzero(~(np.abs(high - low) <= (b - a) * tol))
+    # graded panels: cuts at t -+ d 2^j, d the distance to the nearest root
+    # off the subinterval and t its projection onto it
+    z, lo, hi = roots[row[bad]], a[bad, None], b[bad, None]
+    t = np.clip(z.real, lo, hi)
+    d = np.abs(z - t)
+    near = np.argmin(np.where(d > 0.0, d, np.inf), axis=1)[:, None]  # roots on [a, b] are its ends
+    t, d = np.take_along_axis(t, near, 1), np.take_along_axis(d, near, 1)
+    cuts = np.hstack([t - d * 2.0 ** np.arange(52), t + d * 2.0 ** np.arange(52)])
+    cuts = np.sort(np.hstack([lo, hi, np.where((cuts > lo) & (cuts < hi), cuts, np.inf)]), axis=1)
+    end = np.isfinite(cuts).sum(axis=1) - 2  # the last panel
+    sub, k = np.nonzero(np.arange(cuts.shape[1] - 1) <= end[:, None])
+    i, pa, pb = bad[sub], cuts[sub, k], cuts[sub, k + 1]
+    low, panel = _jacobi_pair(C, p, row[i], pa, pb, np.where(k == 0, left[i], 0), np.where(k == end[sub], right[i], 0))
+    missed = np.bincount(sub, ~(np.abs(panel - low) <= (pb - pa) * tol[i]), minlength=len(bad))
+    high[bad] = np.bincount(sub, panel, minlength=len(bad))
+    for i in bad[missed > 0]:  # the adaptive fallback
+        high[i] = _adaptive_abs_pow(C[row[i]], a[i], b[i], p, quad_tol * (rough[row[i]] + 1e-300))
     return np.bincount(row, high, minlength=len(C))
 
 
@@ -264,10 +271,9 @@ def _unit_sup(C: np.ndarray) -> np.ndarray:
     """max |q_i| over [0, 1] for each row i of C: the ends and the real
     critical points inside."""
     best = np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
-    row, z, real = _roots_near_axis(polynomial_derivative(C))
-    inside = real & (z > 0.0) & (z < 1.0)
-    row, z = row[inside], z[inside]
-    np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z)))
+    z, real = _roots(polynomial_derivative(C))
+    row, c = np.nonzero(real & (z.real > 0.0) & (z.real < 1.0))
+    np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z.real[row, c])))
     return best
 
 
@@ -334,8 +340,9 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
             rows, part = C[lo : lo + _CHUNK], slice(lo, lo + _CHUNK)
             if p != q:
                 integrals = _fractional_integrals(rows, p, quad_tol)
-            elif q % 2:
-                integrals = _odd_integrals(rows, q)
+            elif q % 2:  # exact where q keeps its sign
+                row, a, b, *_ = _root_split(rows)
+                integrals = np.bincount(row, np.abs(_power_integrals(rows[row], q, a, b)), minlength=len(rows))
             else:
                 integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
             totals += np.bincount(order[part], h[part] * integrals, minlength=m + 1)

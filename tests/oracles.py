@@ -9,8 +9,10 @@ straightforward forms the library once used: a zero fill that sorts
 (coordinate, value) pairs, a whole-set sort per data knot for the hermite
 jets, one dense solve per hermite piece, edge knots absorbed one at a time,
 spline systems filled entry by entry through ``lil_matrix`` in the library's
-row order, one ``lp_norm`` call per derivative order and a real-root search
-per group of end zeros.  Those share the library's call signatures, so a test
+row order, one ``lp_norm`` call per derivative order, a real-root search per
+group of end zeros with one companion solve per degree, and the variational
+forms' subset table and longest path kept in dicts keyed by index tuples.
+Those share the library's call signatures, so a test
 can swap one in or call it beside the library and compare the results
 exactly.  The spline systems can also go to SuperLU instead of the library's
 band solve, an independent solver that agrees up to rounding.
@@ -27,6 +29,7 @@ from scipy.sparse.linalg import spsolve
 
 from sobtrace.divdiff import divided_difference_rows
 from sobtrace.errors import InvalidInputError, NumericalFailureError
+from sobtrace.functionals import abs_pow, homogeneous_sequence_functional, sequence_functional
 from sobtrace.piecewise import PiecewisePolynomial
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
@@ -34,7 +37,7 @@ from sobtrace.splines import (
     NormReport,
     _band_solve,
     _degrees,
-    _roots_near_axis,
+    _NEAR_REAL,
     _spline_system,
     _ZERO_TAYLOR,
     lp_norm,
@@ -473,6 +476,20 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
     return NormReport(lp, sum(lp), lp[-1])
 
 
+def roots_per_degree(P: np.ndarray):
+    """``splines._roots`` by one companion-matrix solve per degree, each of
+    its own size, with no padding."""
+    deg = _degrees(P, _ZERO_TAYLOR)
+    z = np.full((len(P), deg.max(initial=0)), np.nan, dtype=complex)
+    for d in np.unique(deg[deg > 0]):
+        sel = np.flatnonzero(deg == d)
+        comp = np.zeros((len(sel), d, d))
+        comp[:, 0, :] = -P[sel, d - 1 :: -1] / P[sel, d, None]
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        z[sel, :d] = np.linalg.eigvals(comp)
+    return z, np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
+
+
 def root_split(C: np.ndarray):
     """Drop-in for ``splines._root_split`` that seeks the interior roots of
     each group of rows with the same end-zero multiplicities separately."""
@@ -482,23 +499,85 @@ def root_split(C: np.ndarray):
     k0 = np.argmax(np.abs(C) > tiny, axis=1)
     k1 = np.minimum(np.argmax(np.abs(C @ binom) > tiny, axis=1), _degrees(C) - k0)
     cut_rows, cuts, zeros = [np.arange(K), np.arange(K)], [np.zeros(K), np.ones(K)], [k0, k1]
+    roots = np.full((K, w + 1), np.nan, dtype=complex)
+    roots[:, w - 1], roots[:, w] = np.where(k0 > 0, 0.0, np.nan), np.where(k1 > 0, 1.0, np.nan)
     group = k0 * w + k1
     for key in np.unique(group):
         sel = np.flatnonzero(group == key)
         lo, hi = divmod(int(key), w)
         P = C[sel, lo:]
         if hi:
-            r, z, real = _roots_near_axis((P @ binom[: w - lo, : w - lo])[:, hi:])
-            z = z + 1.0
+            z, real = roots_per_degree((P @ binom[: w - lo, : w - lo])[:, hi:])
         else:
-            r, z, real = _roots_near_axis(P)
-        inside = (z > 0.0) & (z < 1.0)
+            z, real = roots_per_degree(P)
+        roots[sel, : z.shape[1]] = np.where(real, z.real, z) + (1.0 if hi else 0.0)
+        r, c = np.nonzero(real | ((z.imag > 0.0) & (z.imag <= _NEAR_REAL)))
+        cut = z.real[r, c] + (1.0 if hi else 0.0)
+        inside = (cut > 0.0) & (cut < 1.0)
         cut_rows.append(sel[r[inside]])
-        cuts.append(z[inside])
-        zeros.append(real[inside].astype(int))
+        cuts.append(cut[inside])
+        zeros.append(real[r, c][inside].astype(int))
     row, cut, zero = np.concatenate(cut_rows), np.concatenate(cuts), np.concatenate(zeros)
     order = np.lexsort((cut, row))
     row, cut, zero = row[order], cut[order], zero[order]
     same = row[1:] == row[:-1]
     row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
-    return row, a, b, zero[:-1][same], zero[1:][same]
+    return row, a, b, zero[:-1][same], zero[1:][same], roots
+
+
+# ------------------------------------------------------------ longest path
+
+
+def dict_subset_differences(points, values, k: int):
+    """(table, top): ``table`` maps each index subset S of at most k points to
+    D f[S]; ``top`` yields (W, D^k f[W]) for each (k+1)-point index tuple W in
+    lexicographic order, unstored.  The same recurrence as the library's
+    ``functionals.subset_differences``, one tuple key at a time."""
+    table: dict[tuple[int, ...], float] = {}
+
+    def order(j):
+        for w in itertools.combinations(range(len(points)), j + 1):
+            if j == 0:
+                yield w, values[w[0]]
+            else:
+                yield w, (table[w[1:]] - table[w[:-1]]) / (points[w[-1]] - points[w[0]])
+
+    for j in range(k):
+        table.update(order(j))
+    return table, order(k)
+
+
+def _dict_best_subsequence(s: SampledFunction, m: int, terms, tail) -> SampledFunction:
+    """The increasing subsequence of at least m+1 samples maximising the sum of
+    ``terms`` over its windows of m+1 consecutive elements plus ``tail`` of its
+    last m indices, by a dict keyed on index tuples; windows come in
+    lexicographic order, so windows into a state precede those out."""
+    best: dict[tuple[int, ...], float] = {}
+    back: dict[tuple[int, ...], int] = {}
+    for w, term in terms:
+        value = best.get(w[:-1], 0.0) + term
+        if value > best.get(w[1:], -1.0):
+            best[w[1:]] = value
+            back[w[1:]] = w[0]
+    path = list(max(best, key=lambda state: best[state] + tail(state)))
+    while (state := tuple(path[:m])) in back:
+        path.insert(0, back[state])
+    return SampledFunction(tuple(s.points[j] for j in path), tuple(s.values[j] for j in path))
+
+
+def oracle_longest_path(s: SampledFunction, m: int, p: float, homogeneous: bool = False) -> float:
+    """The finite-p variational form (``homogeneous``: its top-order variant)
+    by the dict longest path the library once used: the sequence functional
+    of the best subsequence, with terms through the scalar ``abs_pow``."""
+    pts = s.points
+    table, top = dict_subset_differences(pts, s.values, m)
+    if homogeneous:
+        terms = ((w, (pts[w[-1]] - pts[w[0]]) * abs_pow(d, p)) for w, d in top)
+        sub = _dict_best_subsequence(s, m, terms, lambda _: 0.0)
+        return homogeneous_sequence_functional(sub, m, p).value
+    prefix: dict[tuple[int, ...], float] = {}  # sum of |D^k f|^p on the first k+1 points of S
+    for S, d in table.items():
+        prefix[S] = prefix.get(S[:-1], 0.0) + abs_pow(d, p)
+    terms = ((w, min(1.0, pts[w[-1]] - pts[w[0]]) * (prefix[w[:-1]] + abs_pow(d, p))) for w, d in top)
+    sub = _dict_best_subsequence(s, m, terms, lambda state: sum(prefix[state[a:]] for a in range(m)))
+    return sequence_functional(sub, m, p).value

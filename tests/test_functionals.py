@@ -28,7 +28,12 @@ from sobtrace.divdiff import divided_difference_rows
 from sobtrace.functionals import abs_pow
 from sobtrace.sharp import profile_values
 from conftest import make_samples, polynomial_samples
-from oracles import fresh_dd, oracle_homogeneous_variational_sup, oracle_variational_sup
+from oracles import (
+    fresh_dd,
+    oracle_homogeneous_variational_sup,
+    oracle_longest_path,
+    oracle_variational_sup,
+)
 
 INF = math.inf
 
@@ -229,6 +234,20 @@ def test_variational_sup_matches_recursive_oracle(rng):
             size = int(rng.integers(1, 9))
             s = make_samples(rng, size, span=5.0)
             assert variational_functional(s, m, INF).value == oracle_variational_sup(s, m)
+
+
+@pytest.mark.parametrize("size, m", [(2, 1), (9, 3), (14, 2), (25, 1), (40, 2)])
+def test_longest_path_matches_dict_oracle(size, m):
+    # the array longest path against the dict one the library once used; the
+    # path's value is its sequence functional, so a path chosen differently
+    # would show.  Integer data on a coarse lattice gives exact ties
+    rng = np.random.default_rng(size)
+    pts = tuple(float(x) for x in np.cumsum(rng.integers(1, 3, size)) * 0.5)
+    sets = [make_samples(rng, size, span=10.0), SampledFunction(pts, tuple(float(v) for v in rng.integers(-2, 3, size)))]
+    for s in sets:
+        for p in (1.1, 1.5, 3.0):
+            assert variational_functional(s, m, p).value == oracle_longest_path(s, m, p)
+            assert homogeneous_variational_functional(s, m, p).value == oracle_longest_path(s, m, p, True)
 
 
 @given(dp_cases())

@@ -12,6 +12,7 @@ from sobtrace import (
     lagrange_polynomial,
     wmf_functional,
 )
+from sobtrace import sharp
 from sobtrace.sharp import grid_edges, profile_values
 from conftest import make_samples
 from oracles import sharp_value
@@ -65,6 +66,13 @@ def test_profile_matches_pointwise(rng):
     # past the 20 points that once capped the subset enumeration
     s = make_samples(rng, 22, span=8.0)
     _assert_matches_oracle(s, 2, grid_edges(s, GridSpec(0.5)))
+    # a fine grid: long runs of nodes read the same entries, reduced as one
+    # (entries x nodes) array each rather than laid end to end
+    s = make_samples(rng, 6, span=2.0)
+    xs = np.linspace(s.points[0] - 1.5, s.points[-1] + 1.5, 4001)
+    for k in range(3):
+        values = profile_values(s, 2, k, xs)
+        assert all(values[i] == sharp_value(s, 2, k, float(xs[i])) for i in range(0, len(xs), 40))
 
 
 def test_profile_nonnegative_and_supported(rng):
@@ -126,6 +134,16 @@ def test_wmf_rejects_p_infinity(rng):
         wmf_functional(s, 1, math.inf)
     with pytest.raises(InvalidInputError):
         wmf_functional(s, 1, 1.0)
+
+
+def test_wmf_builds_one_subset_table(monkeypatch):
+    # every order's profile reads the one table of subset differences
+    calls = []
+    table = sharp.subset_differences
+    monkeypatch.setattr(sharp, "subset_differences", lambda *args: calls.append(1) or table(*args))
+    s = make_samples(np.random.default_rng(4), 8, span=10.0)
+    assert wmf_functional(s, 3, 1.5).value > 0.0
+    assert len(calls) == 1
 
 
 def test_grid_spacing_and_cell_budget():

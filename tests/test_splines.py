@@ -365,14 +365,50 @@ def test_batched_sobolev_norm_raises_as_oracle():
 
 def test_sobolev_norm_makes_one_root_split(monkeypatch):
     # all four orders of this extension fit one batch, so their roots come
-    # from one call
+    # from one call, and the polynomials of every degree from one eigenvalue
+    # solve
     F = extend(make_samples(np.random.default_rng(3), 8, span=10.0), ExtensionConfig(m=3))
     assert 4 * F.n_pieces <= splines._CHUNK
-    calls = []
-    root_split = splines._root_split
+    calls, solves = [], []
+    root_split, eigvals = splines._root_split, np.linalg.eigvals
     monkeypatch.setattr(splines, "_root_split", lambda C: calls.append(1) or root_split(C))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(1) or eigvals(a))
     sobolev_norm(F, 3, 1.5)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(solves) == 1
+    sobolev_norm(F, 3, 3.0)
+    assert len(calls) == 2 and len(solves) == 2
+
+
+def test_graded_panels_replace_most_fallbacks(monkeypatch):
+    # p = 1.5 norms of corpus-style extensions: a subinterval whose 16- and
+    # 32-node values disagree is integrated on panels graded toward the
+    # nearest root of its row before it may fall back to adaptive panels.
+    # Without the graded panels these norms made 110 top-level fallback calls
+    calls = []
+    adaptive = splines._adaptive_abs_pow
+    monkeypatch.setattr(
+        splines, "_adaptive_abs_pow", lambda *args: calls.append(len(args) == 5) or adaptive(*args)
+    )
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        for span in (2.0, 10.0, 50.0):
+            for size in range(12, m, -2):
+                s = random_sampled_function(rng, size, span)
+                for backend in ("hermite", "natural2"):
+                    sobolev_norm(extend(s, ExtensionConfig(m=m, backend=backend)), m, 1.5, 1e-9)
+    assert sum(calls) <= 11
+
+
+def test_fractional_lp_norm_near_pair_cubic():
+    # a complex pair 0.0027 off the real axis at 0.1247 (unit scale): the
+    # piece is cut there, and the subinterval right of the cut, integrated by
+    # adaptive panels alone, once came out 1.08e-10 relative off the 40-digit
+    # mpmath integral below
+    F = PiecewisePolynomial(
+        [0.0, 0.8517066778142263],
+        [[0.0026589477476738157, -0.04488151832853181, 0.20697114150555518, -0.1441648080536912]],
+    )
+    assert lp_norm(F, 1.1, 1e-10) ** 1.1 == pytest.approx(0.006430312916796007, rel=1e-10)
 
 
 def test_sobolev_norm_differentiates_one_table(monkeypatch):
