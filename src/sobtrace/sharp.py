@@ -88,8 +88,8 @@ def _profile(s: SampledFunction, top_order, damped: bool, nodes) -> np.ndarray:
     The largest |D f[S]| is kept per sample j in S, if ``damped`` per (j, min S, max S): the
     damping sees only the ends of S and fl(d r) is monotone in d, so the maxima are exact.
     Sorted by sample, they give each node one slice, reduced in blocks of about 2^18 elements:
-    one (entries x nodes) array per run of nodes reading one slice if the runs are long, as on
-    fine grids, else the slices laid end to end for ``np.maximum.reduceat``."""
+    one (entries x nodes) array per run of nodes reading one slice past 750 elements per run, as
+    on fine grids, else the slices laid end to end for ``np.maximum.reduceat``."""
     (order, xsort, first_sample, end_sample), (W, dds) = nodes, top_order
     out, n, pts = np.zeros(len(xsort)), len(s), np.asarray(s.points)
     key = ((W * n + W[:, :1]) * n + W[:, -1:] if damped else W).ravel()  # (member, first, last) triples
@@ -104,7 +104,7 @@ def _profile(s: SampledFunction, top_order, damped: bool, nodes) -> np.ndarray:
         return best[e] * ((last[e] - first[e]) / (np.maximum(last[e], x) - np.minimum(first[e], x))) if damped else best[e]
     runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(size, prepend=-1))  # nodes reading one slice
     total = np.concatenate([[0], np.cumsum(size)])
-    if total[-1] > 500 * len(runs):  # long runs (fine grids): one (entries x nodes) array per run
+    if total[-1] > 750 * len(runs):  # the timed crossover: a Python step per run beats per-element gathers
         for q0, q1 in itertools.pairwise(np.append(runs, len(lo))):
             e, step = slice(lo[q0], lo[q0] + size[q0]), 1 + 2**18 // max(size[q0], 1)
             for r in range(q0, q1 if size[q0] else q0, step):  # an empty slice leaves its nodes at 0

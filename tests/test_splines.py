@@ -379,6 +379,21 @@ def test_sobolev_norm_makes_one_root_split(monkeypatch):
     assert len(calls) == 2 and len(solves) == 2
 
 
+def test_roots_drop_padding_by_value(monkeypatch):
+    # rows of degrees 1 to 4 share one padded eigenvalue solve; the padding
+    # must go whatever order the solver returns the eigenvalues in
+    roots = ([0.3], [0.2, 0.7], [0.1, 0.5 + 0.2j, 0.5 - 0.2j], [-2.0, 0.25, 0.6, 3.0])
+    rows = np.zeros((len(roots), 5))
+    for i, r in enumerate(roots):
+        rows[i, : len(r) + 1] = P.polyfromroots(r).real
+    eigvals = np.linalg.eigvals
+    for order in (slice(None), slice(None, None, -1)):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a)[:, order])
+        z, _ = splines._roots(rows)
+        for zi, r in zip(z, roots):
+            assert np.allclose(np.sort_complex(zi[~np.isnan(zi)]), np.sort_complex(r), atol=1e-12)
+
+
 def test_graded_panels_replace_most_fallbacks(monkeypatch):
     # p = 1.5 norms of corpus-style extensions: a subinterval whose 16- and
     # 32-node values disagree is integrated on panels graded toward the
