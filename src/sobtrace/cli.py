@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -133,15 +134,45 @@ def _jsonable(v):
     return v
 
 
+def _json_template(shape: tuple, depth: int) -> str:
+    """The layout ``json.dumps(indent=2)`` gives a nested list of this shape
+    opened at this depth, with %r (``float.__repr__``, as json) per number."""
+    pad = "\n" + "  " * (depth + 1)
+    inner = _json_template(shape[1:], depth + 1) if len(shape) > 1 else "%r"
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]" if shape[0] else "[]"
+
+
 def write_json(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
+    """``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2,
+    allow_nan=False)`` and a newline, where a numpy float array in obj is
+    written as the nested list of its values: json writes a placeholder
+    "\\0<i>" (no path or key holds a NUL), replaced by the array's text from
+    one %-format."""
+    texts: list[str] = []
+
+    def swap(v, depth):
+        if isinstance(v, np.ndarray):
+            if not np.all(np.isfinite(v)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            texts.append(_json_template(v.shape, depth) % tuple(v.ravel().tolist()))
+            return f"\0{len(texts) - 1}"
+        if isinstance(v, dict):
+            return {k: swap(x, depth + 1) for k, x in v.items()}
+        return [swap(x, depth + 1) for x in v] if isinstance(v, (list, tuple)) else v
+
+    text = json.dumps(swap(obj, 0), sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
+    text = re.sub(r'"\\u0000(\d+)"', lambda match: texts[int(match[1])], text)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Rows of string cells, or a 2-D float array whose cells are written as
+    ``f"{v:.17g}"`` by one %-format."""
+    if isinstance(rows, np.ndarray):
+        body = ((",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(",".join(row) + "\n" for row in rows)
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def _p_label(p: float) -> object:
@@ -210,31 +241,28 @@ def cmd_extend(args: argparse.Namespace) -> int:
     span = F.breakpoints[-1] - F.breakpoints[0]
     (cells,) = grid_cells([span], h or span / 512)
     norms = sobolev_norm(F, args.m, args.p, args.tol)
-    payload = F.to_dict()
-    payload.update(
-        {
-            "command": "extend",
-            "m": args.m,
-            "p": _p_label(args.p),
-            "backend": args.backend,
-            "window_pad": cfg.window_pad,
-            "norms": {
-                "lp_norms": [_jsonable(v) for v in norms.lp_norms],
-                "w_norm": _jsonable(norms.w_norm),
-                "l_homog": _jsonable(norms.l_homog),
-            },
-        }
-    )
+    payload = {
+        "breakpoints": F.breakpoints, "pieces": F.coefficients,  # F.to_dict(), from the arrays
+        "left_tail": F.left_tail, "right_tail": F.right_tail,
+        "command": "extend",
+        "m": args.m,
+        "p": _p_label(args.p),
+        "backend": args.backend,
+        "window_pad": cfg.window_pad,
+        "norms": {
+            "lp_norms": [_jsonable(v) for v in norms.lp_norms],
+            "w_norm": _jsonable(norms.w_norm),
+            "l_homog": _jsonable(norms.l_homog),
+        },
+    }
     write_json(args.out, payload)
     n_samples = cells + 1
     xs = np.linspace(F.breakpoints[0], F.breakpoints[-1], n_samples)
     derivs = [F]
     for _ in range(args.m):
         derivs.append(derivs[-1].differentiate())
-    cols = [xs] + [d(xs) for d in derivs]
     header = ["x", "F"] + [f"d{k}F" for k in range(1, args.m + 1)]
-    rows = [[_fmt(col[i]) for col in cols] for i in range(n_samples)]
-    write_csv(_csv_companion(args.out), header, rows)
+    write_csv(_csv_companion(args.out), header, np.column_stack([xs] + [d(xs) for d in derivs]))
     return EXIT_OK
 
 
@@ -246,10 +274,7 @@ def cmd_maximal(args: argparse.Namespace) -> int:
     edges = grid_edges(s, spec)
     columns = [profile_values(s, args.m, k, edges) for k in range(args.m + 1)]
     header = ["x"] + [f"sharp{k}" for k in range(args.m + 1)]
-    rows = [
-        [_fmt(edges[i])] + [_fmt(col[i]) for col in columns] for i in range(len(edges))
-    ]
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, np.column_stack([edges, *columns]))
     wmf = wmf_functional(s, args.m, args.p, spec)
     sys.stdout.write(f"wmf,{_fmt(wmf.value)}\n")
     return EXIT_OK
@@ -299,22 +324,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
         for name in _RATIO_COLUMNS:
             ratios[name].append(row_ratios[name])
+        numbers = (inst.span, tilde, var, values["hermite"], values["natural2"], wmf, *row_ratios.values())
         rows.append(
-            [
-                str(idx),
-                str(m),
-                _fmt(p),
-                str(len(s)),
-                _fmt(inst.span),
-                _fmt(tilde),
-                _fmt(var),
-                _fmt(values["hermite"]),
-                _fmt(values["natural2"]),
-                _fmt(wmf),
-                *[_fmt(row_ratios[name]) for name in _RATIO_COLUMNS],
-                "pass" if passes["hermite"] else "fail",
-                "pass" if passes["natural2"] else "fail",
-            ]
+            [str(idx), str(m), _fmt(p), str(len(s)), *map(_fmt, numbers)]
+            + ["pass" if passes[backend] else "fail" for backend in ("hermite", "natural2")]
         )
     for tag, agg in (("min", min), ("max", max)):
         rows.append(
@@ -329,8 +342,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- main
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.m < 1:
             raise InvalidInputError(f"m must be >= 1, got {args.m}")

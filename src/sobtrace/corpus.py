@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,17 @@ def random_sampled_function(
 
     Draws are rejected until all consecutive gaps reach ``min_gap``, which
     keeps divided differences well conditioned; rejection consumes the
-    generator deterministically.  The expected number of draws grows like
-    exp(min_gap * size**2 / span).  When (size - 1) * min_gap >= span no
-    draw can succeed, and InvalidInputError is raised before the first one.
+    generator deterministically.  A draw is accepted with probability
+    (1 - (size - 1) * min_gap / span)**size, about
+    exp(-min_gap * size**2 / span).  When that needs more than a million
+    draws on average, or none can succeed, InvalidInputError is raised
+    before the first one.
     """
-    if size > 1 and (size - 1) * min_gap >= span:
+    crowding = (size - 1) * min_gap
+    if size > 1 and (crowding >= span or size * math.log1p(-crowding / span) < -math.log(1e6)):
         raise InvalidInputError(
-            f"{size} points at least {min_gap:g} apart do not fit in a span of {span:g}"
+            f"{size} points at least {min_gap:g} apart in a span of {span:g} need more "
+            "than 1e6 rejection draws on average; lower min_gap or widen the span"
         )
     while True:
         pts = np.sort(rng.uniform(0.0, span, size))

@@ -17,11 +17,12 @@ and summed per order:
   pair, and at a piece end it is read from the scaled Taylor coefficients there
   (hermite pieces next to lattice knots carry m-fold zeros).  Gauss-Jacobi
   rules put these factors into the weight (Golub & Welsch 1969) and leave a
-  smooth integrand.  A subinterval keeps its 32-node value when the 16-node
-  value differs from it by at most its share (by length) of quad_tol times
-  the piece's integral, the larger of its two estimates.  Otherwise it is
-  cut into panels graded geometrically toward the nearest root of q off it,
-  all integrated in one pass under the same test.  Only a subinterval with a
+  smooth integrand, both from one pass over their 48 nodes.  A subinterval
+  keeps its 32-node value when the 16-node value differs from it by at most
+  its share (by length) of quad_tol times the piece's integral, the larger of
+  its two estimates.  Otherwise it is cut into panels graded geometrically
+  toward the nearest root of q off it, all integrated in one pass under the
+  same test.  Only a subinterval with a
   panel that still fails goes to adaptive Gauss-Legendre panels, each
   keeping its 32-node value when the sum of its two 16-node halves agrees
   with it; the adaptive recursion raises NumericalFailureError when it
@@ -51,7 +52,7 @@ from .piecewise import (
 from .samples import SampledFunction
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_JACOBI_CACHE: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
+_JACOBI_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 #: Rows per batch; bounds the (rows x nodes) temporaries of sobolev_norm.
 _CHUNK = 2048
@@ -86,27 +87,33 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     p_0..p_{n-1}, which keeps the small weights next to a heavy endpoint
     accurate to full relative precision.
     """
-    key = (n, a, b)
-    if key not in _JACOBI_CACHE:
-        k = np.arange(1, n, dtype=float)
-        s = 2.0 * k + a + b
-        diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
-        off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
-        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        log_mu0 = (
-            (a + b + 1.0) * math.log(2.0)
-            + math.lgamma(a + 1.0)
-            + math.lgamma(b + 1.0)
-            - math.lgamma(a + b + 2.0)
-        )
-        prev, cur = np.zeros(n), np.full(n, math.exp(-0.5 * log_mu0))
-        total = cur * cur
-        for j in range(n - 1):
-            back = off[j - 1] * prev if j else 0.0
-            prev, cur = cur, ((x - diag[j]) * cur - back) / off[j]
-            total += cur * cur
-        _JACOBI_CACHE[key] = (x, 1.0 / total)
-    return _JACOBI_CACHE[key]
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    log_mu0 = (
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0)
+        + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+    prev, cur = np.zeros(n), np.full(n, math.exp(-0.5 * log_mu0))
+    total = cur * cur
+    for j in range(n - 1):
+        back = off[j - 1] * prev if j else 0.0
+        prev, cur = cur, ((x - diag[j]) * cur - back) / off[j]
+        total += cur * cur
+    return x, 1.0 / total
+
+
+def _jacobi_rules(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 16- then the 32-node rule of :func:`_gauss_jacobi`, concatenated, the weights divided
+    by (1 - x)^a (1 + x)^b with array exponents (``ndarray ** float`` has shortcuts); cached."""
+    if (a, b) not in _JACOBI_CACHE:
+        x, w = np.hstack([_gauss_jacobi(n, a, b) for n in (_LOW_ORDER, _HIGH_ORDER)])
+        _JACOBI_CACHE[a, b] = x, w / ((1.0 - x) ** np.array([a]) * (1.0 + x) ** np.array([b]))
+    return _JACOBI_CACHE[a, b]
 
 
 @dataclass(frozen=True)
@@ -225,17 +232,17 @@ def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.
 
 def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.ndarray, np.ndarray]:
     """16- and 32-node Gauss-Jacobi values of the integral of |q_row|^p over
-    each [a, b], weight |s - a|^(p left) |s - b|^(p right): one pass per rule."""
+    each [a, b], weight |s - a|^(p left) |s - b|^(p right): one pass over the
+    nodes of both rules."""
     keys, group = np.unique(left * C.shape[1] + right, return_inverse=True)
     alpha, beta = p * (keys // C.shape[1]), p * (keys % C.shape[1])
+    x, w = np.reshape([_jacobi_rules(*ab) for ab in zip(beta, alpha)], (-1, 2, _LOW_ORDER + _HIGH_ORDER)).transpose(1, 0, 2)
     half, out = 0.5 * (b - a), np.empty((2, len(row)))
-    for n, values in zip((_LOW_ORDER, _HIGH_ORDER), out):
-        x, w = np.reshape([_gauss_jacobi(n, *ab) for ab in zip(beta, alpha)], (-1, 2, n)).transpose(1, 0, 2)
-        w = w / ((1.0 - x) ** beta[:, None] * (1.0 + x) ** alpha[:, None])
-        for i in range(0, len(row), _CHUNK):
-            s, g = slice(i, i + _CHUNK), group[i : i + _CHUNK]
-            q = polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))
-            values[s] = half[s] * np.einsum("ij,ij->i", np.abs(q) ** p, w[g])
+    for i in range(0, len(row), _CHUNK):
+        s, g = slice(i, i + _CHUNK), group[i : i + _CHUNK]
+        q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
+        for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
+            values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
     return out[0], out[1]
 
 
@@ -247,6 +254,8 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarra
     rough = np.bincount(row, np.maximum(low, high), minlength=len(C))
     tol = quad_tol * rough[row]
     bad = np.flatnonzero(~(np.abs(high - low) <= (b - a) * tol))
+    if not len(bad):
+        return np.bincount(row, high, minlength=len(C))
     # graded panels: cuts at t -+ d 2^j, d the distance to the nearest root
     # off the subinterval and t its projection onto it
     z, lo, hi = roots[row[bad]], a[bad, None], b[bad, None]

@@ -12,15 +12,18 @@ spline systems filled entry by entry through ``lil_matrix`` in the library's
 row order, one ``lp_norm`` call per derivative order, a real-root search per
 group of end zeros with one companion solve per degree, and the variational
 forms' subset table and longest path kept in dicts keyed by index tuples.
-Those share the library's call signatures, so a test
-can swap one in or call it beside the library and compare the results
-exactly.  The spline systems can also go to SuperLU instead of the library's
-band solve, an independent solver that agrees up to rounding.
+Those share the library's call signatures, so a test can swap one in or call
+it beside the library and compare the results exactly.  The CLI's old output
+encoders, ``json.dumps`` with ``indent=2`` and ``f"{v:.17g}"`` per CSV cell,
+give the text each output file must equal byte for byte.  The spline systems
+can also go to SuperLU instead of the library's band solve, an independent
+solver that agrees up to rounding.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -30,7 +33,7 @@ from scipy.sparse.linalg import spsolve
 from sobtrace.divdiff import divided_difference_rows
 from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.functionals import abs_pow, homogeneous_sequence_functional, sequence_functional
-from sobtrace.piecewise import PiecewisePolynomial
+from sobtrace.piecewise import PiecewisePolynomial, polynomial_eval_rows
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
 from sobtrace.splines import (
@@ -40,6 +43,7 @@ from sobtrace.splines import (
     _NEAR_REAL,
     _spline_system,
     _ZERO_TAYLOR,
+    _gauss_jacobi,
     lp_norm,
 )
 
@@ -476,6 +480,20 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
     return NormReport(lp, sum(lp), lp[-1])
 
 
+def jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> list[np.ndarray]:
+    """``splines._jacobi_pair`` one rule at a time: the 16-node values, then
+    the 32-node values, each from its own nodes and weights."""
+    keys, group = np.unique(left * C.shape[1] + right, return_inverse=True)
+    alpha, beta = p * (keys // C.shape[1]), p * (keys % C.shape[1])
+    half, out = 0.5 * (b - a), []
+    for n in (16, 32):
+        x, w = np.reshape([_gauss_jacobi(n, *ab) for ab in zip(beta, alpha)], (-1, 2, n)).transpose(1, 0, 2)
+        w = w / ((1.0 - x) ** beta[:, None] * (1.0 + x) ** alpha[:, None])
+        q = polynomial_eval_rows(C[row], a[:, None] + half[:, None] * (1.0 + x[group]))
+        out.append(half * np.einsum("ij,ij->i", np.abs(q) ** p, w[group]))
+    return out
+
+
 def roots_per_degree(P: np.ndarray):
     """``splines._roots`` by one companion-matrix solve per degree, each of
     its own size, with no padding."""
@@ -581,3 +599,19 @@ def oracle_longest_path(s: SampledFunction, m: int, p: float, homogeneous: bool 
     terms = ((w, min(1.0, pts[w[-1]] - pts[w[0]]) * (prefix[w[:-1]] + abs_pow(d, p))) for w, d in top)
     sub = _dict_best_subsequence(s, m, terms, lambda state: sum(prefix[state[a:]] for a in range(m)))
     return sequence_functional(sub, m, p).value
+
+
+# ------------------------------------------------------------ CLI encoders
+
+
+def json_text(obj) -> str:
+    """The text the CLI once wrote for a JSON payload."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """The text the CLI once wrote for a CSV table: float cells (Python or
+    numpy) as f"{v:.17g}", string cells as they are."""
+    lines = [",".join(header)]
+    lines.extend(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import oracles
 from sobtrace import PiecewisePolynomial, cli, extension
 from sobtrace.cli import main
 
@@ -285,3 +288,91 @@ def test_extend_csv_out_path_keeps_both_files(tmp_path):
     assert main(["--command", "extend", "--input", inp, "--m", "1", "--p", "2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["backend"] == "hermite"
     assert (tmp_path / "ext.csv.csv").read_text().startswith("x,F,d1F")
+
+
+def _parsed_csv(text):
+    """Header and rows of a CSV file, each cell a float where it parses as one."""
+
+    def cell(c):
+        try:
+            return float(c)
+        except ValueError:
+            return c
+
+    header, *rows = text.splitlines()
+    return header.split(","), [[cell(c) for c in row.split(",")] for row in rows]
+
+
+def _assert_old_encoding(path):
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        assert text == oracles.json_text(json.loads(text))
+    else:
+        assert text == oracles.csv_text(*_parsed_csv(text))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--command", "check", "--m", "2", "--p", "1.5", "--grid-h", "0.25"],
+        ["--command", "check", "--m", "3", "--p", "inf"],
+        *(
+            ["--command", "extend", "--m", str(m), "--p", p, "--backend", backend]
+            for backend in ("hermite", "natural2")
+            for m, p in ((1, "1.5"), (2, "3"), (3, "inf"))
+        ),
+        ["--command", "maximal", "--m", "2", "--p", "1.5", "--grid-h", "0.1"],
+        ["--command", "compare", "--m", "1", "--p", "1.5", "--seed", "3"],
+    ],
+)
+def test_outputs_equal_old_encoders(tmp_path, args):
+    # every file is byte for byte what json.dumps(indent=2, sort_keys=True)
+    # and per-cell f"{v:.17g}" give for its content
+    rng = np.random.default_rng(4)
+    pts = np.sort(rng.uniform(-50.0, 50.0, 9)).tolist()
+    inp = write_json_input(tmp_path / "in.json", pts, rng.standard_normal(9).tolist())
+    out = tmp_path / ("out.csv" if args[1] in ("maximal", "compare") else "out.json")
+    assert main([*args, "--input", inp, "--out", str(out)]) == 0
+    files = [out] + ([out.with_suffix(".csv")] if args[1] == "extend" else [])
+    for path in files:
+        _assert_old_encoding(path)
+    if args[1] == "extend":
+        payload = json.loads(out.read_text())
+        assert payload["p"] == ("inf" if "inf" in args else float(args[args.index("--p") + 1]))
+        F = PiecewisePolynomial.from_dict(payload)
+        assert {key: payload[key] for key in F.to_dict()} == F.to_dict()
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 1e16, 0.1, -2.5e-7, 123456789.125, 1.0]
+
+
+def test_writers_equal_old_encoders_on_edge_values(tmp_path):
+    table = np.array(EDGE_VALUES).reshape(4, 2)
+    payload = {
+        "breakpoints": np.array(EDGE_VALUES),
+        "pieces": table,
+        "left_tail": np.array([-0.0]),  # one-element tails, as constant pieces have
+        "right_tail": np.array([0.1]),
+        "single": np.array([[7.0]]),
+        "empty": np.zeros(0),
+        "nested": {"rows": [np.array([1e-300, 2.0]), "text"], "n": 3},
+        "p": "inf",
+        "norms": {"lp_norms": [1.5, "inf"], "w_norm": "inf"},
+    }
+    old = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    old["nested"] = {"rows": [[1e-300, 2.0], "text"], "n": 3}
+    cli.write_json(str(tmp_path / "a.json"), payload)
+    assert (tmp_path / "a.json").read_text() == oracles.json_text(old)
+    cells = np.array(EDGE_VALUES + [math.inf, -math.inf, math.nan, 1e-5]).reshape(6, 2)
+    cli.write_csv(str(tmp_path / "a.csv"), ["x", "y"], cells)
+    assert (tmp_path / "a.csv").read_text() == oracles.csv_text(["x", "y"], cells)
+    cli.write_csv(str(tmp_path / "b.csv"), ["x"], np.zeros((0, 1)))
+    assert (tmp_path / "b.csv").read_text() == "x\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_write_json_refuses_non_finite_arrays(tmp_path, bad):
+    with pytest.raises(ValueError):
+        oracles.json_text({"values": [0.0, bad]})
+    with pytest.raises(ValueError):
+        cli.write_json(str(tmp_path / "a.json"), {"values": np.array([0.0, bad])})

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,3 +58,18 @@ def test_random_sampled_function_refuses_infeasible_gap():
     with pytest.raises(InvalidInputError):
         random_sampled_function(rng, 3, 1.0, min_gap=1.0)
     assert rng.bit_generator.state == state
+
+
+def test_random_sampled_function_refuses_hopeless_rejection():
+    # 2e4 points 1e-3 apart over a span of 2e4 are accepted with probability
+    # (1 - 19999e-3 / 2e4)^2e4 ~ e^-20: refused at once, nothing drawn
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="1e6 rejection draws"):
+        random_sampled_function(rng, 20000, 20000.0)
+    assert time.perf_counter() - start < 0.1
+    assert rng.bit_generator.state == state
+    # the same density with min_gap 1e-6, as the extension scaling test draws it
+    s = random_sampled_function(rng, 20000, 20000.0, min_gap=1e-6)
+    assert len(s) == 20000 and s.min_gap >= 1e-6
