@@ -199,8 +199,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         record("variational", variational_functional(s, m, p))
     if len(s) >= m + 1:
         record("homogeneous_sequence", homogeneous_sequence_functional(s, m, p))
-        if feasible:
-            record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
+        record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
     if p != math.inf and feasible:
         record("sharp_maximal", wmf_functional(s, m, p, GridSpec(args.grid_h)))
     report = {

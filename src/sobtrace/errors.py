@@ -21,15 +21,15 @@ class SizeCapError(InvalidInputError):
     """A computation refused because its cost would exceed a fixed budget.
 
     The budgets are the count of divided differences over index subsets
-    that the finite-p variational forms and the sharp profiles share
-    (``VARIATIONAL_BUDGET``; the p = inf variational forms are window
-    maxima and never refuse) and the cells of a profile grid or an
+    that the finite-p inhomogeneous variational form and the sharp profiles
+    share (``VARIATIONAL_BUDGET``; the other variational forms are sequence
+    forms and never refuse) and the cells of a profile grid or an
     extension sampling (``sharp.MAX_GRID_CELLS``).
     """
 
 
 class NumericalFailureError(SobtraceError):
-    """A linear solve, a quadrature or a derivative produced non-finite results."""
+    """A linear solve, a quadrature, a derivative or a functional's power sum produced non-finite results."""
 
 
 class NonintegrableError(SobtraceError):

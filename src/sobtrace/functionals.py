@@ -2,12 +2,14 @@
 
 Two families are computed.  Sequence forms run over consecutive windows of
 the data; variational forms take the exact supremum over all strictly
-increasing subsequences: at finite p a longest path whose states are the
-last m chosen indices, run over the array table of differences on every
-index subset of at most m+1 points (:func:`subset_differences`, which the
-sharp profiles share), within :func:`variational_feasible`; at p = inf the
-window maximum, as a divided difference over any k+1 points is a convex
-combination of the window differences in their hull (de Boor).  Homogeneous
+increasing subsequences.  The finite-p inhomogeneous one is a longest path
+whose states are the last m chosen indices, over the array table of
+differences on every index subset of at most m+1 points
+(:func:`subset_differences`, which the sharp profiles share), within
+:func:`variational_feasible`.  The others are sequence forms, as a divided
+difference over any k+1 points is a convex combination of the window
+differences in their hull (de Boor): the window maxima at p = inf, and by
+Jensen's inequality the homogeneous sequence form at every p.  Homogeneous
 variants keep only the top-order term with the plain gap weight.
 """
 
@@ -20,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .divdiff import divided_difference_rows
-from .errors import HypothesisViolationError, InvalidInputError, SizeCapError
+from .errors import HypothesisViolationError, InvalidInputError, NumericalFailureError, SizeCapError
 from .samples import SampledFunction
 
-#: Most divided differences a subset enumeration (finite-p variational forms, sharp profiles)
+#: Most divided differences a subset enumeration (finite-p variational_functional, sharp profiles)
 #: computes, one per index subset of at most m+1 points.  At the budget a variational form takes
 #: 0.04-0.06 s and 20 MB; wmf_functional 0.2-0.8 s on GridSpec(0.05), 7-37 s near 9e5 cells, 40-55 MB.
 VARIATIONAL_BUDGET = 250_000
@@ -48,10 +50,20 @@ def _check_mp(m: int, p: float) -> None:
 
 
 def abs_pow(x: float, p: float) -> float:
-    """|x|^p via exp(p*log|x|), with a zero short-circuit (supports fractional p)."""
+    """|x|^p via exp(p*log|x|), with a zero short-circuit (supports fractional p), inf past the floats."""
     if x == 0.0:
         return 0.0
-    return math.exp(p * math.log(abs(x)))
+    try:
+        return math.exp(p * math.log(abs(x)))
+    except OverflowError:
+        return math.inf
+
+
+def _pth_root(total: float, p: float) -> float:
+    """total^(1/p) of a power sum, refusing one that overflowed to inf."""
+    if not math.isfinite(total):
+        raise NumericalFailureError(f"a power sum at p = {p} overflows a float; rescale the values or lower p")
+    return total ** (1.0 / p)
 
 
 def effective_order(s: SampledFunction, m: int) -> int:
@@ -85,13 +97,13 @@ def sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalRepor
             # min(1, x_{i+m} - x_i); the gap counts as +inf once i+m runs past the end
             weight = 1.0 if i + m > n else min(1.0, pts[i + m] - pts[i])
             total += weight * abs_pow(row[i], p)
-    return FunctionalReport(m, p, total ** (1.0 / p), "sequence", M)
+    return FunctionalReport(m, p, _pth_root(total, p), "sequence", M)
 
 
 def variational_feasible(n_points: int, m: int) -> bool:
-    """Whether the variational forms accept ``n_points`` points at order m:
-    whether the divided differences they compute, one per index subset of
-    1..min(m+1, n_points) points, number at most :data:`VARIATIONAL_BUDGET`."""
+    """Whether the finite-p :func:`variational_functional` and the sharp profiles accept
+    ``n_points`` points at order m: whether the divided differences they compute, one per
+    index subset of 1..min(m+1, n_points) points, number at most :data:`VARIATIONAL_BUDGET`."""
     counts = itertools.accumulate(math.comb(n_points, j) for j in range(1, min(m + 1, n_points) + 1))
     return all(count <= VARIATIONAL_BUDGET for count in counts)
 
@@ -101,8 +113,8 @@ def require_feasible(n_points: int, m: int) -> None:
     if not variational_feasible(n_points, m):
         raise SizeCapError(
             f"{n_points} points at m = {m} need more than {VARIATIONAL_BUDGET} divided "
-            "differences, one per index subset of at most m+1 points, for a finite-p "
-            "variational form or a sharp profile; use the sequence functional, which is "
+            "differences, one per index subset of at most m+1 points, for the finite-p "
+            "inhomogeneous variational form or a sharp profile; use the sequence functional, which is "
             "equivalent up to a constant depending only on m, or p = inf, which enumerates nothing"
         )
 
@@ -167,20 +179,18 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
         return replace(sequence_functional(s, m, p), kind="variational")
     require_feasible(len(s), m)
     if len(s) < m + 1:
-        raise HypothesisViolationError(
-            f"the variational functional for finite p needs at least m+1 = {m + 1} "
-            f"points, got {len(s)}; route small sets through the max-of-differences "
-            "small-set functional instead"
-        )
+        raise HypothesisViolationError(f"the variational functional for finite p needs at least m+1 = {m + 1} points, "
+                                       f"got {len(s)}; route small sets through the max-of-differences small-set functional")
     table = subset_differences(s.points, s.values, m)
-    prefix = [np.abs(table[0][1]) ** p]  # sum of |D^k f|^p on the first k+1 points of S
-    for _, d, lo, _ in table[1:]:
-        prefix.append(prefix[-1][lo] + np.abs(d) ** p)
-    tail, at = prefix[m - 1].copy(), np.arange(len(prefix[m - 1]))
-    for j in range(m - 1, 0, -1):  # add the prefix of state[a:], a = 1..m-1, in order j - 1
-        tail += prefix[j - 1][at := table[j][3][at]]
-    W, pts = table[m][0], np.asarray(s.points)
-    sub = _best_subsequence(s, m, table, np.minimum(1.0, pts[W[:, -1]] - pts[W[:, 0]]) * prefix[m], tail)
+    with np.errstate(over="ignore"):  # an overflowing sum wins the path, and its sequence functional refuses it
+        prefix = [np.abs(table[0][1]) ** p]  # sum of |D^k f|^p on the first k+1 points of S
+        for _, d, lo, _ in table[1:]:
+            prefix.append(prefix[-1][lo] + np.abs(d) ** p)
+        tail, at = prefix[m - 1].copy(), np.arange(len(prefix[m - 1]))
+        for j in range(m - 1, 0, -1):  # add the prefix of state[a:], a = 1..m-1, in order j - 1
+            tail += prefix[j - 1][at := table[j][3][at]]
+        W, pts = table[m][0], np.asarray(s.points)
+        sub = _best_subsequence(s, m, table, np.minimum(1.0, pts[W[:, -1]] - pts[W[:, 0]]) * prefix[m], tail)
     return FunctionalReport(m, p, sequence_functional(sub, m, p).value, "variational", m)
 
 
@@ -190,39 +200,29 @@ def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> Fun
     |D^m f| over consecutive windows for p = inf."""
     _check_mp(m, p)
     if len(s) < m + 1:
-        raise HypothesisViolationError(
-            f"need at least m+1 = {m + 1} points for the top-order functional, got {len(s)}"
-        )
-    pts, vals = s.points, s.values
-    n = len(pts) - 1
-    row = divided_difference_rows(pts, vals, m)[m]
+        raise HypothesisViolationError(f"need at least m+1 = {m + 1} points for the top-order functional, got {len(s)}")
+    pts = s.points
+    row = divided_difference_rows(pts, s.values, m)[m]
     if p == math.inf:
-        value = max(abs(entry) for entry in row)
-        return FunctionalReport(m, p, value, "homogeneous_sequence", m)
+        return FunctionalReport(m, p, max(abs(entry) for entry in row), "homogeneous_sequence", m)
     total = 0.0
-    for i in range(n - m + 1):
+    for i in range(len(row)):
         total += (pts[i + m] - pts[i]) * abs_pow(row[i], p)
-    return FunctionalReport(m, p, total ** (1.0 / p), "homogeneous_sequence", m)
+    return FunctionalReport(m, p, _pth_root(total, p), "homogeneous_sequence", m)
 
 
 def homogeneous_variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:
-    """Supremum of the top-order weighted sum over increasing subsequences
-    (finite p, a longest path with window terms gap |D^m f|^p and no tail,
-    within :func:`variational_feasible`), or of |D^m f| over all (m+1)-point
-    subsets (p = inf), the p = inf homogeneous sequence functional."""
-    _check_mp(m, p)
-    if len(s) < m + 1:
-        raise HypothesisViolationError(
-            f"need at least m+1 = {m + 1} points, got {len(s)}"
-        )
-    if p == math.inf:
-        return replace(homogeneous_sequence_functional(s, m, p), kind="homogeneous_variational")
-    require_feasible(len(s), m)
-    table = subset_differences(s.points, s.values, m)
-    (W, d, _, _), pts = table[m], np.asarray(s.points)
-    sub = _best_subsequence(s, m, table, (pts[W[:, -1]] - pts[W[:, 0]]) * np.abs(d) ** p, np.zeros(len(table[m - 1][0])))
-    value = homogeneous_sequence_functional(sub, m, p).value
-    return FunctionalReport(m, p, value, "homogeneous_variational", m)
+    """Supremum of (sum_j (y_{j+m} - y_j) |D^m f[y_j..y_{j+m}]|^p)^{1/p} over increasing
+    subsequences y of at least m+1 points (of |D^m f| at p = inf): at every p the
+    :func:`homogeneous_sequence_functional`, since adding points never lowers the sum.
+
+    Proof: by knot insertion (Boehm, CAD 12, 1980; de Boor, A Practical Guide to Splines) the
+    B-spline N^y_j on y_j..y_{j+m} is sum_i b_ji N_i over the data windows in its hull, with
+    b_ji >= 0 and sum_j b_ji <= 1.  By Peano, D^m f[y_j..] = sum_i a_ji d_i, d_i = D^m f[x_i..x_{i+m}],
+    a convex combination with a_ji = b_ji (x_{i+m} - x_i) / (y_{j+m} - y_j); by Jensen then
+    sum_j (y_{j+m} - y_j) |D^m f[y_j..]|^p <= sum_i (x_{i+m} - x_i) |d_i|^p sum_j b_ji.
+    """
+    return replace(homogeneous_sequence_functional(s, m, p), kind="homogeneous_variational")
 
 
 def small_set_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:

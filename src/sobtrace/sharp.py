@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
-from .functionals import FunctionalReport, effective_order, require_feasible, subset_differences
+from .functionals import FunctionalReport, _pth_root, effective_order, require_feasible, subset_differences
 from .samples import SampledFunction
 
 #: Most cells a grid may have; the default spacing follows the closest pair of
@@ -182,5 +182,6 @@ def wmf_functional(
     table, nodes = subset_differences(s.points, s.values, m), _nodes(s, mids)  # shared by every order
     total = 0.0
     for k in range(m + 1):
-        total += float(np.dot(widths, _profile(s, table[k][:2], k == m, nodes) ** p)) ** (1.0 / p)
+        with np.errstate(over="ignore"):  # _pth_root refuses a power sum that overflowed
+            total += _pth_root(float(np.dot(widths, _profile(s, table[k][:2], k == m, nodes) ** p)), p)
     return FunctionalReport(m, p, total, "sharp_maximal", effective_order(s, m))

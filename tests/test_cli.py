@@ -209,24 +209,25 @@ def test_check_subset_budget(tmp_path):
     assert main(["--command", "check", "--input", inp, "--m", "2", "--p", "2", "--out", str(out)]) == 0
     got = set(json.loads(out.read_text())["functionals"])
     assert got == {"sequence", "homogeneous_sequence", "variational", "homogeneous_variational", "sharp_maximal"}
-    # 52 points at m = 3: the subsets of at most 4 points exceed the budget; the variational
-    # forms and the sharp profiles are skipped, not fatal
+    # 52 points at m = 3: the subsets of at most 4 points exceed the budget; the inhomogeneous
+    # variational form and the sharp profiles are skipped, not fatal, and the homogeneous
+    # variational form, the homogeneous sequence form at every p, is still reported
     pts = [0.5 * i for i in range(52)]
     vals = [float((-1) ** i) for i in range(52)]
     inp = write_json_input(tmp_path / "bigger.json", pts, vals)
     assert main(["--command", "check", "--input", inp, "--m", "3", "--p", "2", "--out", str(out)]) == 0
-    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence", "homogeneous_variational"}
     # at p = inf the variational forms are window maxima, outside the budget
     assert main(["--command", "check", "--input", inp, "--m", "3", "--p", "inf", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["functionals"]) == {
         "sequence", "homogeneous_sequence", "variational", "homogeneous_variational"
     }
     # 30 points at m = 29: one window, but nearly all 2^30 subsets in the
-    # table, so the finite-p variational forms are skipped
+    # table, so the finite-p inhomogeneous variational form is skipped
     pts, vals = pts[:30], vals[:30]
     inp = write_json_input(tmp_path / "high_m.json", pts, vals)
     assert main(["--command", "check", "--input", inp, "--m", "29", "--p", "2", "--out", str(out)]) == 0
-    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence"}
+    assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "homogeneous_sequence", "homogeneous_variational"}
     assert main(["--command", "check", "--input", inp, "--m", "40", "--p", "inf", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["functionals"]) == {"sequence", "small_set", "variational"}
 
@@ -258,6 +259,23 @@ def test_extend_high_order_overflow_is_typed(tmp_path, capsys, points, values, m
     assert main(args) == code
     assert capsys.readouterr().err.startswith(("numerical failure:", "unsupported:"))
     assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, p, values",
+    [
+        ("check", "400", [10, -20, 5, 30]),  # 30^400 overflows
+        ("check", "2", [1e200, -2e200, 5e199, 3e200]),
+        ("maximal", "250", [10, -20, 5, 30]),  # the sharp-maximal power sum
+    ],
+)
+def test_power_sum_overflow_is_typed(tmp_path, capsys, command, p, values):
+    inp = write_json_input(tmp_path / "in.json", [0, 1, 2, 3.5], values)
+    out = tmp_path / "out.json"
+    args = ["--command", command, "--input", inp, "--m", "1", "--p", p, "--grid-h", "0.05", "--out", str(out)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert command == "maximal" or not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from sobtrace import (
     GridSpec,
     HypothesisViolationError,
     InvalidInputError,
+    NumericalFailureError,
     SampledFunction,
     SizeCapError,
     VARIATIONAL_BUDGET,
@@ -196,9 +197,10 @@ def test_variational_size_cap(rng):
     assert variational_feasible(17, 16) and not variational_feasible(18, 17)
     assert not variational_feasible(30, 29) and not variational_feasible(30, 40)
     s = make_samples(rng, 50, span=80.0)
-    for func in (variational_functional, homogeneous_variational_functional):
-        with pytest.raises(SizeCapError):
-            func(s, 3, 2.0)
+    with pytest.raises(SizeCapError):
+        variational_functional(s, 3, 2.0)
+    # the homogeneous variational form is the homogeneous sequence form, which enumerates nothing
+    assert homogeneous_variational_functional(s, 3, 2.0).value == homogeneous_sequence_functional(s, 3, 2.0).value
     # p = inf enumerates nothing: the variational forms are the window maxima at any size
     assert variational_functional(s, 3, INF).value == sequence_functional(s, 3, INF).value
     assert (
@@ -211,9 +213,9 @@ def test_variational_size_cap(rng):
     with pytest.raises(SizeCapError):
         wmf_functional(s, 3, 2.0, GridSpec(0.5))
     s = make_samples(rng, 30, span=40.0)
-    for func in (variational_functional, homogeneous_variational_functional):
-        with pytest.raises(SizeCapError):
-            func(s, 29, 2.0)
+    with pytest.raises(SizeCapError):
+        variational_functional(s, 29, 2.0)
+    assert homogeneous_variational_functional(s, 29, 2.0).value == homogeneous_sequence_functional(s, 29, 2.0).value
     assert variational_functional(s, 40, INF).value == sequence_functional(s, 40, INF).value
     # the 20-point limit of exhaustive enumeration is gone
     t = make_samples(rng, 25, span=40.0)
@@ -245,12 +247,20 @@ def test_longest_path_matches_dict_oracle(size, m):
     pts = tuple(float(x) for x in np.cumsum(rng.integers(1, 3, size)) * 0.5)
     sets = [make_samples(rng, size, span=10.0), SampledFunction(pts, tuple(float(v) for v in rng.integers(-2, 3, size)))]
     for s in sets:
+        windows = list(itertools.combinations(range(size), m + 1))
         for p in (1.1, 1.5, 3.0):
             assert variational_functional(s, m, p).value == oracle_longest_path(s, m, p)
-            assert homogeneous_variational_functional(s, m, p).value == oracle_longest_path(s, m, p, True)
+            hom = homogeneous_variational_functional(s, m, p).value
+            assert hom == homogeneous_sequence_functional(s, m, p).value
+            # a path may drop a point of a collinear run, whose sum ties in exact arithmetic
+            assert hom <= oracle_longest_path(s, m, p, True) <= _subsequence_bound(s, m, p, windows)
 
 
 @given(dp_cases())
+@example(
+    (SampledFunction((1.0, 1.5, 2.5, 3.0, 4.0), (-2.0, -2.0, 2.0, 1.0, -1.0)), 1, 1.5)
+)  # drawn with np.random.default_rng(17) on the half-integer lattice: dropping 3.0 from the
+# collinear run 2.5, 3.0, 4.0 ties in exact arithmetic and rounds 1.7e-16 above the full sequence
 @settings(max_examples=60, deadline=None)
 def test_longest_path_matches_oracles(case):
     s, m, p = case
@@ -264,7 +274,75 @@ def test_longest_path_matches_oracles(case):
         assert 0.0 <= oracle_homogeneous_variational_sup(s, m) - hom <= bound
     else:
         assert var == pytest.approx(oracle_variational(s, m, p), rel=1e-12, abs=0.0)
-        assert hom == pytest.approx(oracle_homogeneous_variational(s, m, p), rel=1e-12, abs=0.0)
+        assert hom == homogeneous_sequence_functional(s, m, p).value
+        # the oracles take the largest rounded sum, which the full sequence's is one of
+        bound = _subsequence_bound(s, m, p, list(itertools.combinations(range(len(s)), m + 1)))
+        assert hom <= oracle_longest_path(s, m, p, True) <= bound
+        assert hom <= oracle_homogeneous_variational(s, m, p) <= bound
+
+
+def _subsequence_bound(s, m, p, windows):
+    """The most rounding can lift homogeneous_sequence_functional of a subsequence of s,
+    whose (m+1)-point windows are among ``windows`` (index tuples), above that of s.  In
+    exact arithmetic adding points never lowers the sum (see
+    homogeneous_variational_functional), so any excess is rounding, on either side:
+    - relative, on a p-th power: a sum of at most n nonnegative terms (n eps), each a gap
+      (eps) times exp(p log|d|), which lies within (2 + 2p |log|d||) eps of |d|^p;
+    - absolute: each difference d lies within 4(m+1) eps of its rounding scale, the sum of
+      |f_i / omega'(x_i)| over its window, which cancellation can leave far above |d|.  By
+      Minkowski's inequality in the gap-weighted l^p norm that moves a value by at most
+      the same multiple of (m span)^(1/p): one subsequence's window gaps sum to at most
+      m span."""
+    eps, pts, vals = np.finfo(float).eps, s.points, s.values
+    log_d = max((abs(math.log(abs(d))) for w in windows if (d := fresh_dd(pts, vals, w))), default=0.0)
+    scale = max(sum(abs(vals[i] / math.prod(pts[i] - pts[j] for j in w if j != i)) for i in w) for w in windows)
+    rel = 2 * (len(s) + 2 + 2 * p * log_d) * eps
+    noise = 2 * 4 * (m + 1) * eps * scale * (m * (pts[-1] - pts[0])) ** (1 / p)
+    return homogeneous_sequence_functional(s, m, p).value * (1 + rel) + noise
+
+
+@st.composite
+def subsequence_cases(draw):
+    """(samples, m, p, kept) with m+1 to 200 points and the indices ``kept`` of a
+    subsequence of at least m+1 of them, often all but a few.  Half the sets lie on the
+    half-integer lattice with slopes in -2..2, exact in floating point, where a point
+    dropped from a run of equal slopes ties in exact arithmetic."""
+    m = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(m + 1, 200))
+    if draw(st.booleans()):
+        start = draw(st.integers(-40, 40)) * 0.5
+        gaps = draw(st.lists(st.sampled_from((0.5, 1.0)), min_size=n - 1, max_size=n - 1))
+        slopes = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        vals = list(itertools.accumulate((a * g for a, g in zip(slopes, gaps)), initial=float(draw(st.integers(-2, 2)))))
+    else:
+        start = draw(st.floats(-20, 20))
+        gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+        value = st.one_of(st.just(0.0), st.floats(1e-3, 10), st.floats(-10, -1e-3))
+        vals = draw(st.lists(value, min_size=n, max_size=n))
+    pts = list(itertools.accumulate(gaps, initial=start))
+    dropped = draw(st.sets(st.integers(0, n - 1), max_size=min(n - m - 1, draw(st.sampled_from((1, 3, n))))))
+    p = draw(st.sampled_from((1.1, 1.5, 3.0, 7.0)))
+    return SampledFunction(tuple(pts), tuple(vals)), m, p, [i for i in range(n) if i not in dropped]
+
+
+@given(subsequence_cases())
+@settings(max_examples=100, deadline=None)
+def test_adding_points_never_lowers_homogeneous_sum(case):
+    # the theorem that makes the homogeneous variational form the homogeneous
+    # sequence form, checked on one subsequence at a time, with no enumeration
+    s, m, p, kept = case
+    sub = SampledFunction(tuple(s.points[i] for i in kept), tuple(s.values[i] for i in kept))
+    windows = [tuple(range(i, i + m + 1)) for i in range(len(s) - m)]
+    windows += [tuple(kept[i : i + m + 1]) for i in range(len(kept) - m)]
+    assert homogeneous_sequence_functional(sub, m, p).value <= _subsequence_bound(s, m, p, windows)
+
+
+def test_homogeneous_variational_is_sequence_past_the_budget():
+    s = SampledFunction(tuple(1.5 * i + 0.5 * (i % 3) for i in range(2000)), tuple(math.sin(i) for i in range(2000)))
+    assert not variational_feasible(2000, 3)
+    report = homogeneous_variational_functional(s, 3, 1.5)
+    assert report.kind == "homogeneous_variational"
+    assert report.value == homogeneous_sequence_functional(s, 3, 1.5).value
 
 
 def _rounding_scale(s, m):
@@ -339,6 +417,24 @@ def test_variational_value_scaling(case, c):
     for func in (variational_functional, homogeneous_variational_functional):
         base = func(s, m, p).value
         assert func(scaled, m, p).value == pytest.approx(abs(c) * base, rel=1e-12, abs=noise)
+
+
+@pytest.mark.parametrize(
+    "values, p, wmf_p",
+    [((10.0, -20.0, 5.0, 30.0), 400.0, 250.0), ((1e200, -2e200, 5e199, 3e200), 2.0, 2.0)],
+)
+def test_power_sum_overflow_is_typed(values, p, wmf_p):
+    # a power sum past the float range is refused, not returned as inf; the suite
+    # turns a leaked numpy RuntimeWarning into an error
+    s = SampledFunction((0.0, 1.0, 2.0, 3.5), values)
+    for func in (sequence_functional, variational_functional, homogeneous_sequence_functional, homogeneous_variational_functional):
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            func(s, 1, p)
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        wmf_functional(s, 1, wmf_p, GridSpec(0.05))
+    # just inside the float range the value is the power sum as before
+    t = SampledFunction((0.0, 1.0), (0.0, 1e153))
+    assert sequence_functional(t, 1, 2.0).value == (2 * abs_pow(1e153, 2.0)) ** 0.5
 
 
 # ------------------------------------------------------------- homogeneous
