@@ -272,9 +272,9 @@ def cmd_maximal(args: argparse.Namespace) -> int:
     spec = GridSpec(args.grid_h)
     edges = grid_edges(s, spec)
     columns = [profile_values(s, args.m, k, edges) for k in range(args.m + 1)]
+    wmf = wmf_functional(s, args.m, args.p, spec)  # before writing, so a failed job leaves no file
     header = ["x"] + [f"sharp{k}" for k in range(args.m + 1)]
     write_csv(args.out, header, np.column_stack([edges, *columns]))
-    wmf = wmf_functional(s, args.m, args.p, spec)
     sys.stdout.write(f"wmf,{_fmt(wmf.value)}\n")
     return EXIT_OK
 

@@ -15,18 +15,14 @@ from .piecewise import PiecewisePolynomial, shift_polynomial
 from .samples import SampledFunction
 
 
-def divided_difference_rows(points, values, max_order: int) -> list[list[float]]:
-    """Triangular table rows: rows[k][i] holds the order-k difference on
-    the consecutive window x_i, ..., x_{i+k}.  No input validation."""
-    rows = [list(values)]
-    for k in range(1, max_order + 1):
-        prev = rows[-1]
-        rows.append(
-            [
-                (prev[i + 1] - prev[i]) / (points[i + k] - points[i])
-                for i in range(len(prev) - 1)
-            ]
-        )
+def divided_difference_rows(points, values, max_order: int) -> list[np.ndarray]:
+    """Triangular table rows, one float array per order: rows[k][i] holds the
+    order-k difference on the consecutive window x_i, ..., x_{i+k}.  No input
+    validation; an overflow gives a non-finite entry, as in scalar arithmetic."""
+    x, rows = np.asarray(points, dtype=float), [np.asarray(values, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_order + 1):
+            rows.append((rows[-1][1:] - rows[-1][:-1]) / (x[k:] - x[:-k]))
     return rows
 
 

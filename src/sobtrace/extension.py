@@ -167,7 +167,7 @@ def _hermite_extend(data: SampledFunction, knots: np.ndarray, m: int) -> Piecewi
     lo = np.array(_nearest_windows(data.points, m))
     # column lo of the whole-set table is the Newton form on window lo
     table = divided_difference_rows(data.points, data.values, m - 1)
-    newton = np.stack([np.asarray(row)[lo] for row in table], axis=1)
+    newton = np.stack([row[lo] for row in table], axis=1)
     roots = pts[lo[:, None] + np.arange(m - 1)] - pts[:, None]
     jets = np.zeros((len(knots), m))
     jets[np.searchsorted(knots, pts)] = _expand_newton(newton, roots) * fact

@@ -10,7 +10,10 @@ differences on every index subset of at most m+1 points
 difference over any k+1 points is a convex combination of the window
 differences in their hull (de Boor): the window maxima at p = inf, and by
 Jensen's inequality the homogeneous sequence form at every p.  Homogeneous
-variants keep only the top-order term with the plain gap weight.
+variants keep only the top-order term with the plain gap weight.  Every power
+sum, here and in the sharp-maximal functional, is one :func:`_power_sum`: numpy's
+elementwise power, a correctly rounded ``math.fsum`` and a NumericalFailureError
+for a result that is not finite.
 """
 
 from __future__ import annotations
@@ -49,21 +52,22 @@ def _check_mp(m: int, p: float) -> None:
         raise InvalidInputError(f"p must lie in (1, inf], got {p}")
 
 
-def abs_pow(x: float, p: float) -> float:
-    """|x|^p via exp(p*log|x|), with a zero short-circuit (supports fractional p), inf past the floats."""
-    if x == 0.0:
-        return 0.0
-    try:
-        return math.exp(p * math.log(abs(x)))
-    except OverflowError:
-        return math.inf
-
-
-def _pth_root(total: float, p: float) -> float:
-    """total^(1/p) of a power sum, refusing one that overflowed to inf."""
-    if not math.isfinite(total):
-        raise NumericalFailureError(f"a power sum at p = {p} overflows a float; rescale the values or lower p")
-    return total ** (1.0 / p)
+def _power_sum(weights, diffs, p: float) -> float:
+    """(sum weights |diffs|^p)^(1/p), the sum correctly rounded by ``math.fsum``, or max |diffs|
+    at p = inf; a result that is not finite raises NumericalFailureError."""
+    if p == math.inf:
+        value = float(np.abs(diffs).max())
+    else:
+        try:
+            with np.errstate(over="ignore"):  # refused below, as a non-finite value
+                value = math.fsum((weights * np.abs(diffs) ** p).tolist()) ** (1.0 / p)
+        except OverflowError:  # finite terms whose sum passes the float range
+            value = math.inf
+    if math.isfinite(value):
+        return value
+    if p == math.inf:
+        raise NumericalFailureError("a divided difference overflows a float; rescale the values")
+    raise NumericalFailureError(f"a power sum at p = {p} overflows a float; rescale the values or lower p")
 
 
 def effective_order(s: SampledFunction, m: int) -> int:
@@ -81,23 +85,12 @@ def sequence_functional(s: SampledFunction, m: int, p: float) -> FunctionalRepor
     """
     _check_mp(m, p)
     M = effective_order(s, m)
-    pts, n = s.points, len(s) - 1
-    rows = divided_difference_rows(pts, s.values, M)
-    if p == math.inf:
-        value = 0.0
-        for k in range(M + 1):
-            for entry in rows[k]:
-                value = max(value, abs(entry))
-        return FunctionalReport(m, p, value, "sequence", M)
-    # deterministic accumulation order: k ascending, then i ascending
-    total = 0.0
-    for k in range(M + 1):
-        row = rows[k]
-        for i in range(n - k + 1):
-            # min(1, x_{i+m} - x_i); the gap counts as +inf once i+m runs past the end
-            weight = 1.0 if i + m > n else min(1.0, pts[i + m] - pts[i])
-            total += weight * abs_pow(row[i], p)
-    return FunctionalReport(m, p, _pth_root(total, p), "sequence", M)
+    x = np.asarray(s.points)
+    rows = divided_difference_rows(x, s.values, M)
+    # min(1, x_{i+m} - x_i); the gap counts as +inf once i+m runs past the end
+    gap = np.minimum(1.0, np.concatenate([x[m:], np.full(min(m, len(x)), np.inf)]) - x)
+    weights = np.concatenate([gap[: len(row)] for row in rows])
+    return FunctionalReport(m, p, _power_sum(weights, np.concatenate(rows), p), "sequence", M)
 
 
 def variational_feasible(n_points: int, m: int) -> bool:
@@ -201,14 +194,9 @@ def homogeneous_sequence_functional(s: SampledFunction, m: int, p: float) -> Fun
     _check_mp(m, p)
     if len(s) < m + 1:
         raise HypothesisViolationError(f"need at least m+1 = {m + 1} points for the top-order functional, got {len(s)}")
-    pts = s.points
-    row = divided_difference_rows(pts, s.values, m)[m]
-    if p == math.inf:
-        return FunctionalReport(m, p, max(abs(entry) for entry in row), "homogeneous_sequence", m)
-    total = 0.0
-    for i in range(len(row)):
-        total += (pts[i + m] - pts[i]) * abs_pow(row[i], p)
-    return FunctionalReport(m, p, _pth_root(total, p), "homogeneous_sequence", m)
+    x = np.asarray(s.points)
+    value = _power_sum(x[m:] - x[:-m], divided_difference_rows(x, s.values, m)[m], p)
+    return FunctionalReport(m, p, value, "homogeneous_sequence", m)
 
 
 def homogeneous_variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalReport:

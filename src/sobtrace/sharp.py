@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
-from .functionals import FunctionalReport, _pth_root, effective_order, require_feasible, subset_differences
+from .functionals import FunctionalReport, _power_sum, effective_order, require_feasible, subset_differences
 from .samples import SampledFunction
 
 #: Most cells a grid may have; the default spacing follows the closest pair of
@@ -180,8 +180,5 @@ def wmf_functional(
     mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     _check_args(s, m, 0)
     table, nodes = subset_differences(s.points, s.values, m), _nodes(s, mids)  # shared by every order
-    total = 0.0
-    for k in range(m + 1):
-        with np.errstate(over="ignore"):  # _pth_root refuses a power sum that overflowed
-            total += _pth_root(float(np.dot(widths, _profile(s, table[k][:2], k == m, nodes) ** p)), p)
+    total = sum(_power_sum(widths, _profile(s, table[k][:2], k == m, nodes), p) for k in range(m + 1))
     return FunctionalReport(m, p, total, "sharp_maximal", effective_order(s, m))

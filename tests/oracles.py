@@ -32,7 +32,7 @@ from scipy.sparse.linalg import spsolve
 
 from sobtrace.divdiff import divided_difference_rows
 from sobtrace.errors import InvalidInputError, NumericalFailureError
-from sobtrace.functionals import abs_pow, homogeneous_sequence_functional, sequence_functional
+from sobtrace.functionals import homogeneous_sequence_functional, sequence_functional
 from sobtrace.piecewise import PiecewisePolynomial, polynomial_eval_rows
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
@@ -46,6 +46,16 @@ from sobtrace.splines import (
     _gauss_jacobi,
     lp_norm,
 )
+
+
+# ---------------------------------------------------------- term arithmetic
+
+
+def abs_pow(x: float, p: float) -> float:
+    """|x|^p as the functionals compute each term: numpy's elementwise power on
+    an array, which gives the same bits for one element as for many (a numpy
+    or Python scalar power differs from it in the last bit on some inputs)."""
+    return float((np.abs(np.array([x], dtype=float)) ** p)[0])
 
 
 # -------------------------------------------------------- divided differences
@@ -586,7 +596,7 @@ def _dict_best_subsequence(s: SampledFunction, m: int, terms, tail) -> SampledFu
 def oracle_longest_path(s: SampledFunction, m: int, p: float, homogeneous: bool = False) -> float:
     """The finite-p variational form (``homogeneous``: its top-order variant)
     by the dict longest path the library once used: the sequence functional
-    of the best subsequence, with terms through the scalar ``abs_pow``."""
+    of the best subsequence, with terms through :func:`abs_pow`."""
     pts = s.points
     table, top = dict_subset_differences(pts, s.values, m)
     if homogeneous:

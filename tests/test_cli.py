@@ -267,6 +267,8 @@ def test_extend_high_order_overflow_is_typed(tmp_path, capsys, points, values, m
         ("check", "400", [10, -20, 5, 30]),  # 30^400 overflows
         ("check", "2", [1e200, -2e200, 5e199, 3e200]),
         ("maximal", "250", [10, -20, 5, 30]),  # the sharp-maximal power sum
+        ("check", "2", [1.3e154] * 4),  # finite terms, each 1.69e308, whose sum overflows
+        ("check", "inf", [1e308, -1e308, 1e308, -1e308]),  # a first difference overflows
     ],
 )
 def test_power_sum_overflow_is_typed(tmp_path, capsys, command, p, values):
@@ -274,8 +276,9 @@ def test_power_sum_overflow_is_typed(tmp_path, capsys, command, p, values):
     out = tmp_path / "out.json"
     args = ["--command", command, "--input", inp, "--m", "1", "--p", p, "--grid-h", "0.05", "--out", str(out)]
     assert main(args) == 3
-    assert capsys.readouterr().err.startswith("numerical failure:")
-    assert command == "maximal" or not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and ("lower p" in err) == (p != "inf")
+    assert not out.exists()  # a failed job leaves no output behind
 
 
 @pytest.mark.parametrize(

@@ -26,10 +26,10 @@ from sobtrace import (
     wmf_functional,
 )
 from sobtrace.divdiff import divided_difference_rows
-from sobtrace.functionals import abs_pow
 from sobtrace.sharp import profile_values
 from conftest import make_samples, polynomial_samples
 from oracles import (
+    abs_pow,
     fresh_dd,
     oracle_homogeneous_variational_sup,
     oracle_longest_path,
@@ -49,9 +49,8 @@ CALIBRATION = json.loads(
 def oracle_variational(s, m, p):
     """Recursive include/exclude enumeration of subsequences.
 
-    Per-subsequence sums follow the same accumulation order as the library
-    (orders ascending, windows left to right) so that the supremum is
-    bit-for-bit comparable.
+    Per-subsequence sums are correctly rounded, as the library's are, so the
+    supremum is bit-for-bit comparable whatever the order of the terms.
     """
     pts, vals = s.points, s.values
     n1 = len(pts)
@@ -59,15 +58,15 @@ def oracle_variational(s, m, p):
 
     def evaluate(sub):
         nsub = len(sub) - 1
-        total = 0.0
+        terms = []
         for k in range(m + 1):
             for i in range(nsub - k + 1):
                 if i + m > nsub:
                     w = 1.0
                 else:
                     w = min(1.0, pts[sub[i + m]] - pts[sub[i]])
-                total += w * abs_pow(fresh_dd(pts, vals, sub[i : i + k + 1]), p)
-        return total
+                terms.append(w * abs_pow(fresh_dd(pts, vals, sub[i : i + k + 1]), p))
+        return math.fsum(terms)
 
     def walk(i, chosen):
         nonlocal best
@@ -83,18 +82,18 @@ def oracle_variational(s, m, p):
 
 
 def oracle_homogeneous_variational(s, m, p):
-    """Sum of (gap) |D^m f|^p over the windows of every subsequence of at
-    least m+1 points, windows left to right; the largest sum."""
+    """Correctly rounded sum of (gap) |D^m f|^p over the windows of every
+    subsequence of at least m+1 points; the largest sum."""
     pts, vals = s.points, s.values
     best = 0.0
     for size in range(m + 1, len(pts) + 1):
         for sub in itertools.combinations(range(len(pts)), size):
-            total = 0.0
+            terms = []
             for i in range(size - m):
                 window = sub[i : i + m + 1]
                 gap = pts[window[-1]] - pts[window[0]]
-                total += gap * abs_pow(fresh_dd(pts, vals, window), p)
-            best = max(best, total)
+                terms.append(gap * abs_pow(fresh_dd(pts, vals, window), p))
+            best = max(best, math.fsum(terms))
     return best ** (1.0 / p)
 
 
@@ -151,6 +150,44 @@ def test_sequence_rejects_bad_p(rng):
             sequence_functional(s, 1, p)
     with pytest.raises(InvalidInputError):
         sequence_functional(s, 0, 2.0)
+
+
+@st.composite
+def window_cases(draw):
+    """(samples, m, p) with 1 to 30 points, so that sets of at most m points come up, and
+    gaps on both sides of 1, so that both weight rules do."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    start = draw(st.floats(-1e3, 1e3))
+    gaps = draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1))
+    pts = list(itertools.accumulate(gaps, initial=start))
+    vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=n, max_size=n))
+    p = draw(st.sampled_from((1.1, 1.5, 2.0, 3.0, 7.0, INF)))
+    return SampledFunction(tuple(pts), tuple(vals)), m, p
+
+
+@given(window_cases())
+@settings(max_examples=150, deadline=None)
+def test_window_forms_match_definition(case):
+    # the consecutive-window forms against their definition, built window by window: each
+    # difference by the plain recursion, each weight by its rule, the terms by the same
+    # power and the sum correctly rounded, so the values agree exactly
+    s, m, p = case
+    pts, vals, n = s.points, s.values, len(s) - 1
+    dd = [[fresh_dd(pts, vals, range(i, i + k + 1)) for i in range(n - k + 1)] for k in range(min(m, n) + 1)]
+    assert [row.tolist() for row in divided_difference_rows(pts, vals, min(m, n))] == dd
+
+    def power_sum(terms):
+        if p == INF:
+            return max(abs(d) for _, d in terms)
+        return math.fsum(w * abs_pow(d, p) for w, d in terms) ** (1.0 / p)
+
+    weight = [1.0 if i + m > n else min(1.0, pts[i + m] - pts[i]) for i in range(n + 1)]
+    terms = [(weight[i], d) for row in dd for i, d in enumerate(row)]
+    assert sequence_functional(s, m, p).value == power_sum(terms)
+    if n >= m:
+        terms = [(pts[i + m] - pts[i], d) for i, d in enumerate(dd[m])]
+        assert homogeneous_sequence_functional(s, m, p).value == power_sum(terms)
 
 
 # ------------------------------------------------------------- variational
@@ -286,8 +323,10 @@ def _subsequence_bound(s, m, p, windows):
     whose (m+1)-point windows are among ``windows`` (index tuples), above that of s.  In
     exact arithmetic adding points never lowers the sum (see
     homogeneous_variational_functional), so any excess is rounding, on either side:
-    - relative, on a p-th power: a sum of at most n nonnegative terms (n eps), each a gap
-      (eps) times exp(p log|d|), which lies within (2 + 2p |log|d||) eps of |d|^p;
+    - relative, on a p-th power: a correctly rounded sum (eps / 2) of nonnegative terms,
+      each a gap (eps / 2) times numpy's power of |d| (about an ulp) with the product
+      rounded (eps / 2): a few eps.  The allowance (n + 2 + 2p |log|d||) eps, made for a
+      left-to-right sum of terms exp(p log|d|), is kept; it still covers that;
     - absolute: each difference d lies within 4(m+1) eps of its rounding scale, the sum of
       |f_i / omega'(x_i)| over its window, which cancellation can leave far above |d|.  By
       Minkowski's inequality in the gap-weighted l^p norm that moves a value by at most
@@ -419,15 +458,26 @@ def test_variational_value_scaling(case, c):
         assert func(scaled, m, p).value == pytest.approx(abs(c) * base, rel=1e-12, abs=noise)
 
 
+_HOMOGENEOUS = (homogeneous_sequence_functional, homogeneous_variational_functional)
+
+
 @pytest.mark.parametrize(
     "values, p, wmf_p",
-    [((10.0, -20.0, 5.0, 30.0), 400.0, 250.0), ((1e200, -2e200, 5e199, 3e200), 2.0, 2.0)],
+    [
+        ((10.0, -20.0, 5.0, 30.0), 400.0, 250.0),
+        ((1e200, -2e200, 5e199, 3e200), 2.0, 2.0),
+        # every term is finite, 1.69e308, but not their sum, which math.fsum refuses with a bare OverflowError
+        ((1.3e154,) * 4, 2.0, 2.0),
+    ],
 )
 def test_power_sum_overflow_is_typed(values, p, wmf_p):
     # a power sum past the float range is refused, not returned as inf; the suite
     # turns a leaked numpy RuntimeWarning into an error
     s = SampledFunction((0.0, 1.0, 2.0, 3.5), values)
-    for func in (sequence_functional, variational_functional, homogeneous_sequence_functional, homogeneous_variational_functional):
+    for func in (sequence_functional, variational_functional) + _HOMOGENEOUS:
+        if func in _HOMOGENEOUS and len(set(values)) == 1:
+            assert func(s, 1, p).value == 0.0  # constant data: every first difference is 0
+            continue
         with pytest.raises(NumericalFailureError, match="overflows"):
             func(s, 1, p)
     with pytest.raises(NumericalFailureError, match="overflows"):
@@ -435,6 +485,17 @@ def test_power_sum_overflow_is_typed(values, p, wmf_p):
     # just inside the float range the value is the power sum as before
     t = SampledFunction((0.0, 1.0), (0.0, 1e153))
     assert sequence_functional(t, 1, 2.0).value == (2 * abs_pow(1e153, 2.0)) ** 0.5
+
+
+def test_sup_overflow_is_typed():
+    # at p = inf a divided difference past the float range is refused, with no advice to lower p
+    s = SampledFunction((0.0, 0.5, 1.0), (1e308, -1e308, 1e308))
+    cases = [(sequence_functional, 1), (sequence_functional, 2), (small_set_functional, 3)]
+    cases += [(func, m) for func in (variational_functional,) + _HOMOGENEOUS for m in (1, 2)]
+    for func, m in cases:
+        with pytest.raises(NumericalFailureError, match="overflows") as info:
+            func(s, m, INF)
+        assert "lower p" not in str(info.value)
 
 
 # ------------------------------------------------------------- homogeneous
