@@ -58,9 +58,11 @@ class ExtensionConfig:
     """Parameters of the extension construction.
 
     ``window_pad`` is the half-width of the support window beyond the data,
-    finite and no less than 3(m+2); the construction itself never produces
-    anything outside the default window, so larger pads only add zero space.
-    ``extend`` reads neither ``p`` nor ``quad_tol``.
+    finite and no less than 3(m+2).  A larger pad keeps the hermite extension
+    as it is on the default window and only adds zero pieces beyond it; the
+    natural2 spline is solved on the whole window, so from m = 2 on a larger
+    pad moves it and spreads its support to the new window.  ``extend``
+    reads neither ``p`` nor ``quad_tol``.
     """
 
     m: int

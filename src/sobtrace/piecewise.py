@@ -27,28 +27,18 @@ def shift_polynomial(coeffs, t0) -> np.ndarray:
 
 
 def polynomial_derivative(coeffs) -> np.ndarray:
-    """Derivative coefficients; a 2-D array is differentiated row by row."""
+    """Derivative coefficients; a 2-D array is differentiated row by row.  An
+    overflow is left to the caller's finite check."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape[-1] <= 1:
         return np.zeros(c.shape[:-1] + (1,))
-    return c[..., 1:] * np.arange(1, c.shape[-1], dtype=float)
-
-
-def polynomial_eval(coeffs, t):
-    """Horner evaluation; ``t`` may be a scalar or an array."""
-    c = np.asarray(coeffs, dtype=float)
-    arr = np.asarray(t, dtype=float)
-    out = np.full_like(arr, c[-1], dtype=float)
-    for a in c[-2::-1]:
-        out = out * arr + a
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c[..., 1:] * np.arange(1, c.shape[-1], dtype=float)
 
 
 def polynomial_eval_rows(coeffs, t) -> np.ndarray:
     """Row i of a coefficient matrix evaluated at ``t[i]``, a point or a row
-    of points; the same Horner recurrence as :func:`polynomial_eval`."""
+    of points, by Horner's recurrence."""
     C = np.asarray(coeffs, dtype=float)
     arr = np.asarray(t, dtype=float)
     cols = C.T.reshape(C.shape[::-1] + (1,) * (arr.ndim - 1))

@@ -18,15 +18,19 @@ and summed per order:
   (hermite pieces next to lattice knots carry m-fold zeros).  Gauss-Jacobi
   rules put these factors into the weight (Golub & Welsch 1969) and leave a
   smooth integrand, both from one pass over their 48 nodes.  A subinterval
-  keeps its 32-node value when the 16-node value differs from it by at most
-  its share (by length) of quad_tol times the piece's integral, the larger of
-  its two estimates.  Otherwise it is cut into panels graded geometrically
-  toward the nearest root of q off it, all integrated in one pass under the
-  same test.  Only a subinterval with a
-  panel that still fails goes to adaptive Gauss-Legendre panels, each
-  keeping its 32-node value when the sum of its two 16-node halves agrees
-  with it; the adaptive recursion raises NumericalFailureError when it
-  reaches depth 48 rather than return an unconverged value;
+  or panel keeps its 32-node value when the 16-node value differs from it by
+  at most its share (by length) of quad_tol times the piece's integral, the
+  kept values plus the larger estimate of each panel still in play.  Each
+  failing panel is cut into panels graded geometrically toward the nearest
+  root of q off it, or at its midpoint when no graded cut falls inside, and
+  the new panels take the same test, all in one pass per step, until none
+  fails or the differences over the whole piece sum to at most a sixteenth
+  of its tolerance: at the peak of a steep |q|^p the rounding of the values
+  can exceed a panel's share at any depth, and the margin leaves room for
+  the rounding of the coefficients, which the differences do not show.
+  NumericalFailureError is raised when a value is not finite,
+  when a step leaves more failing panels than the first pass had
+  subintervals, or past 48 steps;
 * p = inf: the largest |q| over the piece ends and the real critical points.
 """
 
@@ -44,7 +48,6 @@ from .errors import InvalidInputError, NonintegrableError, NumericalFailureError
 from .piecewise import (
     PiecewisePolynomial,
     polynomial_derivative,
-    polynomial_eval,
     polynomial_eval_rows,
     scalar_powers,
     shift_polynomial,
@@ -64,7 +67,7 @@ _ZERO_TAYLOR = 1e-12
 #: Pieces are also cut at a complex pair of roots this close to the real axis
 #: (unit scale), where |q|^p bends too sharply for the Gauss rules.
 _NEAR_REAL = 0.1
-#: Adaptive quadrature raises instead of splitting a panel this deep.
+#: Fractional-p quadrature raises rather than refine its failing panels more often than this.
 _MAX_DEPTH = 48
 #: Spline solves with a larger relative backward error raise.
 _MAX_BACKWARD_ERROR = 1e-10
@@ -127,35 +130,6 @@ class NormReport:
     lp_norms: tuple[float, ...]
     w_norm: float
     l_homog: float
-
-
-def _gl_abs_pow(coeffs, a: float, b: float, p: float, n: int = 16) -> float:
-    nodes, weights = _gauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.abs(polynomial_eval(coeffs, mid + half * nodes))
-    return half * float(np.dot(weights, vals**p))
-
-
-def _adaptive_abs_pow(coeffs, a: float, b: float, p: float, atol: float, depth: int = 0) -> float:
-    # absolute budget that halves per split: near a root of q the panel
-    # integral of |q|^p shrinks like h^{p+1} >> the budget's factor 2, so the
-    # recursion grades into the root and terminates; a per-panel relative
-    # test would never converge there (the Gauss error of |t|^p is
-    # scale-invariant).  Two 16-node halves confirm a 32-node whole panel:
-    # a 16-node whole panel could err like them
-    whole = _gl_abs_pow(coeffs, a, b, p, 32)
-    mid = 0.5 * (a + b)
-    split = _gl_abs_pow(coeffs, a, mid, p) + _gl_abs_pow(coeffs, mid, b, p)
-    if abs(split - whole) <= atol:
-        return whole
-    if depth >= _MAX_DEPTH:
-        raise NumericalFailureError(
-            f"adaptive quadrature of |q|^{p} did not reach the tolerance {atol:.3e} "
-            f"by depth {_MAX_DEPTH} (panel [{a!r}, {b!r}])"
-        )
-    return _adaptive_abs_pow(coeffs, a, mid, p, atol / 2, depth + 1) + _adaptive_abs_pow(
-        coeffs, mid, b, p, atol / 2, depth + 1
-    )
 
 
 def _degrees(C: np.ndarray, rtol: float = 0.0) -> np.ndarray:
@@ -222,27 +196,32 @@ def _root_split(C: np.ndarray):
 
 
 def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integral of q_i(s)^p over [a_i, b_i] for each row i of C."""
+    """Exact integral of q_i(s)^p over [a_i, b_i] for each row i of C; an overflow is left to the
+    caller's finite check."""
     n = max(1, math.ceil(((C.shape[1] - 1) * p + 1) / 2))
     nodes, weights = _gauss(n)
     half = 0.5 * (b - a)
     s = (a + half)[:, None] + half[:, None] * nodes
-    return half * (polynomial_eval_rows(C, s) ** p @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return half * (polynomial_eval_rows(C, s) ** p @ weights)
 
 
 def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.ndarray, np.ndarray]:
     """16- and 32-node Gauss-Jacobi values of the integral of |q_row|^p over
     each [a, b], weight |s - a|^(p left) |s - b|^(p right): one pass over the
-    nodes of both rules."""
+    nodes of both rules.  A value that is not finite raises NumericalFailureError."""
     keys, group = np.unique(left * C.shape[1] + right, return_inverse=True)
     alpha, beta = p * (keys // C.shape[1]), p * (keys % C.shape[1])
     x, w = np.reshape([_jacobi_rules(*ab) for ab in zip(beta, alpha)], (-1, 2, _LOW_ORDER + _HIGH_ORDER)).transpose(1, 0, 2)
     half, out = 0.5 * (b - a), np.empty((2, len(row)))
     for i in range(0, len(row), _CHUNK):
         s, g = slice(i, i + _CHUNK), group[i : i + _CHUNK]
-        q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
-        for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
-            values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
+            for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
+                values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError(f"the integral of |q|^{p} is not finite")
     return out[0], out[1]
 
 
@@ -251,29 +230,42 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarra
     to within quad_tol relative (see the module docstring)."""
     row, a, b, left, right, roots = _root_split(C)
     low, high = _jacobi_pair(C, p, row, a, b, left, right)
-    rough = np.bincount(row, np.maximum(low, high), minlength=len(C))
-    tol = quad_tol * rough[row]
-    bad = np.flatnonzero(~(np.abs(high - low) <= (b - a) * tol))
-    if not len(bad):
-        return np.bincount(row, high, minlength=len(C))
-    # graded panels: cuts at t -+ d 2^j, d the distance to the nearest root
-    # off the subinterval and t its projection onto it
-    z, lo, hi = roots[row[bad]], a[bad, None], b[bad, None]
-    t = np.clip(z.real, lo, hi)
-    d = np.abs(z - t)
-    near = np.argmin(np.where(d > 0.0, d, np.inf), axis=1)[:, None]  # roots on [a, b] are its ends
-    t, d = np.take_along_axis(t, near, 1), np.take_along_axis(d, near, 1)
-    cuts = np.hstack([t - d * 2.0 ** np.arange(52), t + d * 2.0 ** np.arange(52)])
-    cuts = np.sort(np.hstack([lo, hi, np.where((cuts > lo) & (cuts < hi), cuts, np.inf)]), axis=1)
-    end = np.isfinite(cuts).sum(axis=1) - 2  # the last panel
-    sub, k = np.nonzero(np.arange(cuts.shape[1] - 1) <= end[:, None])
-    i, pa, pb = bad[sub], cuts[sub, k], cuts[sub, k + 1]
-    low, panel = _jacobi_pair(C, p, row[i], pa, pb, np.where(k == 0, left[i], 0), np.where(k == end[sub], right[i], 0))
-    missed = np.bincount(sub, ~(np.abs(panel - low) <= (pb - pa) * tol[i]), minlength=len(bad))
-    high[bad] = np.bincount(sub, panel, minlength=len(bad))
-    for i in bad[missed > 0]:  # the adaptive fallback
-        high[i] = _adaptive_abs_pow(C[row[i]], a[i], b[i], p, quad_tol * (rough[row[i]] + 1e-300))
-    return np.bincount(row, high, minlength=len(C))
+    total, spent, most = np.zeros(len(C)), np.zeros(len(C)), len(row)
+    for depth in range(_MAX_DEPTH + 1):
+        # the row's integral: the kept panels and the larger value of each panel in play
+        tol = quad_tol * (total + np.bincount(row, np.maximum(low, high), minlength=len(C)))
+        diff = np.abs(high - low)
+        # a panel past its share by length fails, unless its row's differences sum to a sixteenth of its tolerance
+        settled = spent + np.bincount(row, diff, minlength=len(C)) <= tol / 16
+        bad = (diff > (b - a) * tol[row]) & ~settled[row]
+        spent += np.bincount(row[~bad], diff[~bad], minlength=len(C))
+        total += np.bincount(row[~bad], high[~bad], minlength=len(C))
+        failing = np.count_nonzero(bad)
+        if not failing:
+            return total
+        if failing > most or depth == _MAX_DEPTH:
+            raise NumericalFailureError(
+                f"the integral of |q|^{p} does not reach quad_tol = {quad_tol:g}: {failing} of {len(row)} "
+                f"panels fail after {depth} refinements, against limits of {most} and {_MAX_DEPTH}"
+            )
+        # cut each failing panel at t -+ d 2^j, d the distance to the nearest root of
+        # its row off the panel and t its projection onto it, or else at its midpoint
+        row, a, b, left, right = row[bad], a[bad, None], b[bad, None], left[bad], right[bad]
+        z = roots[row]
+        t = np.clip(z.real, a, b)
+        d = np.abs(z - t)
+        near = np.argmin(np.where(d > 0.0, d, np.inf), axis=1)[:, None]  # roots on the panel are its ends
+        t, d = np.take_along_axis(t, near, 1), np.take_along_axis(d, near, 1)
+        cuts = np.hstack([t - d * 2.0 ** np.arange(52), t + d * 2.0 ** np.arange(52)])
+        inside = (cuts > a) & (cuts < b)
+        cuts = np.where(inside, cuts, np.inf)
+        cuts[:, 0] = np.where(inside.any(axis=1), cuts[:, 0], 0.5 * (a + b)[:, 0])
+        cuts = np.sort(np.hstack([a, b, cuts]), axis=1)
+        end = np.isfinite(cuts).sum(axis=1) - 2  # the last panel
+        sub, k = np.nonzero(np.arange(cuts.shape[1] - 1) <= end[:, None])
+        row, a, b = row[sub], cuts[sub, k], cuts[sub, k + 1]
+        left, right = np.where(k == 0, left[sub], 0), np.where(k == end[sub], right[sub], 0)
+        low, high = _jacobi_pair(C, p, row, a, b, left, right)
 
 
 def _unit_sup(C: np.ndarray) -> np.ndarray:

@@ -241,7 +241,6 @@ def test_maximal_past_twenty_points(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 57  # a header, then the edges of 0.25 cells on [-1, 13]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize(
     "points, values, m, backend, code",
     [

@@ -134,6 +134,20 @@ def test_config_validation():
         ExtensionConfig(m=86)  # (2m-1)! = 171! overflows a float
 
 
+def test_hermite_ignores_a_larger_window_pad():
+    # hermite pieces depend only on the data and the lattice knots beside
+    # them, so a wider window keeps every piece of the default one, bit for
+    # bit, and adds only zero pieces beyond it
+    s = make_samples(np.random.default_rng(3), 8, span=10.0)
+    for m in (1, 2, 3):
+        F = extend(s, ExtensionConfig(m=m))
+        G = extend(s, ExtensionConfig(m=m, window_pad=60.0))
+        k = np.searchsorted(G.breakpoints, F.breakpoints)
+        assert np.array_equal(G.breakpoints[k], F.breakpoints)
+        assert np.array_equal(G.coefficients[k[:-1]], F.coefficients)
+        assert not np.delete(G.coefficients, k[:-1], axis=0).any()
+
+
 @pytest.mark.parametrize("backend", ["hermite", "natural2"])
 def test_extension_contract_random(rng, backend):
     for _ in range(8):

@@ -34,6 +34,8 @@ from sobtrace.splines import _gauss_jacobi
 from conftest import make_samples, polynomial_samples
 
 INF = math.inf
+#: A piece with a triple zero at 0, sharply peaked at p = 60.5.
+SHARP_PEAK = [0.0, 0.0, 0.0, -745.48453346, 1375.47196811, -630.85264773]
 
 
 def linear_piece():
@@ -108,7 +110,6 @@ def test_lp_rejects_bad_p():
             lp_norm(linear_piece(), 1.5, quad_tol=tol)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_overflow_is_a_typed_failure():
     huge = PiecewisePolynomial([0.0, 1.0], [[1e200, 0.0, 1e300]])
     for p in (1.5, 2.0, 3.0):
@@ -140,13 +141,19 @@ def test_lp_triangle_inequality_and_scaling(rng):
             assert lp_norm(PiecewisePolynomial(bp, -2.5 * cf), p) == pytest.approx(2.5 * nf, rel=1e-9)
 
 
-def test_adaptive_depth_cap_raises():
+def test_adaptive_depth_cap_raises(monkeypatch):
     # (t - 0.3)^2 + 1e-6: no real root to split at, so the Gauss-Jacobi
-    # values differ and a zero tolerance sends the adaptive fallback to its
-    # depth cap, which must be reported rather than absorbed
+    # values differ, and at zero tolerance the graded panels fail in greater
+    # number than the first pass's subintervals; the growth guard must report
+    # that rather than absorb it
     F = PiecewisePolynomial([0.0, 1.0], [[0.09 + 1e-6, -0.6, 1.0]])
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(NumericalFailureError, match="quad_tol"):
         lp_norm(F, 1.5, quad_tol=0.0)
+    # SHARP_PEAK needs two refinements at p = 60.5, so a depth limit of one
+    # refuses it
+    monkeypatch.setattr(splines, "_MAX_DEPTH", 1)
+    with pytest.raises(NumericalFailureError, match="quad_tol"):
+        lp_norm(PiecewisePolynomial([0.0, 1.0], [SHARP_PEAK]), 60.5)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -227,10 +234,10 @@ def test_fractional_lp_norm_matches_scipy_quad(piece, p):
 
 
 def test_fractional_lp_norm_sharply_peaked():
-    # a triple zero at 0 and p = 60.5: the 16-node rule underestimates the
-    # integral 27000-fold, so the fallback's tolerance must follow the
-    # larger estimate or the adaptive path cannot meet it
-    c = [0.0, 0.0, 0.0, -745.48453346, 1375.47196811, -630.85264773]
+    # at p = 60.5 the 16-node rule underestimates the integral 27000-fold,
+    # so the panels' tolerance must follow the larger estimate or the
+    # refinement cannot meet it
+    c = SHARP_PEAK
     F = PiecewisePolynomial([0.0, 1.0], [c])
     ref = quad(
         lambda t: abs(P.polyval(t, c)) ** 60.5,
@@ -255,15 +262,24 @@ def test_fractional_lp_norm_sharply_peaked():
                               -3.6742052250753114, -0.05600801084514823], 1.5),
         (0.5655835811751397, [-0.05473294247376953, 0.2021331120018276, -0.07098019610705669,
                               -0.2402784955234334], 1.1),
+        (0.5708263882160133, [-0.155373056742593, 5.09057004395267, -64.5244086780927, 388.91505025444576,
+                              -1077.4701097369787, 1005.979917430136], 60.5),
+        (0.7215346639347463, [0.15288817121542986, -3.9485354445557728, 25.477529357806905, 65.59415479864894,
+                              -1213.3941571138548, 4281.3040214276525, -6053.955546326843,
+                              3061.4290302942672], 60.5),
     ],
 )
 def test_fractional_lp_norm_near_double_complex_roots(h, c, p):
     # each piece has a complex root pair 7e-9 to 3e-3 off the real axis
     # inside it, where |q|^p bends like |s - r|^(2p); uncut, the 16/32-node
-    # rules and then the adaptive whole-vs-split test accept values 1.5e-9
-    # to 1.4e-8 relative off.  On the last piece, cut there, the adaptive
+    # rules and then an adaptive whole-vs-split test accepted values 1.5e-9
+    # to 1.4e-8 relative off.  On the fifth piece, cut there, adaptive
     # panels' 16-node whole and split estimates once agreed while both erred,
-    # 5.0e-10 relative off
+    # 5.0e-10 relative off.  The last two peak steeply at p = 60.5: on the
+    # first the first pass puts the integral 240-fold too low, so the
+    # tolerance must follow the kept panels; on the second the rounding of
+    # the peak's panels exceeds their share by length at every depth, so the
+    # piece must be done once its differences sum well inside its tolerance
     roots = sorted(z.real for z in P.polyroots(c) if 0.0 < z.real < h)
     ref = quad(
         lambda t: abs(P.polyval(t, c)) ** p, 0.0, h, points=roots, limit=500, epsabs=0.0, epsrel=1e-13
@@ -342,7 +358,6 @@ def test_batched_sobolev_norm_matches_oracle(case):
             assert got.l_homog == got.lp_norms[-1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_batched_sobolev_norm_raises_as_oracle():
     s = SampledFunction((0.0, 1.0, 2.5), (1.0, -1.0, 2.0))
     F = extend(s, ExtensionConfig(m=2))
@@ -394,16 +409,22 @@ def test_roots_drop_padding_by_value(monkeypatch):
             assert np.allclose(np.sort_complex(zi[~np.isnan(zi)]), np.sort_complex(r), atol=1e-12)
 
 
-def test_graded_panels_replace_most_fallbacks(monkeypatch):
+def test_corpus_fractional_norms_refine_at_most_once(monkeypatch):
     # p = 1.5 norms of corpus-style extensions: a subinterval whose 16- and
-    # 32-node values disagree is integrated on panels graded toward the
-    # nearest root of its row before it may fall back to adaptive panels.
-    # Without the graded panels these norms made 110 top-level fallback calls
-    calls = []
-    adaptive = splines._adaptive_abs_pow
-    monkeypatch.setattr(
-        splines, "_adaptive_abs_pow", lambda *args: calls.append(len(args) == 5) or adaptive(*args)
-    )
+    # 32-node values disagree is cut into panels graded toward the nearest
+    # root of its row, and on these sets those panels pass, so each batch
+    # makes the first pass and at most one refinement
+    passes, calls = [], []
+    pair, integrals = splines._jacobi_pair, splines._fractional_integrals
+    monkeypatch.setattr(splines, "_jacobi_pair", lambda *args: calls.append(1) or pair(*args))
+
+    def counted(*args):
+        calls.clear()
+        out = integrals(*args)
+        passes.append(len(calls))
+        return out
+
+    monkeypatch.setattr(splines, "_fractional_integrals", counted)
     rng = np.random.default_rng(7)
     for m in (1, 2, 3):
         for span in (2.0, 10.0, 50.0):
@@ -411,14 +432,35 @@ def test_graded_panels_replace_most_fallbacks(monkeypatch):
                 s = random_sampled_function(rng, size, span)
                 for backend in ("hermite", "natural2"):
                     sobolev_norm(extend(s, ExtensionConfig(m=m, backend=backend)), m, 1.5, 1e-9)
-    assert sum(calls) <= 11
+    assert 2 in passes and max(passes) <= 2
+
+
+def test_fractional_lp_norm_meets_tight_tolerance():
+    # three real roots inside and a complex pair 7e-7 off the axis: before
+    # every panel kept its share of quad_tol by length, subintervals that
+    # failed their graded panels each took the whole tolerance, and the
+    # integral came out 2.8e-12 relative off at quad_tol = 1e-12
+    h = 0.3048413139860209
+    c = [-0.014683600633497928, 1.4148864062665332, -49.352153102910734, 785.1322443556749,
+         -6389.147540279611, 27371.926453416745, -58669.22833676508, 49576.01326614529]
+    ref = quad(
+        lambda t: abs(P.polyval(t, c)) ** 1.1,
+        0.0,
+        h,
+        points=real_roots_inside(c, h),
+        limit=500,
+        epsabs=0.0,
+        epsrel=1e-13,
+    )[0]
+    got = lp_norm(PiecewisePolynomial([0.0, h], [c]), 1.1, quad_tol=1e-12) ** 1.1
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_fractional_lp_norm_near_pair_cubic():
     # a complex pair 0.0027 off the real axis at 0.1247 (unit scale): the
-    # piece is cut there, and the subinterval right of the cut, integrated by
-    # adaptive panels alone, once came out 1.08e-10 relative off the 40-digit
-    # mpmath integral below
+    # piece is cut there, and the subinterval right of the cut, once integrated
+    # by adaptive Gauss-Legendre panels alone, came out 1.08e-10 relative off
+    # the 40-digit mpmath integral below
     F = PiecewisePolynomial(
         [0.0, 0.8517066778142263],
         [[0.0026589477476738157, -0.04488151832853181, 0.20697114150555518, -0.1441648080536912]],
