@@ -30,6 +30,7 @@ from .extension import (
     extend,
     necessity_bound_factor,
     support_pad,
+    verify_necessities,
     verify_necessity,
     zero_extend,
 )
@@ -47,13 +48,14 @@ from .functionals import (
 )
 from .piecewise import PiecewisePolynomial
 from .samples import SampledFunction
-from .sharp import GridSpec, wmf_functional
+from .sharp import GridSpec, wmf_functional, wmf_functionals
 from .splines import (
     NormReport,
     anchored_min_energy_spline,
     lp_norm,
     natural_spline_min_energy,
     sobolev_norm,
+    sobolev_norms,
 )
 
 __version__ = "0.1.0"
@@ -90,10 +92,13 @@ __all__ = [
     "sequence_functional",
     "small_set_functional",
     "sobolev_norm",
+    "sobolev_norms",
     "support_pad",
     "variational_feasible",
     "variational_functional",
+    "verify_necessities",
     "verify_necessity",
     "wmf_functional",
+    "wmf_functionals",
     "zero_extend",
 ]

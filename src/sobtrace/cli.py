@@ -27,18 +27,20 @@ from .errors import (
     SizeCapError,
     UnsupportedError,
 )
-from .extension import ExtensionConfig, extend, verify_necessity
+from .extension import ExtensionConfig, extend, verify_necessities
 from .functionals import (
+    _variational_from_table,
     effective_order,
     homogeneous_sequence_functional,
     homogeneous_variational_functional,
     sequence_functional,
     small_set_functional,
+    subset_differences,
     variational_feasible,
     variational_functional,
 )
 from .samples import SampledFunction
-from .sharp import GridSpec, grid_cells, grid_edges, profile_values, wmf_functional
+from .sharp import GridSpec, grid_cells, grid_edges, profile_values, wmf_functional, wmf_functionals
 from .splines import sobolev_norm
 
 EXIT_OK = 0
@@ -195,13 +197,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     if small_route:
         record("small_set", small_set_functional(s, m, p))
     feasible = p == math.inf or variational_feasible(len(s), m)  # p = inf enumerates nothing
+    # at finite p the variational form and the sharp profiles read one subset table
+    table = subset_differences(s.points, s.values, m) if p != math.inf and feasible else None
     if feasible and (p == math.inf or len(s) >= m + 1):
-        record("variational", variational_functional(s, m, p))
+        record("variational", variational_functional(s, m, p) if table is None else _variational_from_table(s, m, p, table))
     if len(s) >= m + 1:
         record("homogeneous_sequence", homogeneous_sequence_functional(s, m, p))
         record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
-    if p != math.inf and feasible:
-        record("sharp_maximal", wmf_functional(s, m, p, GridSpec(args.grid_h)))
+    if table is not None:
+        record("sharp_maximal", wmf_functionals([s], m, p, GridSpec(args.grid_h), [table])[0])
     report = {
         "command": "check",
         "input": args.input,
@@ -287,53 +291,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UnsupportedError("compare reports finite-p ratios; use a finite p")
     m, p = args.m, args.p
     instances = comparison_corpus(args.seed, m)
-    header = [
-        "index",
-        "m",
-        "p",
-        "n_points",
-        "span",
-        "tilde",
-        "variational",
-        "w_hermite",
-        "w_natural2",
-        "wmf",
-        *_RATIO_COLUMNS,
-        "necessity_hermite",
-        "necessity_natural2",
-    ]
-    rows = []
-    ratios: dict[str, list[float]] = {name: [] for name in _RATIO_COLUMNS}
-    for idx, inst in enumerate(instances):
-        s = inst.samples
-        tilde = sequence_functional(s, m, p).value
-        var = variational_functional(s, m, p).value
-        values = {}
-        passes = {}
-        for backend in ("hermite", "natural2"):
-            cfg = ExtensionConfig(m=m, backend=backend, window_pad=args.window_pad)
-            necessity = verify_necessity(s, extend(s, cfg), m, p, args.tol)
-            values[backend], passes[backend] = necessity.extension_norm, necessity.passed
-        wmf = wmf_functional(s, m, p, GridSpec(args.grid_h if args.grid_h else 0.25)).value
-        row_ratios = {
-            "tilde_over_var": tilde / var if var else 0.0,
-            "w_hermite_over_tilde": values["hermite"] / tilde if tilde else 0.0,
-            "w_natural2_over_tilde": values["natural2"] / tilde if tilde else 0.0,
-            "wmf_over_tilde": wmf / tilde if tilde else 0.0,
-        }
-        for name in _RATIO_COLUMNS:
-            ratios[name].append(row_ratios[name])
-        numbers = (inst.span, tilde, var, values["hermite"], values["natural2"], wmf, *row_ratios.values())
-        rows.append(
-            [str(idx), str(m), _fmt(p), str(len(s)), *map(_fmt, numbers)]
-            + ["pass" if passes[backend] else "fail" for backend in ("hermite", "natural2")]
-        )
+    header = ["index", "m", "p", "n_points", "span", "tilde", "variational", "w_hermite", "w_natural2", "wmf",
+              *_RATIO_COLUMNS, "necessity_hermite", "necessity_natural2"]
+    sets = [inst.samples for inst in instances]
+    tildes = [sequence_functional(s, m, p).value for s in sets]
+    configs = [ExtensionConfig(m=m, backend=backend, window_pad=args.window_pad) for backend in ("hermite", "natural2")]
+    # one necessity pass over every (set, extension) pair and one sharp-maximal pass over the sets;
+    # the necessity functional is the variational form, as the sets have m+1..10 points
+    necessity = verify_necessities(sets, [[extend(s, cfg) for cfg in configs] for s in sets], m, p, args.tol)
+    wmfs = wmf_functionals(sets, m, p, GridSpec(args.grid_h if args.grid_h else 0.25))
+    rows, ratios = [], []
+    for idx, (inst, tilde, wmf) in enumerate(zip(instances, tildes, wmfs)):
+        hermite, natural2 = necessity[2 * idx : 2 * idx + 2]
+        values = (hermite.functional, hermite.extension_norm, natural2.extension_norm, wmf.value)
+        ratios.append([tilde / values[0] if values[0] else 0.0, *(v / tilde if tilde else 0.0 for v in values[1:])])
+        rows.append([str(idx), str(m), _fmt(p), str(len(inst.samples)), *map(_fmt, (inst.span, tilde, *values, *ratios[-1]))]
+                    + ["pass" if r.passed else "fail" for r in (hermite, natural2)])
     for tag, agg in (("min", min), ("max", max)):
-        rows.append(
-            [tag, str(m), _fmt(p), "", "", "", "", "", "", ""]
-            + [_fmt(agg(ratios[name])) for name in _RATIO_COLUMNS]
-            + ["", ""]
-        )
+        rows.append([tag, str(m), _fmt(p), "", "", "", "", "", "", ""] + [_fmt(agg(col)) for col in zip(*ratios)] + ["", ""])
     write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -40,7 +40,7 @@ from .functionals import (
 )
 from .piecewise import PiecewisePolynomial, scalar_powers
 from .samples import MIN_GAP, SampledFunction
-from .splines import MAX_ORDER, NormReport, anchored_min_energy_spline, sobolev_norm
+from .splines import MAX_ORDER, anchored_min_energy_spline, sobolev_norms
 
 #: Gaps wider than this receive lattice points.
 LONG_GAP = 4.0
@@ -251,22 +251,29 @@ def verify_necessity(
     Failure of the inequality on a valid pair indicates a bug, not an unlucky
     input.
     """
-    work = pad_small_set(s, m) if p != math.inf and len(s) <= m else s
-    scale = 1.0 + max(abs(v) for v in s.values)
-    residual = float(np.max(np.abs(F(np.asarray(work.points)) - np.asarray(work.values))))
-    if not residual <= 1e-9 * scale:
-        data = "the samples" if work is s else f"the samples padded with zeros to {m + 1} points"
-        raise InvalidInputError(
-            f"F does not interpolate {data}: residual {residual:.3e} exceeds "
-            f"{1e-9 * scale:.3e}"
-        )
-    feasible = p == math.inf or variational_feasible(len(work), m)
-    functional = variational_functional if feasible else sequence_functional
-    report = functional(work, m, p)
-    norm: NormReport = sobolev_norm(F, m, p, quad_tol)
-    factor = necessity_bound_factor(m, p)
-    n_val = report.value
-    w_val = norm.w_norm
-    passed = n_val <= factor * w_val + 1e-12 * (1.0 + n_val)
-    ratio = n_val / w_val if w_val > 0 else 0.0
-    return NecessityReport(n_val, report.kind, w_val, factor, ratio, passed)
+    return verify_necessities([s], [[F]], m, p, quad_tol)[0]
+
+
+def verify_necessities(sets, extensions, m: int, p: float, quad_tol: float = 1e-10) -> list[NecessityReport]:
+    """:func:`verify_necessity` of every set against each of its extensions,
+    ``extensions[i]`` those of ``sets[i]``, in that order: each set's
+    functional is computed once, and every norm in one :func:`sobolev_norms` call."""
+    functionals = []
+    for s, Fs in zip(sets, extensions):
+        work = pad_small_set(s, m) if p != math.inf and len(s) <= m else s
+        scale = 1.0 + max(abs(v) for v in s.values)
+        for F in Fs:
+            residual = float(np.max(np.abs(F(np.asarray(work.points)) - np.asarray(work.values))))
+            if not residual <= 1e-9 * scale:
+                data = "the samples" if work is s else f"the samples padded with zeros to {m + 1} points"
+                raise InvalidInputError(f"F does not interpolate {data}: residual {residual:.3e} exceeds {1e-9 * scale:.3e}")
+        feasible = p == math.inf or variational_feasible(len(work), m)
+        functionals += [(variational_functional if feasible else sequence_functional)(work, m, p)] * len(Fs)
+    norms = sobolev_norms([F for Fs in extensions for F in Fs], m, p, quad_tol)
+    factor, reports = necessity_bound_factor(m, p), []
+    for report, norm in zip(functionals, norms):
+        n_val, w_val = report.value, norm.w_norm
+        passed = n_val <= factor * w_val + 1e-12 * (1.0 + n_val)
+        ratio = n_val / w_val if w_val > 0 else 0.0
+        reports.append(NecessityReport(n_val, report.kind, w_val, factor, ratio, passed))
+    return reports

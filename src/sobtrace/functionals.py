@@ -174,7 +174,12 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
     if len(s) < m + 1:
         raise HypothesisViolationError(f"the variational functional for finite p needs at least m+1 = {m + 1} points, "
                                        f"got {len(s)}; route small sets through the max-of-differences small-set functional")
-    table = subset_differences(s.points, s.values, m)
+    return _variational_from_table(s, m, p, subset_differences(s.points, s.values, m))
+
+
+def _variational_from_table(s: SampledFunction, m: int, p: float, table) -> FunctionalReport:
+    """The finite-p :func:`variational_functional` of a set with at least m+1 points, within
+    :func:`variational_feasible`, from its ``subset_differences(points, values, m)``."""
     with np.errstate(over="ignore"):  # an overflowing sum wins the path, and its sequence functional refuses it
         prefix = [np.abs(table[0][1]) ** p]  # sum of |D^k f|^p on the first k+1 points of S
         for _, d, lo, _ in table[1:]:

@@ -49,6 +49,14 @@ def polynomial_eval_rows(coeffs, t) -> np.ndarray:
     return out
 
 
+def join(arrays, offsets=None) -> np.ndarray:
+    """The arrays laid end to end, each plus its offset if ``offsets`` is given;
+    a single array is returned as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays if offsets is None else [a + o for a, o in zip(arrays, offsets)])
+
+
 def scalar_powers(h, width: int) -> np.ndarray:
     """Table of h_i**k for k < width, each through Python's float power,
     evaluated once per distinct h_i.  numpy's vectorised power can differ

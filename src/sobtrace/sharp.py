@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError, UnsupportedError
-from .functionals import FunctionalReport, _power_sum, effective_order, require_feasible, subset_differences
+from .functionals import VARIATIONAL_BUDGET, FunctionalReport, _power_sum, effective_order, require_feasible, subset_differences
+from .piecewise import join
 from .samples import SampledFunction
 
 #: Most cells a grid may have; the default spacing follows the closest pair of
@@ -64,7 +65,7 @@ def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.nda
     raise SizeCapError.
     """
     _check_args(s, m, k)
-    return _profile(s, subset_differences(s.points, s.values, k)[k][:2], k == m, _nodes(s, xs))
+    return _profile(np.asarray(s.points), subset_differences(s.points, s.values, k)[k][:2], k == m, _nodes(s, xs))
 
 
 def _nodes(s: SampledFunction, xs):
@@ -83,26 +84,31 @@ def _nodes(s: SampledFunction, xs):
     return order, x[1:-1], *(np.searchsorted(c, np.arange(len(xs)), "right") for c in counts[::-1])
 
 
-def _profile(s: SampledFunction, top_order, damped: bool, nodes) -> np.ndarray:
-    """:func:`profile_values` from the order's (subsets, differences) at the :func:`_nodes`.
+def _steps(x: np.ndarray) -> np.ndarray:
+    """``np.diff(x, prepend=-1)`` of non-negative integers, without its overhead on short arrays."""
+    return x - np.concatenate(([-1], x[:-1]))
+
+
+def _profile(pts: np.ndarray, top_order, damped: bool, nodes) -> np.ndarray:
+    """:func:`profile_values` on samples at ``pts`` from the order's (subsets, differences) at the :func:`_nodes`.
     The largest |D f[S]| is kept per sample j in S, if ``damped`` per (j, min S, max S): the
     damping sees only the ends of S and fl(d r) is monotone in d, so the maxima are exact.
     Sorted by sample, they give each node one slice, reduced in blocks of about 2^18 elements:
     one (entries x nodes) array per run of nodes reading one slice past 750 elements per run, as
     on fine grids, else the slices laid end to end for ``np.maximum.reduceat``."""
     (order, xsort, first_sample, end_sample), (W, dds) = nodes, top_order
-    out, n, pts = np.zeros(len(xsort)), len(s), np.asarray(s.points)
+    out, n = np.zeros(len(xsort)), len(pts)
     key = ((W * n + W[:, :1]) * n + W[:, -1:] if damped else W).ravel()  # (member, first, last) triples
     at = np.argsort(key, kind="stable")
     key, cand = key[at], np.repeat(np.abs(dds), W.shape[1])[at]
-    new = np.flatnonzero(np.diff(key, prepend=-1))
+    new = np.flatnonzero(_steps(key))
     key, best = key[new], np.maximum.reduceat(cand, new)[:, None]
     first, last = pts[key // n % n, None], pts[key % n, None]
     start = np.searchsorted(key // n**2 if damped else key, np.arange(n + 1))  # the entries of each sample
     lo, size = start[first_sample], start[end_sample] - start[first_sample]
     def cands(e, x):  # the entries e at the nodes x
         return best[e] * ((last[e] - first[e]) / (np.maximum(last[e], x) - np.minimum(first[e], x))) if damped else best[e]
-    runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(size, prepend=-1))  # nodes reading one slice
+    runs = np.flatnonzero(_steps(lo) | _steps(size))  # nodes reading one slice
     total = np.concatenate([[0], np.cumsum(size)])
     if total[-1] > 750 * len(runs):  # the timed crossover: a Python step per run beats per-element gathers
         for q0, q1 in itertools.pairwise(np.append(runs, len(lo))):
@@ -172,13 +178,37 @@ def wmf_functional(
     the profiles vanish outside [min E - 1, max E + 1], so the integration
     window is exactly that interval.  Defined for finite p only.
     """
+    return wmf_functionals([s], m, p, grid_spec)[0]
+
+
+def wmf_functionals(sets, m: int, p: float, grid_spec: GridSpec | None = None, tables=None) -> list[FunctionalReport]:
+    """:func:`wmf_functional` of every set, each order's profile one reduction over a run of sets,
+    closed once their tables pass ``VARIATIONAL_BUDGET`` rows: laid end to end, coordinates as they are,
+    table and node-run indices offset by the samples before and nodes by the nodes before, so
+    every value is the exact maximum of the single call.  ``tables`` may hold each set's
+    ``subset_differences(points, values, m)``."""
     if p == math.inf:
         raise UnsupportedError("the sharp-maximal criterion is defined for finite p only")
     if not p > 1:
         raise InvalidInputError(f"p must lie in (1, inf), got {p}")
-    edges = grid_edges(s, grid_spec)
-    mids, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
-    _check_args(s, m, 0)
-    table, nodes = subset_differences(s.points, s.values, m), _nodes(s, mids)  # shared by every order
-    total = sum(_power_sum(widths, _profile(s, table[k][:2], k == m, nodes), p) for k in range(m + 1))
-    return FunctionalReport(m, p, total, "sharp_maximal", effective_order(s, m))
+    values, group, rows = [], [], 0
+    for i, s in enumerate(sets):
+        edges = grid_edges(s, grid_spec)
+        _check_args(s, m, 0)
+        table = tables[i] if tables else subset_differences(s.points, s.values, m)
+        group.append((np.asarray(s.points), np.diff(edges), table, _nodes(s, 0.5 * (edges[:-1] + edges[1:]))))
+        rows += sum(len(W) for W, *_ in table)
+        if i + 1 < len(sets) and rows <= VARIATIONAL_BUDGET:
+            continue
+        starts, cuts = (list(itertools.accumulate((len(g[j]) for g in group), initial=0)) for j in (0, 1))
+        # the nodes' (order, xsort, first, end): order offset by the nodes before, the sample runs by the samples before
+        nodes = [join(a, o) for a, o in zip(zip(*(g[3] for g in group)), (cuts, [0] * len(cuts), starts, starts))]
+        pts, totals = join([g[0] for g in group]), [0.0] * len(group)
+        for k in range(m + 1):
+            W, D = join([g[2][k][0] for g in group], starts), join([g[2][k][1] for g in group])
+            out = _profile(pts, (W, D), k == m, nodes)
+            for j, g in enumerate(group):
+                totals[j] += _power_sum(g[1], out[cuts[j] : cuts[j + 1]], p)
+        values += totals
+        group, rows = [], 0
+    return [FunctionalReport(m, p, v, "sharp_maximal", effective_order(s, m)) for s, v in zip(sets, values)]

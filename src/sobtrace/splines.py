@@ -1,10 +1,12 @@
 """L^p norms of piecewise polynomials and minimal-energy interpolating splines.
 
 Quadrature policy.  ``sobolev_norm`` integrates F and its derivatives up to
-order m in one pass (``lp_norm`` is the case m = 0): F's non-zero pieces are
-differentiated order by order in one table, scaled once to the coordinate
-s = t/h on [0, 1], and the table's non-zero rows are integrated in batches
-and summed per order:
+order m in one pass (``lp_norm`` is the case m = 0, ``sobolev_norms`` the
+pass over many F): F's non-zero pieces are differentiated order by order in
+one table, scaled once to the coordinate s = t/h on [0, 1].  The tables'
+non-zero rows are integrated in chunks of whole F's of one width, up to
+``_CHUNK`` rows (an F with more is cut alone, as in its own call), and summed
+per F and order in their order, so a batch gives each F's report bit for bit:
 
 * even integer p: |q|^p is a polynomial, so one Gauss-Legendre rule of
   sufficient order is exact; one Horner pass evaluates every piece at once;
@@ -28,9 +30,9 @@ and summed per order:
   of its tolerance: at the peak of a steep |q|^p the rounding of the values
   can exceed a panel's share at any depth, and the margin leaves room for
   the rounding of the coefficients, which the differences do not show.
-  NumericalFailureError is raised when a value is not finite,
-  when a step leaves more failing panels than the first pass had
-  subintervals, or past 48 steps;
+  NumericalFailureError is raised when a value is not finite, when a step
+  leaves more failing panels of one F than its first pass had subintervals,
+  or past 48 steps;
 * p = inf: the largest |q| over the piece ends and the real critical points.
 """
 
@@ -47,6 +49,7 @@ from .divdiff import lagrange_polynomial
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError
 from .piecewise import (
     PiecewisePolynomial,
+    join,
     polynomial_derivative,
     polynomial_eval_rows,
     scalar_powers,
@@ -135,8 +138,8 @@ class NormReport:
 def _degrees(C: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     """Degree of each coefficient row, ignoring top coefficients of modulus at
     most ``rtol`` times the row's largest (0 for an all-zero row)."""
-    big = np.abs(C) > rtol * np.max(np.abs(C), axis=1, keepdims=True)
-    return np.where(big.any(axis=1), C.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
+    big = np.abs(C) > rtol * np.abs(C).max(axis=1, keepdims=True)
+    return np.where(big.any(axis=1), C.shape[1] - 1 - big[:, ::-1].argmax(axis=1), 0)
 
 
 def _roots(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,12 +176,13 @@ def _root_split(C: np.ndarray):
     are sought, so that a multiple zero at an end does not scatter into spurious roots beside
     it.  A row with a zero at s = 1 is searched in u = s - 1, the others in s, in one solve."""
     K = len(C)
-    tiny = _ZERO_TAYLOR * np.max(np.abs(C), axis=1, keepdims=True)
-    k0 = np.argmax(np.abs(C) > tiny, axis=1)
+    tiny = _ZERO_TAYLOR * np.abs(C).max(axis=1, keepdims=True)
+    k0 = (np.abs(C) > tiny).argmax(axis=1)
     reduced = _drop_leading(C, k0)
     # Taylor coefficients at s = 1, in u = s - 1, of the rows and of their reduced forms
-    at_one, reduced_at_one = np.split(shift_polynomial(np.vstack([C, reduced]), 1.0), 2)
-    k1 = np.minimum(np.argmax(np.abs(at_one) > tiny, axis=1), _degrees(C) - k0)
+    at_one = shift_polynomial(np.vstack([C, reduced]), 1.0)
+    at_one, reduced_at_one = at_one[:K], at_one[K:]
+    k1 = np.minimum((np.abs(at_one) > tiny).argmax(axis=1), _degrees(C) - k0)
     reduced = np.where((k1 > 0)[:, None], _drop_leading(reduced_at_one, k1), reduced)
     z, real = _roots(reduced)
     r, c = np.nonzero(real | ((z.imag > 0.0) & (z.imag <= _NEAR_REAL)))
@@ -220,17 +224,18 @@ def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.nd
             q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
             for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
                 values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalFailureError(f"the integral of |q|^{p} is not finite")
     return out[0], out[1]
 
 
-def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarray:
+def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float, group: np.ndarray) -> np.ndarray:
     """Integral of |q_i|^p over [0, 1] for each row i of C, fractional p,
-    to within quad_tol relative (see the module docstring)."""
+    to within quad_tol relative (see the module docstring).  The growth guard
+    counts the panels of each ``group`` of rows (one F) on its own."""
     row, a, b, left, right, roots = _root_split(C)
     low, high = _jacobi_pair(C, p, row, a, b, left, right)
-    total, spent, most = np.zeros(len(C)), np.zeros(len(C)), len(row)
+    total, spent, most = np.zeros(len(C)), np.zeros(len(C)), np.bincount(group[row])
     for depth in range(_MAX_DEPTH + 1):
         # the row's integral: the kept panels and the larger value of each panel in play
         tol = quad_tol * (total + np.bincount(row, np.maximum(low, high), minlength=len(C)))
@@ -240,13 +245,16 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float) -> np.ndarra
         bad = (diff > (b - a) * tol[row]) & ~settled[row]
         spent += np.bincount(row[~bad], diff[~bad], minlength=len(C))
         total += np.bincount(row[~bad], high[~bad], minlength=len(C))
-        failing = np.count_nonzero(bad)
-        if not failing:
+        failing = np.bincount(group[row[bad]], minlength=len(most))
+        if not failing.any():
             return total
-        if failing > most or depth == _MAX_DEPTH:
+        over = failing > most
+        if over.any() or depth == _MAX_DEPTH:
+            g = np.argmax(over if over.any() else failing)  # an F past the guard, else the most failing
             raise NumericalFailureError(
-                f"the integral of |q|^{p} does not reach quad_tol = {quad_tol:g}: {failing} of {len(row)} "
-                f"panels fail after {depth} refinements, against limits of {most} and {_MAX_DEPTH}"
+                f"the integral of |q|^{p} does not reach quad_tol = {quad_tol:g}: {failing[g]} of "
+                f"{np.count_nonzero(group[row] == g)} panels fail after {depth} refinements, against limits of "
+                f"{most[g]} and {_MAX_DEPTH}"
             )
         # cut each failing panel at t -+ d 2^j, d the distance to the nearest root of
         # its row off the panel and t its projection onto it, or else at its midpoint
@@ -299,59 +307,75 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
     table that overflows raises NumericalFailureError.  Its non-zero piece
     rows, each with its order's index, are integrated ``_CHUNK`` rows at a
     time and summed per order.  The tails, p and quad_tol follow the rules
-    of :func:`lp_norm`.
+    of :func:`lp_norm`; :func:`sobolev_norms` is the same pass over many F.
     """
+    return sobolev_norms([F], m, p, quad_tol)[0]
+
+
+def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormReport]:
+    """:func:`sobolev_norm` of every F in ``Fs``, in one pass over all their tables
+    (see the module docstring); every report and refusal is the single call's."""
     if m < 0:
         raise InvalidInputError("m must be nonnegative")
     if not p >= 1:
         raise InvalidInputError(f"p must be in [1, inf], got {p}")
     if not quad_tol >= 0:
         raise InvalidInputError(f"quad_tol must be non-negative, got {quad_tol}")
-    if p != math.inf and not F.has_zero_tails():
-        raise NonintegrableError(
-            "finite-p norm requires identically zero tails; differentiate away "
-            "polynomial tails first or restrict to a compactly supported function"
-        )
-    # the non-zero pieces, then the two tails, differentiated in t order by
-    # order and scaled to s = t/h once (h = 1 for the tails)
-    keep = np.flatnonzero(np.any(F.coefficients != 0.0, axis=1))
-    h = np.concatenate([np.diff(F.breakpoints)[keep], [1.0, 1.0]])
-    rows = np.vstack([F.coefficients[keep], F.left_tail, F.right_tail])
-    width = int(np.flatnonzero(rows.any(axis=0)).max(initial=0)) + 1
-    table = np.zeros((m + 1, len(h), width))
-    table[0] = rows[:, :width]
-    for k in range(m):
-        table[k + 1, :, : width - 1] = polynomial_derivative(table[k])[:, : width - 1]
-    table *= h[:, None] ** np.arange(width)
-    if not np.all(np.isfinite(table)):
-        raise NumericalFailureError("the derivatives' scaled coefficients overflow")
-    tails, table = table[:, -2:], table[:, :-2]
-    live = np.any(table != 0.0, axis=2)
-    C, h = table[live], np.broadcast_to(h[:-2], live.shape)[live]
-    order = np.nonzero(live)[0]
+    tails, chunks = [], []  # a chunk: [rows, [(C, h, F index * (m+1) + order) of each F]]
+    for i, F in enumerate(Fs):
+        if p != math.inf and not F.has_zero_tails():
+            raise NonintegrableError("finite-p norm requires identically zero tails; differentiate away "
+                                     "polynomial tails first or restrict to a compactly supported function")
+        # the non-zero pieces, then the two tails, differentiated in t order by
+        # order and scaled to s = t/h once (h = 1 for the tails)
+        keep = (F.coefficients != 0.0).any(axis=1).nonzero()[0]
+        h = np.concatenate([np.diff(F.breakpoints)[keep], [1.0, 1.0]])
+        rows = np.concatenate([F.coefficients[keep], [F.left_tail, F.right_tail]])
+        width = int(rows.any(axis=0).nonzero()[0].max(initial=0)) + 1
+        table = np.zeros((m + 1, len(h), width))
+        table[0] = rows[:, :width]
+        for k in range(m):
+            table[k + 1, :, : width - 1] = polynomial_derivative(table[k])[:, : width - 1]
+        table *= h[:, None] ** np.arange(width)
+        if not np.isfinite(table).all():
+            raise NumericalFailureError("the derivatives' scaled coefficients overflow")
+        tails.append(table[:, -2:])
+        live = (table[:, :-2] != 0.0).any(axis=2)
+        C, h, bins = table[:, :-2][live], np.broadcast_to(h[:-2], live.shape)[live], i * (m + 1) + np.nonzero(live)[0]
+        if chunks and chunks[-1][0] + len(C) <= _CHUNK and chunks[-1][1][0][0].shape[1] == width:
+            chunks[-1][0] += len(C)
+            chunks[-1][1].append((C, h, bins))
+        else:  # a chunk past _CHUNK rows takes no more
+            chunks += [[min(len(C), _CHUNK + 1), [(C[lo : lo + _CHUNK], h[lo : lo + _CHUNK], bins[lo : lo + _CHUNK])]]
+                       for lo in range(0, len(C), _CHUNK)]
+    bins_total = len(Fs) * (m + 1)
     if p == math.inf:
-        norms = np.zeros(m + 1)
-        for lo in range(0, len(C), _CHUNK):
-            np.maximum.at(norms, order[lo : lo + _CHUNK], _unit_sup(C[lo : lo + _CHUNK]))
-        constant = ~np.any(tails[:, :, 1:], axis=(1, 2))  # a non-constant tail is unbounded
-        norms = np.where(constant, np.maximum(norms, np.abs(tails[:, :, 0]).max(axis=1)), math.inf)
+        norms = np.zeros(bins_total)
+        for _, parts in chunks:
+            C, _, bins = map(join, zip(*parts))
+            np.maximum.at(norms, bins, _unit_sup(C))
+        norms = norms.reshape(-1, m + 1)
+        for i, tail in enumerate(tails):
+            constant = ~np.any(tail[:, :, 1:], axis=(1, 2))  # a non-constant tail is unbounded
+            norms[i] = np.where(constant, np.maximum(norms[i], np.abs(tail[:, :, 0]).max(axis=1)), math.inf)
     else:
-        q, totals = int(p), np.zeros(m + 1)
-        for lo in range(0, len(C), _CHUNK):
-            rows, part = C[lo : lo + _CHUNK], slice(lo, lo + _CHUNK)
+        q, totals = int(p), np.zeros(bins_total)
+        for _, parts in chunks:
+            rows, h, bins = map(join, zip(*parts))
             if p != q:
-                integrals = _fractional_integrals(rows, p, quad_tol)
+                integrals = _fractional_integrals(rows, p, quad_tol, bins // (m + 1))
             elif q % 2:  # exact where q keeps its sign
                 row, a, b, *_ = _root_split(rows)
                 integrals = np.bincount(row, np.abs(_power_integrals(rows[row], q, a, b)), minlength=len(rows))
             else:
                 integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
-            totals += np.bincount(order[part], h[part] * integrals, minlength=m + 1)
-        if not np.all(np.isfinite(totals)):
-            raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {totals.max()}")
-        norms = [float(t) ** (1.0 / p) for t in totals]
-    lp = tuple(float(v) for v in norms)
-    return NormReport(lp, sum(lp), lp[-1])
+            totals += np.bincount(bins, h * integrals, minlength=bins_total)
+        norms = totals.reshape(-1, m + 1)
+        for t in norms:
+            if not np.isfinite(t).all():
+                raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {t.max()}")
+        norms = [[float(t) ** (1.0 / p) for t in row] for row in norms]
+    return [NormReport(lp, sum(lp), lp[-1]) for lp in (tuple(float(v) for v in row) for row in norms)]
 
 
 # --------------------------------------------------------------------------

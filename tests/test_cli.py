@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sobtrace import PiecewisePolynomial, cli, extension
+from sobtrace import PiecewisePolynomial, cli, extension, functionals, sharp, splines
 from sobtrace.cli import main
 
 
@@ -163,10 +163,10 @@ def test_compare_determinism_and_bounds(tmp_path, monkeypatch):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = ["--command", "compare", "--m", "1", "--p", "2", "--seed", "11"]
-    calls = []
-    for module in (cli, extension):
-        norm = module.sobolev_norm
-        monkeypatch.setattr(module, "sobolev_norm", lambda *a, norm=norm: calls.append(1) or norm(*a))
+    calls = []  # the extensions of each norm call, single calls included
+    for module in (splines, extension):
+        norms = module.sobolev_norms
+        monkeypatch.setattr(module, "sobolev_norms", lambda Fs, *a, norms=norms: calls.append(len(Fs)) or norms(Fs, *a))
     assert main(args + ["--out", str(out1)]) == 0
     monkeypatch.undo()
     assert main(args + ["--out", str(out2)]) == 0
@@ -178,7 +178,7 @@ def test_compare_determinism_and_bounds(tmp_path, monkeypatch):
     i_nn = header.index("necessity_natural2")
     data_rows = [l.split(",") for l in lines[1:] if not l.startswith(("min", "max"))]
     assert data_rows
-    assert len(calls) == 2 * len(data_rows)  # one norm per backend and instance
+    assert calls == [2 * len(data_rows)]  # one norm per backend and instance, all in one call
     for row in data_rows:
         assert float(row[i_ratio]) <= 1.0 + 1e-12
         assert row[i_nh] == "pass" and row[i_nn] == "pass"
@@ -191,6 +191,24 @@ def test_check_determinism(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("p", ["1.5", "2", "3"])
+def test_finite_p_check_builds_one_subset_table(tmp_path, monkeypatch, p):
+    inp = write_json_input(tmp_path / "in.json", [0, 0.7, 2.1, 3.3, 6.0], [0.3, -1.2, 0.8, 0.1, 2.0])
+    args = ["--command", "check", "--input", inp, "--m", "2", "--p", p, "--grid-h", "0.25"]
+    with monkeypatch.context() as patch:  # each functional builds its own table, as the public calls do
+        patch.setattr(cli, "_variational_from_table", lambda s, m, p, table: functionals.variational_functional(s, m, p))
+        patch.setattr(cli, "wmf_functionals", lambda sets, m, p, spec, tables: sharp.wmf_functionals(sets, m, p, spec))
+        assert main(args + ["--out", str(tmp_path / "own.json")]) == 0
+    calls = []
+    for module in (functionals, sharp, cli):
+        table = module.subset_differences
+        monkeypatch.setattr(module, "subset_differences", lambda *a, table=table: calls.append(1) or table(*a))
+    assert main(args + ["--out", str(tmp_path / "shared.json")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "own.json").read_bytes()
+    assert {"variational", "sharp_maximal"} <= set(json.loads((tmp_path / "shared.json").read_text())["functionals"])
 
 
 def test_bad_p_rejected(tmp_path):

@@ -23,6 +23,7 @@ from sobtrace import (
     pad_small_set,
     splines,
     support_pad,
+    verify_necessities,
     verify_necessity,
     zero_extend,
 )
@@ -285,6 +286,22 @@ def test_verify_necessity_small_set_is_padded(backend):
     assert rep.passed
     assert rep.functional_kind == "variational"
     assert 0 < rep.ratio <= rep.bound_factor
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+def test_verify_necessities_equal_single_calls(p):
+    # each set's functional once and every norm in one batched call give the
+    # reports of the one-pair calls, small (padded) sets included; a pair
+    # that does not interpolate is refused as by the one-pair call
+    rng = np.random.default_rng(31)
+    sets = [random_sampled_function(rng, size, 10.0) for size in (1, 2, 3, 5, 8, 12)]
+    for m in (1, 2, 3):
+        extensions = [[extend(s, ExtensionConfig(m=m, backend=b)) for b in ("hermite", "natural2")] for s in sets]
+        expected = [verify_necessity(s, F, m, p) for s, Fs in zip(sets, extensions) for F in Fs]
+        assert verify_necessities(sets, extensions, m, p) == expected
+        assert all(rep.passed for rep in expected)
+    with pytest.raises(InvalidInputError, match="does not interpolate"):
+        verify_necessities(sets[:2], [extensions[0], extensions[0]], 3, p)
 
 
 def test_verify_necessity_small_set_rejects_missing_padding_zero():

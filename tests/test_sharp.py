@@ -11,10 +11,12 @@ from sobtrace import (
     UnsupportedError,
     lagrange_polynomial,
     wmf_functional,
+    wmf_functionals,
 )
 from sobtrace import sharp
 from sobtrace.sharp import grid_edges, profile_values
 from conftest import make_samples
+from sobtrace.corpus import random_sampled_function
 from oracles import sharp_value
 
 
@@ -180,3 +182,22 @@ def test_sharp_rejects_bad_order(rng):
         profile_values(s, 2, 3, [0.0])
     with pytest.raises(InvalidInputError):
         profile_values(s, 0, 0, [0.0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_wmf_functionals_equal_single_calls(m):
+    # the sets share one profile reduction per order, laid end to end with
+    # their coordinates unshifted, so every exact maximum, and each set's
+    # power sum, is that of its own call
+    rng = np.random.default_rng(20 + m)
+    sets = [random_sampled_function(rng, size, float(rng.choice([2.0, 10.0, 50.0]))) for size in range(1, 13)]
+    sets += [sets[4].shifted(100.0), SampledFunction((0.0, 1.0), (0.0, 0.0))]
+    rng.shuffle(sets)
+    for p, h in ((1.5, 0.25), (2.0, 0.05), (3.0, 0.1)):
+        batch = wmf_functionals(sets, m, p, GridSpec(h))
+        assert batch == [wmf_functional(s, m, p, GridSpec(h)) for s in sets]
+        assert wmf_functionals(sets[:1], m, p, GridSpec(h)) == batch[:1]
+    # sets past the budget of one reduction take the next
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharp, "VARIATIONAL_BUDGET", 50)
+        assert wmf_functionals(sets, m, 2.0, GridSpec(0.05)) == [wmf_functional(s, m, 2.0, GridSpec(0.05)) for s in sets]

@@ -26,6 +26,7 @@ from sobtrace import (
     lp_norm,
     natural_spline_min_energy,
     sobolev_norm,
+    sobolev_norms,
 )
 from sobtrace import splines
 from sobtrace.corpus import random_sampled_function
@@ -376,6 +377,55 @@ def test_batched_sobolev_norm_raises_as_oracle():
         for norm in (sobolev_norm, oracles.sobolev_norm):
             with pytest.raises(error):
                 norm(*args)
+
+
+def _random_extensions(rng, m, count):
+    """Extensions of corpus-style sets of 1-12 points at order m, both backends."""
+    sets = [random_sampled_function(rng, int(rng.integers(1, 13)), float(rng.choice([2.0, 10.0, 50.0]))) for _ in range(count)]
+    return [extend(s, ExtensionConfig(m=m, backend=backend)) for s in sets for backend in ("hermite", "natural2")]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5, 4.5, INF])
+def test_sobolev_norms_equal_single_calls(p):
+    # whole F's share a chunk, and each F's rows are integrated and summed as
+    # in its own call, so a batch gives every single report bit for bit: 120
+    # random extensions (m 1-3, both backends), an all-zero F, and an F whose
+    # 2,000-odd rows exceed a chunk between two short ones
+    rng = np.random.default_rng(11)
+    zero = PiecewisePolynomial([0.0, 1.0, 2.0], np.zeros((2, 4)))
+    for m in (1, 2, 3):
+        Fs = _random_extensions(rng, m, 20)
+        Fs.insert(7, zero)
+        if m == 1:
+            long = extend(random_sampled_function(rng, 1100, 1100.0), ExtensionConfig(m=1))
+            assert 2 * (long.coefficients != 0).any(axis=1).sum() > splines._CHUNK
+            Fs[3:3] = [long]
+        assert sobolev_norms(Fs, m, p) == [sobolev_norm(F, m, p) for F in Fs]
+    assert sobolev_norms([], 2, p) == []
+
+
+def test_sobolev_norms_refuse_as_single_calls():
+    rng = np.random.default_rng(5)
+    Fs = _random_extensions(rng, 1, 2)
+    huge = PiecewisePolynomial([0.0, 1.0], [[1e200, 0.0, 1e300]])  # its integral overflows
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(NumericalFailureError):
+            sobolev_norms(Fs[:2] + [huge] + Fs[2:], 1, p)
+    # the growth guard of the fractional quadrature counts each F's panels: at
+    # p = 1.1 and quad_tol = 1e-15 this quartic, with three complex pairs near
+    # the axis, fails 5 graded panels after 3 first-pass subintervals; the two
+    # benign F's of its chunk pass alone, and their 60-odd subintervals would
+    # let a guard counted over the chunk refine it further
+    bad = PiecewisePolynomial([0.0, 1.0], [[0.012629490126605544, -0.2440445680171576, 1.403704156121127, -2.1715820513738056, 1.0]])
+    benign = [PiecewisePolynomial(np.arange(21.0), rng.standard_normal((20, 5))) for _ in range(2)]
+    for F in benign:
+        lp_norm(F, 1.1, 1e-15)
+    with pytest.raises(NumericalFailureError) as single:
+        lp_norm(bad, 1.1, 1e-15)
+    assert "5 of 47 panels fail after 1 refinements, against limits of 3" in str(single.value)
+    with pytest.raises(NumericalFailureError) as batch:
+        sobolev_norms(benign + [bad], 0, 1.1, 1e-15)
+    assert str(batch.value) == str(single.value)
 
 
 def test_sobolev_norm_makes_one_root_split(monkeypatch):
