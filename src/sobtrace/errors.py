@@ -24,7 +24,8 @@ class SizeCapError(InvalidInputError):
     that the finite-p inhomogeneous variational form and the sharp profiles
     share (``VARIATIONAL_BUDGET``; the other variational forms are sequence
     forms and never refuse) and the cells of a profile grid or an
-    extension sampling (``sharp.MAX_GRID_CELLS``).
+    extension sampling, or the points of an extension's gap lattice
+    (``sharp.MAX_GRID_CELLS``, one million).
     """
 
 

@@ -9,7 +9,7 @@ with a piecewise polynomial of degree at most 2m-1 joining C^{m-1}:
 
 * ``hermite`` assigns a jet to every merged knot (zero at lattice knots; at
   a data knot, the derivatives of the polynomial through its m nearest data
-  points, whose windows one two-pointer pass finds and whose Newton
+  points, whose windows one array pass finds and whose Newton
   coefficients are columns of one divided-difference table) and places the
   unique two-point Hermite piece on each knot interval.  The pieces with a non-zero
   end jet are solved together against one fixed m x m matrix; the others
@@ -31,16 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _expand_newton, divided_difference_rows
-from .errors import InvalidInputError, NumericalFailureError, UnsupportedError
+from .errors import InvalidInputError, NumericalFailureError, SizeCapError, UnsupportedError
 from .functionals import (
     pad_small_set,
     sequence_functional,
     variational_feasible,
     variational_functional,
 )
-from .piecewise import PiecewisePolynomial, scalar_powers
+from .piecewise import PiecewisePolynomial
 from .samples import MIN_GAP, SampledFunction
-from .splines import MAX_ORDER, anchored_min_energy_spline, sobolev_norms
+from .sharp import MAX_GRID_CELLS
+from .splines import MAX_ORDER, _perm_table, anchored_min_energy_spline, sobolev_norms
 
 #: Gaps wider than this receive lattice points.
 LONG_GAP = 4.0
@@ -105,22 +106,24 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
     get points at spacing exactly 2, marching outward from the data until the
     window edge.  The result keeps distance >= 2 from the data, has pairwise
     separation >= 2, and leaves no window point farther than 2 from data
-    plus lattice.
+    plus lattice.  Non-finite points raise InvalidInputError, and a lattice
+    of more than ``MAX_GRID_CELLS`` points raises SizeCapError.
     """
-    pts = tuple(float(x) for x in points)
-    if not pts:
-        raise InvalidInputError("at least one point is required")
-    if any(b - a <= 0 for a, b in zip(pts, pts[1:])):
-        raise InvalidInputError("points must be strictly increasing")
-    n_left = math.floor(cfg.window_pad / EDGE_SPACING)
-    lattice = [pts[0] - EDGE_SPACING * n for n in range(n_left, 0, -1)]
-    for a, b in zip(pts, pts[1:]):
-        width = b - a
-        if width > LONG_GAP:  # a gap can hold thousands of points: one arange
-            n_j = math.floor(width / 2.0)
-            lattice.extend((a + width / n_j * np.arange(1, n_j)).tolist())
-    lattice.extend(pts[-1] + EDGE_SPACING * n for n in range(1, n_left + 1))
-    return GapLattice(tuple(lattice))
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is inf
+        width = pts[1:] - pts[:-1]
+    if not (len(pts) and np.isfinite(pts).all() and (width > 0).all()):
+        raise InvalidInputError("need at least one point; points must be finite and strictly increasing")
+    # n_J - 1 points in each wide gap J, n_edge in each unbounded one: counted in floats first
+    wide = width > LONG_GAP
+    n_j, n_edge = np.floor(width[wide] / 2.0), math.floor(cfg.window_pad / EDGE_SPACING)
+    if (n_j - 1.0).sum() + 2.0 * n_edge > MAX_GRID_CELLS:
+        raise SizeCapError(f"the gap lattice would hold more than {MAX_GRID_CELLS} points")
+    counts = n_j.astype(int) - 1
+    k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    edge = EDGE_SPACING * np.arange(1, n_edge + 1)
+    inner = np.repeat(pts[:-1][wide], counts) + np.repeat(width[wide] / n_j, counts) * k
+    return GapLattice(tuple(np.concatenate([pts[0] - edge[::-1], inner, pts[-1] + edge]).tolist()))
 
 
 def zero_extend(s: SampledFunction, lattice: GapLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -142,16 +145,14 @@ def zero_extend(s: SampledFunction, lattice: GapLattice) -> tuple[np.ndarray, np
 # ----------------------------------------------------------------- hermite
 
 
-def _nearest_windows(points, m: int) -> list[int]:
+def _nearest_windows(points, m: int) -> np.ndarray:
     """Start of the window of the m points nearest to each point (ties
-    broken toward smaller coordinates).  The windows only move right, so two
-    pointers find them all in one pass."""
-    starts, lo = [], 0
-    for t in points:
-        while lo + m < len(points) and abs(points[lo + m] - t) < abs(points[lo] - t):
-            lo += 1
-        starts.append(lo)
-    return starts
+    broken toward smaller coordinates): of the m windows that hold a point,
+    the first whose next point is no nearer than its first, in one array pass."""
+    x, n = np.asarray(points, dtype=float), len(points)
+    lo = np.clip(np.arange(n)[:, None] + np.arange(1 - m, 1), 0, n - m)
+    nearer = np.abs(x[np.minimum(lo + m, n - 1)] - x[:, None]) < np.abs(x[lo] - x[:, None])
+    return lo[np.arange(n), np.argmax((lo + m == n) | ~nearer, axis=1)]
 
 
 @np.errstate(all="ignore")  # an overflow surfaces as a non-finite coefficient
@@ -164,9 +165,10 @@ def _hermite_extend(data: SampledFunction, knots: np.ndarray, m: int) -> Piecewi
     pieces in a single batched solve.  A coefficient that is not finite,
     which includes an h**k that underflows to 0 at high order, raises
     NumericalFailureError."""
-    fact = np.array([math.factorial(k) for k in range(m)], dtype=float)
+    perm = _perm_table(2 * m)[:m]  # derivative ell of s^d at s = 1, rows ell < m
+    fact = perm.diagonal()
     pts = np.asarray(data.points)
-    lo = np.array(_nearest_windows(data.points, m))
+    lo = _nearest_windows(pts, m)
     # column lo of the whole-set table is the Newton form on window lo
     table = divided_difference_rows(data.points, data.values, m - 1)
     newton = np.stack([row[lo] for row in table], axis=1)
@@ -175,13 +177,11 @@ def _hermite_extend(data: SampledFunction, knots: np.ndarray, m: int) -> Piecewi
     jets[np.searchsorted(knots, pts)] = _expand_newton(newton, roots) * fact
     h = np.diff(knots)
     live = np.flatnonzero(jets[:-1].any(axis=1) | jets[1:].any(axis=1))
-    powers = scalar_powers(h[live], m)
+    powers = h[live, None] ** np.arange(m)
     q_low = powers * jets[live] / fact
-    known = np.zeros_like(q_low)
-    for d in range(m):
-        known[:, : d + 1] += fact[d] / fact[d::-1] * q_low[:, d, None]
-    unit = np.array([[math.perm(m + j, ell) for j in range(m)] for ell in range(m)], dtype=float)
-    q_high = np.linalg.solve(unit, (powers * jets[live + 1] - known).T).T
+    # derivatives at s = 1 of the low part, summed over d in order (a matmul rounds otherwise)
+    known = np.cumsum(q_low[:, :, None] * perm[:, :m].T, axis=1)[:, -1]
+    q_high = np.linalg.solve(perm[:, m:], (powers * jets[live + 1] - known).T).T
     coeffs = np.zeros((len(h), 2 * m))
     coeffs[live] = np.hstack([q_low, q_high]) / h[live, None] ** np.arange(2 * m)
     if not np.all(np.isfinite(coeffs[live])):

@@ -57,24 +57,6 @@ def join(arrays, offsets=None) -> np.ndarray:
     return np.concatenate(arrays if offsets is None else [a + o for a, o in zip(arrays, offsets)])
 
 
-def scalar_powers(h, width: int) -> np.ndarray:
-    """Table of h_i**k for k < width, each through Python's float power,
-    evaluated once per distinct h_i.  numpy's vectorised power can differ
-    from it in the last ulp, which would move solutions built on it."""
-    base, which = np.unique(np.asarray(h, dtype=float), return_inverse=True)
-    values = base.tolist()
-    return np.array([[x**k for x in values] for k in range(width)]).reshape(width, -1).T[which]
-
-
-def _pad(c, width: int) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if len(c) == width:
-        return c
-    out = np.zeros(width)
-    out[: len(c)] = c
-    return out
-
-
 class PiecewisePolynomial:
     """Breakpoints b_0 < ... < b_n with one polynomial piece per interval.
 
@@ -114,7 +96,9 @@ class PiecewisePolynomial:
             coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])
         if not np.all(np.isfinite(coef)):
             raise InvalidInputError("non-finite piece coefficients")
-        self._freeze(bp, coef, _pad(lt, width), _pad(rt, width))
+        tails = np.zeros((2, width))
+        tails[0, : len(lt)], tails[1, : len(rt)] = lt, rt
+        self._freeze(bp, coef, *tails)
 
     def _freeze(self, breakpoints, coefficients, left_tail, right_tail) -> "PiecewisePolynomial":
         """Store arrays of one width, already checked, made read-only."""

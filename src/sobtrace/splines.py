@@ -52,7 +52,6 @@ from .piecewise import (
     join,
     polynomial_derivative,
     polynomial_eval_rows,
-    scalar_powers,
     shift_polynomial,
 )
 from .samples import SampledFunction
@@ -200,14 +199,14 @@ def _root_split(C: np.ndarray):
 
 
 def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integral of q_i(s)^p over [a_i, b_i] for each row i of C; an overflow is left to the
-    caller's finite check."""
+    """Exact integral of q_i(s)^p over [a_i, b_i] for each row i of C, each row summed on its own so
+    that the rows batched with it cannot move it; an overflow is left to the caller's finite check."""
     n = max(1, math.ceil(((C.shape[1] - 1) * p + 1) / 2))
     nodes, weights = _gauss(n)
     half = 0.5 * (b - a)
     s = (a + half)[:, None] + half[:, None] * nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        return half * (polynomial_eval_rows(C, s) ** p @ weights)
+        return half * np.einsum("ij,j->i", polynomial_eval_rows(C, s) ** p, weights)
 
 
 def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -389,6 +388,12 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
 # and factored once, at a cost linear in the number of knots.
 
 
+def _perm_table(width: int) -> np.ndarray:
+    """perm(d, l) = d!/(d-l)! at [l, d] for l, d < width, zero for l > d: the
+    l-th derivative of s^d at s = 1, and l! on the diagonal."""
+    return np.array([[math.perm(d, ell) for d in range(width)] for ell in range(width)], dtype=float)
+
+
 def _band_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
     """x with A x = b for A with kl sub- and ku super-diagonals in LAPACK band
     storage: A[i, j] at ``ab[kl + ku + i - j, j]``, the first kl rows left
@@ -406,8 +411,9 @@ def _band_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
     size, ax, row_abs = len(b), np.zeros(len(b)), np.zeros(len(b))
     for r, diag in enumerate(ab[kl:]):
         lo, hi = max(ku - r, 0), min(size + ku - r, size)
-        ax[lo + r - ku : hi + r - ku] += diag[lo:hi] * x[lo:hi]
         row_abs[lo + r - ku : hi + r - ku] += np.abs(diag[lo:hi])
+        with np.errstate(over="ignore", invalid="ignore"):  # an A x past the float range raises below
+            ax[lo + r - ku : hi + r - ku] += diag[lo:hi] * x[lo:hi]
     # |A| divides each term before |x| would multiply it, so nothing overflows
     norm_a, residual = row_abs.max(), np.abs(ax - b).max()
     backward = residual / norm_a / (np.abs(x).max() + np.abs(b).max() / norm_a) if residual else 0.0
@@ -437,24 +443,21 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     n, w = len(t) - 1, 2 * m
     g = float(t[-1] - t[0]) / n
     h = np.diff((t - t[0]) / g)
-    fact = np.array([math.factorial(k) for k in range(w)], dtype=float)
+    perm = _perm_table(w)
     kl, ku = m + 1, m - 1
     ab, b = np.zeros((2 * kl + ku + 1, n * w)), np.zeros(n * w)
     # derivative ell of each piece at its right end: perm(d, ell) h^(d-ell)
     # on coefficient d >= ell, for every pair (ell, d) with ell < 2m-1
-    ell, d = np.nonzero(np.arange(w) >= np.arange(w - 1)[:, None])
-    right_end = fact[d] / fact[d - ell] * scalar_powers(h, w)[:, d - ell]
-    if not anchored:  # the value rows take numpy's vectorised power, as the entry-by-entry
-        # assembly in tests/oracles.py does, so results stay bit-identical
-        right_end[:, ell == 0] = h[:, None] ** np.arange(w)
-        b[0], b[-m] = y[0], y[-1]
+    ell, d = np.nonzero(perm[:-1])
+    right_end = perm[ell, d] * (h[:, None] ** np.arange(w))[:, d - ell]
+    b[0], b[-m] = (0.0, 0.0) if anchored else (y[0], y[-1])
     # the derivative order ell of each of the m boundary rows at either end
     edge = np.arange(m) if anchored else np.r_[0, m : w - 1]
     at_edge = np.full(w - 1, -1)
     at_edge[edge] = np.arange(m)
     # A[i, j] sits at ab[kl + ku + i - j, j].  The left end's rows hold
     # coefficient ell of piece 0
-    ab[kl + ku + np.arange(m) - edge, edge] = fact[edge] if anchored else 1.0
+    ab[kl + ku + np.arange(m) - edge, edge] = perm[edge, edge] if anchored else 1.0
     # rows m + (j-1) w + i of knot j meet piece j-1 on band rows that do not
     # depend on j, and so do the right end's rows, taken as knot n
     at_knot = np.where(ell == 0, 0, ell + 1)
@@ -462,7 +465,7 @@ def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.n
     on = at_edge[ell] >= 0
     ab[kl + ku + m + at_edge[ell[on]] - d[on], (n - 1) * w + d[on]] = right_end[-1, on]
     # ... and meet piece j on band row kl: coefficient 0, then minus the joins
-    ab[kl, w:].reshape(n - 1, w)[:, : w - 1] = np.r_[1.0, -fact[1 : w - 1]]
+    ab[kl, w:].reshape(n - 1, w)[:, : w - 1] = np.r_[1.0, -perm.diagonal()[1 : w - 1]]
     b[m : m + (n - 1) * w].reshape(n - 1, w)[:, :2] = (y if anchored else y[1:-1])[:, None]
     return _band_solve(ab, b, kl, ku).reshape(n, w) / g ** np.arange(w)
 

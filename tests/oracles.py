@@ -5,8 +5,9 @@ divided difference by the recurrence and by the 1/omega' sum, the wide-set
 reduction certificate, the convex-hull lemma for subset differences, the
 p = inf variational suprema and the pointwise sharp maximal value by
 enumeration over subsets.  And the
-straightforward forms the library once used: a zero fill that sorts
-(coordinate, value) pairs, a whole-set sort per data knot for the hermite
+straightforward forms the library once used: the gap lattice built one gap
+at a time, a zero fill that sorts (coordinate, value) pairs, the hermite
+windows by two pointers, a whole-set sort per data knot for the hermite
 jets, one dense solve per hermite piece, edge knots absorbed one at a time,
 spline systems filled entry by entry through ``lil_matrix`` in the library's
 row order, one ``lp_norm`` call per derivative order, a real-root search per
@@ -32,6 +33,7 @@ from scipy.sparse.linalg import spsolve
 
 from sobtrace.divdiff import divided_difference_rows
 from sobtrace.errors import InvalidInputError, NumericalFailureError
+from sobtrace.extension import GapLattice
 from sobtrace.functionals import homogeneous_sequence_functional, sequence_functional
 from sobtrace.piecewise import PiecewisePolynomial, polynomial_eval_rows
 from sobtrace.samples import SampledFunction
@@ -252,6 +254,20 @@ def sharp_value(s: SampledFunction, m: int, k: int, x: float) -> float:
 # -------------------------------------------------------------- zero fill
 
 
+def build_gap_lattice(points, cfg) -> GapLattice:
+    """``extension.build_gap_lattice`` one gap at a time, without its refusals."""
+    pts = tuple(float(x) for x in points)
+    n_left = math.floor(cfg.window_pad / 2.0)
+    lattice = [pts[0] - 2.0 * n for n in range(n_left, 0, -1)]
+    for a, b in zip(pts, pts[1:]):
+        width = b - a
+        if width > 4.0:
+            n_j = math.floor(width / 2.0)
+            lattice.extend((a + width / n_j * np.arange(1, n_j)).tolist())
+    lattice.extend(pts[-1] + 2.0 * n for n in range(1, n_left + 1))
+    return GapLattice(tuple(lattice))
+
+
 def zero_extend(s: SampledFunction, lattice) -> tuple[np.ndarray, np.ndarray]:
     """The merged knots and values, by sorting (coordinate, value) pairs and
     validating the result as a ``SampledFunction``."""
@@ -261,6 +277,17 @@ def zero_extend(s: SampledFunction, lattice) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ------------------------------------------------------------------ hermite
+
+
+def nearest_windows(points, m: int) -> list[int]:
+    """Start of the window of the m points nearest to each point (ties toward
+    smaller coordinates) by two pointers: the windows only move right."""
+    starts, lo = [], 0
+    for t in points:
+        while lo + m < len(points) and abs(points[lo + m] - t) < abs(points[lo] - t):
+            lo += 1
+        starts.append(lo)
+    return starts
 
 
 def nearest_indices(points, t: float, m: int) -> list[int]:
@@ -293,12 +320,13 @@ def local_jet(data, t: float, m: int) -> list[float]:
 
 def hermite_piece(h: float, jet_left, jet_right, m: int) -> np.ndarray:
     """Degree <= 2m-1 coefficients on [0, h] matching m-jets at both ends,
-    solved on the unit interval."""
-    q_low = np.array([h**ell * jet_left[ell] / math.factorial(ell) for ell in range(m)])
+    solved on the unit interval; numpy's vectorised power, as the library."""
+    powers = h ** np.arange(m)
+    q_low = np.array([powers[ell] * jet_left[ell] / math.factorial(ell) for ell in range(m)])
     rhs = np.empty(m)
     for ell in range(m):
         known = sum(math.perm(d, ell) * q_low[d] for d in range(ell, m))
-        rhs[ell] = h**ell * jet_right[ell] - known
+        rhs[ell] = powers[ell] * jet_right[ell] - known
     A = np.zeros((m, m))
     for ell in range(m):
         for j in range(m):
@@ -329,9 +357,10 @@ def _perm(d: int, ell: int) -> float:
 
 def _right_end_row(A, row: int, col: int, h: float, ell: int, w: int) -> None:
     """Derivative ``ell`` at the right end of the piece whose coefficients
-    start at column ``col``."""
+    start at column ``col``; numpy's vectorised power, as the library."""
+    powers = h ** np.arange(w)
     for d in range(ell, w):
-        A[row, col + d] = _perm(d, ell) * h ** (d - ell)
+        A[row, col + d] = _perm(d, ell) * powers[d - ell]
 
 
 def _knot_rows(A, b, row: int, j: int, h: float, powers, yj: float, w: int) -> int:
@@ -364,7 +393,7 @@ def natural_system(t: np.ndarray, y: np.ndarray, m: int):
     for ell in range(m, w - 1):
         A[row, ell] = 1.0
         row += 1
-    for j in range(1, n):  # numpy's vectorised power on the value rows, as the library
+    for j in range(1, n):
         row = _knot_rows(A, b, row, j, h[j - 1], h[j - 1] ** np.arange(w), y[j], w)
     powers = h[n - 1] ** np.arange(w)
     for d in range(w):
@@ -392,7 +421,7 @@ def anchored_system(t: np.ndarray, y: np.ndarray, m: int):
         A[ell, ell] = _perm(ell, ell)
     row = m
     for j in range(1, n):
-        row = _knot_rows(A, b, row, j, h[j - 1], [h[j - 1] ** d for d in range(w)], y[j - 1], w)
+        row = _knot_rows(A, b, row, j, h[j - 1], h[j - 1] ** np.arange(w), y[j - 1], w)
     for ell in range(m):  # zero jet at the right edge
         _right_end_row(A, row, (n - 1) * w, h[n - 1], ell, w)
         row += 1

@@ -14,6 +14,7 @@ from sobtrace import (
     NumericalFailureError,
     PiecewisePolynomial,
     SampledFunction,
+    SizeCapError,
     UnsupportedError,
     build_gap_lattice,
     extend,
@@ -90,6 +91,40 @@ def test_lattice_invariants_random(rng):
             continue
         lat = build_gap_lattice(tuple(pts), cfg)
         lattice_invariants(pts, lat, cfg.window_pad)
+        assert lat == oracles.build_gap_lattice(tuple(pts), cfg)
+
+
+def test_lattice_refuses_huge_and_non_finite_sets(monkeypatch):
+    # a gap or a pad of 1e12 or 1e300 would need billions of lattice points:
+    # the count, taken in floats, refuses before anything is allocated
+    for pad in (1e12, 1e300):
+        with pytest.raises(SizeCapError, match="lattice"):
+            build_gap_lattice((0.0,), ExtensionConfig(m=1, window_pad=pad))
+    for gap in (1e12, 1e300):
+        with pytest.raises(SizeCapError, match="lattice"):
+            build_gap_lattice((0.0, gap), ExtensionConfig(m=1))
+        with pytest.raises(SizeCapError, match="lattice"):
+            extend(SampledFunction((0.0, gap), (1.0, 2.0)), ExtensionConfig(m=1, backend="natural2"))
+    for pts in ((0.0, math.nan, 5.0), (0.0, math.inf), (-math.inf,), (3.0, 2.0)):
+        with pytest.raises(InvalidInputError, match="finite and strictly increasing"):
+            build_gap_lattice(pts, ExtensionConfig(m=1))
+    # the budget counts every point: 8 edge points at m = 1 and 2 in a gap of 6.5
+    monkeypatch.setattr(extension, "MAX_GRID_CELLS", 10)
+    assert len(build_gap_lattice((0.0, 6.5), ExtensionConfig(m=1)).lattice_points) == 10
+    with pytest.raises(SizeCapError):
+        build_gap_lattice((0.0, 8.0), ExtensionConfig(m=1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_nearest_windows_match_two_pointers(m):
+    # 10,000 points, equally spaced (a tie at every point) or with gaps drawn
+    # from {1e-12, 4e-12, 1e-9, 1} (ties and near-ties within clusters)
+    rng = np.random.default_rng(m)
+    sets = [0.5 * np.arange(10_000)]
+    sets += [np.cumsum(rng.choice([1e-12, 4e-12, 1e-9, 1.0], 10_000)) for _ in range(3)]
+    for pts in sets:
+        assert np.all(np.diff(pts) > 0)
+        assert extension._nearest_windows(pts, m).tolist() == oracles.nearest_windows(pts.tolist(), m)
 
 
 def test_zero_extend_example():
@@ -448,6 +483,7 @@ def test_merged_knots_match_oracles(case):
     cfg = ExtensionConfig(m=m, backend="natural2")
     work = pad_small_set(s, m) if len(s) <= m else s
     lattice = build_gap_lattice(work.points, cfg)
+    assert lattice == oracles.build_gap_lattice(work.points, cfg)
     knots, values = zero_extend(work, lattice)
     ref_knots, ref_values = oracles.zero_extend(work, lattice)
     assert np.array_equal(knots, ref_knots) and np.array_equal(values, ref_values)

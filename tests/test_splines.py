@@ -385,12 +385,13 @@ def _random_extensions(rng, m, count):
     return [extend(s, ExtensionConfig(m=m, backend=backend)) for s in sets for backend in ("hermite", "natural2")]
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, 1.5, 4.5, INF])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0, 6.0, 1.5, 4.5, INF])
 def test_sobolev_norms_equal_single_calls(p):
     # whole F's share a chunk, and each F's rows are integrated and summed as
-    # in its own call, so a batch gives every single report bit for bit: 120
-    # random extensions (m 1-3, both backends), an all-zero F, and an F whose
-    # 2,000-odd rows exceed a chunk between two short ones
+    # in its own call (row by row, never by a matrix product, whose rounding
+    # depends on the row's place), so a batch gives every single report bit
+    # for bit: 120 random extensions (m 1-3, both backends), an all-zero F,
+    # and an F whose 2,000-odd rows exceed a chunk between two short ones
     rng = np.random.default_rng(11)
     zero = PiecewisePolynomial([0.0, 1.0, 2.0], np.zeros((2, 4)))
     for m in (1, 2, 3):
