@@ -130,12 +130,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _jsonable(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
 def _json_template(shape: tuple, depth: int) -> str:
     """The layout ``json.dumps(indent=2)`` gives a nested list of this shape
     opened at this depth, with %r (``float.__repr__``, as json) per number."""
@@ -252,11 +246,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         "p": _p_label(args.p),
         "backend": args.backend,
         "window_pad": cfg.window_pad,
-        "norms": {
-            "lp_norms": [_jsonable(v) for v in norms.lp_norms],
-            "w_norm": _jsonable(norms.w_norm),
-            "l_homog": _jsonable(norms.l_homog),
-        },
+        "norms": {"lp_norms": list(norms.lp_norms), "w_norm": norms.w_norm, "l_homog": norms.l_homog},
     }
     write_json(args.out, payload)
     n_samples = cells + 1
@@ -299,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # one necessity pass over every (set, extension) pair and one sharp-maximal pass over the sets;
     # the necessity functional is the variational form, as the sets have m+1..10 points
     necessity = verify_necessities(sets, [[extend(s, cfg) for cfg in configs] for s in sets], m, p, args.tol)
-    wmfs = wmf_functionals(sets, m, p, GridSpec(args.grid_h if args.grid_h else 0.25))
+    wmfs = wmf_functionals(sets, m, p, GridSpec(0.25 if args.grid_h is None else args.grid_h))
     rows, ratios = [], []
     for idx, (inst, tilde, wmf) in enumerate(zip(instances, tildes, wmfs)):
         hermite, natural2 = necessity[2 * idx : 2 * idx + 2]

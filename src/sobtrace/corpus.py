@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedError
 from .samples import SampledFunction
 
 #: Seed and size of the calibration corpus; the recorded ratio bands in
@@ -72,7 +72,11 @@ def calibration_corpus(
 
 
 def comparison_corpus(seed: int, m: int, count: int = 36) -> list[CorpusInstance]:
-    """Corpus for the compare command: sizes m+1..10 over the standard spans."""
+    """Corpus for the compare command: sizes m+1..10 over the standard spans, so m is at most 9."""
+    if seed < 0:
+        raise InvalidInputError(f"the corpus seed must be non-negative, got {seed}")
+    if m >= 10:
+        raise UnsupportedError(f"the compare corpus draws sets of m+1..10 points, so m must be at most 9, got {m}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):

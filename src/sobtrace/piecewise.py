@@ -69,7 +69,7 @@ class PiecewisePolynomial:
 
     def __init__(self, breakpoints, coefficients, left_tail=None, right_tail=None):
         """``coefficients`` is a sequence of rows of any lengths, or a 2-D
-        array with one row per piece."""
+        array with one row per piece; a non-finite number raises InvalidInputError."""
         bp = np.array(breakpoints, dtype=float)  # copies: the stored arrays are made read-only
         if bp.ndim != 1 or len(bp) < 2:
             raise InvalidInputError("need at least two breakpoints")
@@ -94,10 +94,10 @@ class PiecewisePolynomial:
         width = max(coef.shape[1], len(lt), len(rt))
         if coef.shape[1] < width:
             coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])
-        if not np.all(np.isfinite(coef)):
-            raise InvalidInputError("non-finite piece coefficients")
         tails = np.zeros((2, width))
         tails[0, : len(lt)], tails[1, : len(rt)] = lt, rt
+        if not (np.isfinite(coef).all() and np.isfinite(tails).all()):
+            raise InvalidInputError("non-finite piece or tail coefficients")
         self._freeze(bp, coef, *tails)
 
     def _freeze(self, breakpoints, coefficients, left_tail, right_tail) -> "PiecewisePolynomial":

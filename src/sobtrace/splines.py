@@ -30,10 +30,13 @@ per F and order in their order, so a batch gives each F's report bit for bit:
   of its tolerance: at the peak of a steep |q|^p the rounding of the values
   can exceed a panel's share at any depth, and the margin leaves room for
   the rounding of the coefficients, which the differences do not show.
-  NumericalFailureError is raised when a value is not finite, when a step
-  leaves more failing panels of one F than its first pass had subintervals,
-  or past 48 steps;
+  NumericalFailureError is raised when a step leaves more failing panels of
+  one F than its first pass had subintervals, or past 48 steps; a value that
+  is not finite never fails the test, and is left to the check below;
 * p = inf: the largest |q| over the piece ends and the real critical points.
+
+One finiteness rule holds at every p: overflow is ignored during the pass, and
+an F whose norms or their sum are not finite raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -205,26 +208,22 @@ def _power_integrals(C: np.ndarray, p: int, a: np.ndarray, b: np.ndarray) -> np.
     nodes, weights = _gauss(n)
     half = 0.5 * (b - a)
     s = (a + half)[:, None] + half[:, None] * nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        return half * np.einsum("ij,j->i", polynomial_eval_rows(C, s) ** p, weights)
+    return half * np.einsum("ij,j->i", polynomial_eval_rows(C, s) ** p, weights)
 
 
 def _jacobi_pair(C: np.ndarray, p: float, row, a, b, left, right) -> tuple[np.ndarray, np.ndarray]:
     """16- and 32-node Gauss-Jacobi values of the integral of |q_row|^p over
     each [a, b], weight |s - a|^(p left) |s - b|^(p right): one pass over the
-    nodes of both rules.  A value that is not finite raises NumericalFailureError."""
+    nodes of both rules.  A value that is not finite is left to the caller's finite check."""
     keys, group = np.unique(left * C.shape[1] + right, return_inverse=True)
     alpha, beta = p * (keys // C.shape[1]), p * (keys % C.shape[1])
     x, w = np.reshape([_jacobi_rules(*ab) for ab in zip(beta, alpha)], (-1, 2, _LOW_ORDER + _HIGH_ORDER)).transpose(1, 0, 2)
     half, out = 0.5 * (b - a), np.empty((2, len(row)))
     for i in range(0, len(row), _CHUNK):
         s, g = slice(i, i + _CHUNK), group[i : i + _CHUNK]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
-            for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
-                values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
-    if not np.isfinite(out).all():
-        raise NumericalFailureError(f"the integral of |q|^{p} is not finite")
+        q = np.abs(polynomial_eval_rows(C[row[s]], a[s, None] + half[s, None] * (1.0 + x[g]))) ** p
+        for values, cols in zip(out, (slice(_LOW_ORDER), slice(_LOW_ORDER, None))):
+            values[s] = half[s] * np.einsum("ij,ij->i", q[:, cols], w[g, cols])
     return out[0], out[1]
 
 
@@ -277,9 +276,14 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float, group: np.nd
 
 def _unit_sup(C: np.ndarray) -> np.ndarray:
     """max |q_i| over [0, 1] for each row i of C: the ends and the real
-    critical points inside."""
+    critical points inside, those of a row whose derivative overflows sought
+    on the row scaled by a power of two (exact, and no root moves)."""
     best = np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
-    z, real = _roots(polynomial_derivative(C))
+    D = polynomial_derivative(C)
+    over = ~np.isfinite(D).all(axis=1)
+    if over.any():
+        D[over] = polynomial_derivative(np.ldexp(C[over], -np.frexp(np.abs(C[over]).max(axis=1))[1][:, None]))
+    z, real = _roots(D)
     row, c = np.nonzero(real & (z.real > 0.0) & (z.real < 1.0))
     np.maximum.at(best, row, np.abs(polynomial_eval_rows(C[row], z.real[row, c])))
     return best
@@ -302,8 +306,8 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
 
     The orders are integrated in one batched pass over one table: F's
     non-zero pieces and its tails, with the rows of order k the derivative
-    of those of order k-1, scaled to s = t/h at once.  A coefficient of the
-    table that overflows raises NumericalFailureError.  Its non-zero piece
+    of those of order k-1, scaled to s = t/h at once.  A table coefficient or
+    norm that is not finite raises NumericalFailureError.  Its non-zero piece
     rows, each with its order's index, are integrated ``_CHUNK`` rows at a
     time and summed per order.  The tails, p and quad_tol follow the rules
     of :func:`lp_norm`; :func:`sobolev_norms` is the same pass over many F.
@@ -311,6 +315,7 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
     return sobolev_norms([F], m, p, quad_tol)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value surfaces in the one check below
 def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormReport]:
     """:func:`sobolev_norm` of every F in ``Fs``, in one pass over all their tables
     (see the module docstring); every report and refusal is the single call's."""
@@ -355,8 +360,7 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
             np.maximum.at(norms, bins, _unit_sup(C))
         norms = norms.reshape(-1, m + 1)
         for i, tail in enumerate(tails):
-            constant = ~np.any(tail[:, :, 1:], axis=(1, 2))  # a non-constant tail is unbounded
-            norms[i] = np.where(constant, np.maximum(norms[i], np.abs(tail[:, :, 0]).max(axis=1)), math.inf)
+            norms[i] = np.maximum(norms[i], np.abs(tail[:, :, 0]).max(axis=1))
     else:
         q, totals = int(p), np.zeros(bins_total)
         for _, parts in chunks:
@@ -369,12 +373,15 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
             else:
                 integrals = _power_integrals(rows, q, np.zeros(len(rows)), np.ones(len(rows)))
             totals += np.bincount(bins, h * integrals, minlength=bins_total)
-        norms = totals.reshape(-1, m + 1)
-        for t in norms:
-            if not np.isfinite(t).all():
-                raise NumericalFailureError(f"the integral of |F|^{p} is not finite: {t.max()}")
-        norms = [[float(t) ** (1.0 / p) for t in row] for row in norms]
-    return [NormReport(lp, sum(lp), lp[-1]) for lp in (tuple(float(v) for v in row) for row in norms)]
+        norms = [[float(t) ** (1.0 / p) for t in row] for row in totals.reshape(-1, m + 1)]
+    reports = []
+    for lp, tail in zip((tuple(float(v) for v in row) for row in norms), tails):
+        if not math.isfinite(sum(lp)):  # also an lp_norm that is inf or NaN
+            raise NumericalFailureError(f"the L^{p} norms of F and its derivatives, or their sum, are not finite: {lp}")
+        if p == math.inf and tail[:, :, 1:].any():  # a non-constant tail is unbounded
+            lp = tuple(np.where(tail[:, :, 1:].any(axis=(1, 2)), math.inf, lp).tolist())
+        reports.append(NormReport(lp, sum(lp), lp[-1]))
+    return reports
 
 
 # --------------------------------------------------------------------------

@@ -309,14 +309,19 @@ def test_power_sum_overflow_is_typed(tmp_path, capsys, command, p, values):
         ("extend", ["--window-pad", "nan"]),
         ("extend", ["--window-pad", "inf"]),
         ("extend", ["--tol", "nan"]),
+        ("compare", ["--m", "10"]),  # the corpus draws m+1..10 points: unsupported, exit code 4
+        ("compare", ["--seed", "-1"]),
+        ("compare", ["--grid-h", "0"]),
     ],
 )
 def test_bad_numeric_flag_rejected(tmp_path, capsys, command, flags):
     inp = write_json_input(tmp_path / "in.json", [0, 1e-9, 10], [1.0, 2.0, 3.0])
     out = tmp_path / "out.json"
     args = ["--command", command, "--input", inp, "--m", "1", "--p", "1.5", *flags, "--out", str(out)]
-    assert main(args) == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    code, prefix = (4, "unsupported:") if flags == ["--m", "10"] else (2, "input error:")
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert not out.exists()
 
 

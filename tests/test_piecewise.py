@@ -186,3 +186,15 @@ def test_validation_errors():
         PiecewisePolynomial([1.0, 0.0], [[1.0]])
     with pytest.raises(InvalidInputError):
         PiecewisePolynomial([0.0, 1.0], [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("tail", [np.inf, -np.inf, np.nan])
+def test_non_finite_tails_rejected(tail):
+    with pytest.raises(InvalidInputError):
+        PiecewisePolynomial([0.0, 1.0], [[1.0]], left_tail=[tail])
+    with pytest.raises(InvalidInputError):
+        PiecewisePolynomial([0.0, 1.0], [[1.0]], right_tail=[0.0, tail])
+    # json reads Infinity and NaN as floats
+    text = json.dumps({"breakpoints": [0.0, 1.0], "pieces": [[1.0]], "left_tail": [0.0], "right_tail": [tail]})
+    with pytest.raises(InvalidInputError):
+        PiecewisePolynomial.from_dict(json.loads(text))

@@ -31,7 +31,7 @@ from sobtrace import (
 from sobtrace import splines
 from sobtrace.corpus import random_sampled_function
 from sobtrace.piecewise import shift_polynomial
-from sobtrace.splines import _gauss_jacobi
+from sobtrace.splines import NormReport, _gauss_jacobi
 from conftest import make_samples, polynomial_samples
 
 INF = math.inf
@@ -116,6 +116,14 @@ def test_overflow_is_a_typed_failure():
     for p in (1.5, 2.0, 3.0):
         with pytest.raises(NumericalFailureError):
             lp_norm(huge, p)
+    # h^2 = 1e400 overflows when the piece is scaled to its unit interval
+    scaled = PiecewisePolynomial([0.0, 1e200], [[0.0, 1e-200, 1e-200]])
+    for p in (1.5, 2.0, 3.0, INF):
+        with pytest.raises(NumericalFailureError):
+            lp_norm(scaled, p)
+    # at p = inf each norm is 1.7e308 and their sum overflows
+    with pytest.raises(NumericalFailureError):
+        sobolev_norm(PiecewisePolynomial([0.0, 1.0], [[0.0, 1.7e308]]), 1, INF)
     with pytest.raises(NumericalFailureError):
         PiecewisePolynomial([0.0, 1.0], [[0.0, 0.0, 1e308]]).differentiate()
     # (2m-1)! overflows a float from m = 86 on
@@ -124,6 +132,51 @@ def test_overflow_is_a_typed_failure():
     s = SampledFunction(tuple(float(x) for x in range(90)), (1.0,) * 90)
     with pytest.raises(UnsupportedError):
         natural_spline_min_energy(s, 86)
+
+
+def _dense_sup(F):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(F(np.linspace(F.breakpoints[0], F.breakpoints[-1], 20001)[:-1]))))
+
+
+def test_near_max_sup_is_never_below_dense_evaluation():
+    # the derivative [1e308, -1.8e308] overflows; the critical point at 5/9,
+    # where q = 2.78e307, is found on the row scaled by a power of two
+    F = PiecewisePolynomial([0.0, 1.0], [[0.0, 1e308, -0.9e308]])
+    assert lp_norm(F, INF) == pytest.approx(1e308 / 3.6, rel=1e-15)
+    assert lp_norm(F, INF) >= _dense_sup(F)
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        F = PiecewisePolynomial([0.0, 1.0], [rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(300.0, 308.25, 4)])
+        dense = _dense_sup(F)
+        try:
+            sup = lp_norm(F, INF)
+        except NumericalFailureError:
+            assert dense == INF  # refused only where the evaluation itself overflows
+        else:
+            assert dense * (1 - 1e-12) <= sup < INF
+
+
+def test_norms_are_finite_or_refused_on_extreme_coefficients():
+    # coefficients of modulus 1e-320..1e308 and widths 1e-3..1e3, with
+    # RuntimeWarning an error (pyproject): every report is finite, and every
+    # other outcome a typed refusal
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for i in range(2000):
+        k, w = rng.integers(1, 4), rng.integers(1, 6)
+        coef = rng.choice([-1.0, 1.0], (k, w)) * 10.0 ** rng.uniform(-320.0, 308.0, (k, w))
+        bp = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, k))])
+        tail = rng.choice([0.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 308.0)  # a constant tail, or none
+        F = PiecewisePolynomial(bp, coef, [tail], [0.0])
+        try:
+            report = sobolev_norm(F, int(rng.integers(0, 3)), (1.5, 2.0, 3.0, INF)[i % 4])
+        except (NumericalFailureError, NonintegrableError) as exc:
+            outcomes.add(type(exc))
+        else:
+            assert all(map(math.isfinite, report.lp_norms)) and math.isfinite(report.w_norm)
+            outcomes.add(NormReport)
+    assert outcomes == {NormReport, NumericalFailureError, NonintegrableError}
 
 
 def test_lp_triangle_inequality_and_scaling(rng):
@@ -412,6 +465,9 @@ def test_sobolev_norms_refuse_as_single_calls():
     for p in (1.5, 2.0, 3.0):
         with pytest.raises(NumericalFailureError):
             sobolev_norms(Fs[:2] + [huge] + Fs[2:], 1, p)
+    wide = PiecewisePolynomial([0.0, 1.0], [[0.0, 1.7e308]])  # the sum of its sups overflows
+    with pytest.raises(NumericalFailureError):
+        sobolev_norms(Fs[:2] + [wide] + Fs[2:], 1, INF)
     # the growth guard of the fractional quadrature counts each F's panels: at
     # p = 1.1 and quad_tol = 1e-15 this quartic, with three complex pairs near
     # the axis, fails 5 graded panels after 3 first-pass subintervals; the two
