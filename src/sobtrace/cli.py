@@ -29,13 +29,11 @@ from .errors import (
 )
 from .extension import ExtensionConfig, extend, verify_necessities
 from .functionals import (
-    _variational_from_table,
     effective_order,
     homogeneous_sequence_functional,
     homogeneous_variational_functional,
     sequence_functional,
     small_set_functional,
-    subset_differences,
     variational_feasible,
     variational_functional,
 )
@@ -90,12 +88,14 @@ def load_samples(path: str) -> SampledFunction:
 
     Points must already be strictly increasing; nothing is sorted silently,
     because silently reordered data hides bugs that corrupt every divided
-    difference downstream.
+    difference downstream.  A file that cannot be read as UTF-8 text raises
+    InvalidInputError naming the path.
     """
     p = Path(path)
-    if not p.exists():
-        raise InvalidInputError(f"input file not found: {path}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read input file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     if p.suffix.lower() == ".json":
         try:
             obj = json.loads(text)
@@ -158,7 +158,7 @@ def write_json(path: str, obj) -> None:
 
     text = json.dumps(swap(obj, 0), sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
     text = re.sub(r'"\\u0000(\d+)"', lambda match: texts[int(match[1])], text)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_text(path, text + "\n")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -168,7 +168,15 @@ def write_csv(path: str, header: list[str], rows) -> None:
         body = ((",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
     else:
         body = "".join(",".join(row) + "\n" for row in rows)
-    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
+    _write_text(path, ",".join(header) + "\n" + body)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write UTF-8 text; a path that cannot be written raises InvalidInputError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _p_label(p: float) -> object:
@@ -191,15 +199,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     if small_route:
         record("small_set", small_set_functional(s, m, p))
     feasible = p == math.inf or variational_feasible(len(s), m)  # p = inf enumerates nothing
-    # at finite p the variational form and the sharp profiles read one subset table
-    table = subset_differences(s.points, s.values, m) if p != math.inf and feasible else None
     if feasible and (p == math.inf or len(s) >= m + 1):
-        record("variational", variational_functional(s, m, p) if table is None else _variational_from_table(s, m, p, table))
+        record("variational", variational_functional(s, m, p))
     if len(s) >= m + 1:
         record("homogeneous_sequence", homogeneous_sequence_functional(s, m, p))
         record("homogeneous_variational", homogeneous_variational_functional(s, m, p))
-    if table is not None:
-        record("sharp_maximal", wmf_functionals([s], m, p, GridSpec(args.grid_h), [table])[0])
+    if p != math.inf and feasible:  # reads the subset table the variational form built
+        record("sharp_maximal", wmf_functional(s, m, p, GridSpec(args.grid_h)))
     report = {
         "command": "check",
         "input": args.input,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an order."""
+
+import operator
 
 
 class SobtraceError(Exception):
@@ -39,3 +41,14 @@ class NonintegrableError(SobtraceError):
 
 class UnsupportedError(SobtraceError):
     """A parameter combination outside the implemented scope."""
+
+
+def _check_order(value, least: int, name: str = "m") -> None:
+    """Raise InvalidInputError unless ``value`` is an integer, as ``operator.index`` takes it
+    (numpy integers too, no float, not even 2.0), of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value}")

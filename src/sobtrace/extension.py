@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _expand_newton, divided_difference_rows
-from .errors import InvalidInputError, NumericalFailureError, SizeCapError, UnsupportedError
+from .errors import InvalidInputError, NumericalFailureError, SizeCapError, UnsupportedError, _check_order
 from .functionals import (
     pad_small_set,
     sequence_functional,
@@ -73,8 +73,7 @@ class ExtensionConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InvalidInputError(f"m must be a positive integer, got {self.m}")
+        _check_order(self.m, 1)
         if self.m > MAX_ORDER:
             raise UnsupportedError(f"order m = {self.m} is above {MAX_ORDER}: (2m-1)! overflows a float")
         if self.backend not in ("hermite", "natural2"):
@@ -258,6 +257,7 @@ def verify_necessities(sets, extensions, m: int, p: float, quad_tol: float = 1e-
     """:func:`verify_necessity` of every set against each of its extensions,
     ``extensions[i]`` those of ``sets[i]``, in that order: each set's
     functional is computed once, and every norm in one :func:`sobolev_norms` call."""
+    _check_order(m, 1)
     functionals = []
     for s, Fs in zip(sets, extensions):
         work = pad_small_set(s, m) if p != math.inf and len(s) <= m else s

@@ -18,6 +18,7 @@ for a result that is not finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .divdiff import divided_difference_rows
-from .errors import HypothesisViolationError, InvalidInputError, NumericalFailureError, SizeCapError
+from .errors import HypothesisViolationError, InvalidInputError, NumericalFailureError, SizeCapError, _check_order
 from .samples import SampledFunction
 
 #: Most divided differences a subset enumeration (finite-p variational_functional, sharp profiles)
@@ -46,8 +47,7 @@ class FunctionalReport:
 
 
 def _check_mp(m: int, p: float) -> None:
-    if m < 1:
-        raise InvalidInputError(f"m must be a positive integer, got {m}")
+    _check_order(m, 1)
     if p != math.inf and not p > 1:
         raise InvalidInputError(f"p must lie in (1, inf], got {p}")
 
@@ -112,11 +112,15 @@ def require_feasible(n_points: int, m: int) -> None:
         )
 
 
-def subset_differences(points, values, k: int) -> list[tuple[np.ndarray, ...]]:
+@functools.lru_cache(maxsize=1)
+def subset_differences(points, values, k: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """One entry (W, D, lo, hi) per order j = 0..k: the (j+1)-point index subsets W in
     lexicographic order, one per row, which lists the children W + (last,) of each row of order
     j-1 in turn; their differences D f[W] by the recurrence of :func:`divided_difference_rows`,
-    so bit-identical to it; and (j >= 1) the rows of W[:, :-1] and W[:, 1:] in order j-1."""
+    so bit-identical to it; and (j >= 1) the rows of W[:, :-1] and W[:, 1:] in order j-1.
+    The last table is kept, read-only, for the next call on the same sample tuples, so every
+    consumer of a set shares one: order j of the order-k table is the order-j table.  Keys
+    compare as tuples, so 0.0 and -0.0 share one, which moves only signs of zero in D."""
     pts, n = np.asarray(points, dtype=float), len(points)
     table = [(np.arange(n)[:, None], np.asarray(values, dtype=float), None, None)]
     for _ in range(k):
@@ -129,7 +133,10 @@ def subset_differences(points, values, k: int) -> list[tuple[np.ndarray, ...]]:
         hi = last if W.shape[1] == 1 else first_child[hi[lo]] + sibling
         first_child = first
         table.append((np.column_stack([W[lo], last]), (D[hi] - D[lo]) / (pts[last] - pts[W[lo, 0]]), lo, hi))
-    return table
+    for a in itertools.chain.from_iterable(table):
+        if a is not None:
+            a.setflags(write=False)
+    return tuple(table)
 
 
 def _best_subsequence(s: SampledFunction, m: int, table, term: np.ndarray, tail: np.ndarray) -> SampledFunction:
@@ -174,12 +181,7 @@ def variational_functional(s: SampledFunction, m: int, p: float) -> FunctionalRe
     if len(s) < m + 1:
         raise HypothesisViolationError(f"the variational functional for finite p needs at least m+1 = {m + 1} points, "
                                        f"got {len(s)}; route small sets through the max-of-differences small-set functional")
-    return _variational_from_table(s, m, p, subset_differences(s.points, s.values, m))
-
-
-def _variational_from_table(s: SampledFunction, m: int, p: float, table) -> FunctionalReport:
-    """The finite-p :func:`variational_functional` of a set with at least m+1 points, within
-    :func:`variational_feasible`, from its ``subset_differences(points, values, m)``."""
+    table = subset_differences(s.points, s.values, m)
     with np.errstate(over="ignore"):  # an overflowing sum wins the path, and its sequence functional refuses it
         prefix = [np.abs(table[0][1]) ** p]  # sum of |D^k f|^p on the first k+1 points of S
         for _, d, lo, _ in table[1:]:
@@ -241,8 +243,7 @@ def pad_small_set(s: SampledFunction, m: int) -> SampledFunction:
     The new coordinates continue past the right end with spacing 2:
     x_k = x_n + 2(k - n) for k = n+1..m, each carrying the value 0.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be a positive integer, got {m}")
+    _check_order(m, 1)
     n = len(s) - 1
     if len(s) > m:
         raise InvalidInputError(

@@ -6,8 +6,8 @@ leaves the window [x-1, x+1], i.e. at the points e +- 1 for e in the data.
 At the top order a diameter damping factor makes the profile decay smoothly
 between those same break locations.  Quadrature therefore uses a composite
 midpoint rule on a grid with forced nodes at the data points and at e +- 1.
-Every order's profile is one array reduction over the subset table of
-:func:`functionals.subset_differences`, built once per call.
+Every order's profile is one array reduction over the order-m subset table that
+:func:`functionals.subset_differences` keeps, shared with the variational form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeCapError, UnsupportedError
+from .errors import InvalidInputError, SizeCapError, UnsupportedError, _check_order
 from .functionals import VARIATIONAL_BUDGET, FunctionalReport, _power_sum, effective_order, require_feasible, subset_differences
 from .piecewise import join
 from .samples import SampledFunction
@@ -47,9 +47,9 @@ class GridSpec:
 
 
 def _check_args(s: SampledFunction, m: int, k: int) -> None:
-    if m < 1:
-        raise InvalidInputError(f"m must be a positive integer, got {m}")
-    if not 0 <= k <= m:
+    _check_order(m, 1)
+    _check_order(k, 0, "order k")
+    if k > m:
         raise InvalidInputError(f"order k must lie in [0, {m}], got {k}")
     require_feasible(len(s), m)
 
@@ -65,7 +65,7 @@ def profile_values(s: SampledFunction, m: int, k: int, xs: np.ndarray) -> np.nda
     raise SizeCapError.
     """
     _check_args(s, m, k)
-    return _profile(np.asarray(s.points), subset_differences(s.points, s.values, k)[k][:2], k == m, _nodes(s, xs))
+    return _profile(np.asarray(s.points), subset_differences(s.points, s.values, m)[k][:2], k == m, _nodes(s, xs))
 
 
 def _nodes(s: SampledFunction, xs):
@@ -181,12 +181,11 @@ def wmf_functional(
     return wmf_functionals([s], m, p, grid_spec)[0]
 
 
-def wmf_functionals(sets, m: int, p: float, grid_spec: GridSpec | None = None, tables=None) -> list[FunctionalReport]:
+def wmf_functionals(sets, m: int, p: float, grid_spec: GridSpec | None = None) -> list[FunctionalReport]:
     """:func:`wmf_functional` of every set, each order's profile one reduction over a run of sets,
     closed once their tables pass ``VARIATIONAL_BUDGET`` rows: laid end to end, coordinates as they are,
     table and node-run indices offset by the samples before and nodes by the nodes before, so
-    every value is the exact maximum of the single call.  ``tables`` may hold each set's
-    ``subset_differences(points, values, m)``."""
+    every value is the exact maximum of the single call."""
     if p == math.inf:
         raise UnsupportedError("the sharp-maximal criterion is defined for finite p only")
     if not p > 1:
@@ -195,7 +194,7 @@ def wmf_functionals(sets, m: int, p: float, grid_spec: GridSpec | None = None, t
     for i, s in enumerate(sets):
         edges = grid_edges(s, grid_spec)
         _check_args(s, m, 0)
-        table = tables[i] if tables else subset_differences(s.points, s.values, m)
+        table = subset_differences(s.points, s.values, m)
         group.append((np.asarray(s.points), np.diff(edges), table, _nodes(s, 0.5 * (edges[:-1] + edges[1:]))))
         rows += sum(len(W) for W, *_ in table)
         if i + 1 < len(sets) and rows <= VARIATIONAL_BUDGET:

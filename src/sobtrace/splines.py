@@ -41,6 +41,7 @@ an F whose norms or their sum are not finite raises NumericalFailureError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dgbsv
 
 from .divdiff import lagrange_polynomial
-from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError
+from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError, _check_order
 from .piecewise import (
     PiecewisePolynomial,
     join,
@@ -58,9 +59,6 @@ from .piecewise import (
     shift_polynomial,
 )
 from .samples import SampledFunction
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_JACOBI_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 #: Rows per batch; bounds the (rows x nodes) temporaries of sobolev_norm.
 _CHUNK = 2048
@@ -80,10 +78,7 @@ _MAX_BACKWARD_ERROR = 1e-10
 MAX_ORDER = 85
 
 
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = leggauss(n)
-    return _GAUSS_CACHE[n]
+_gauss = functools.cache(leggauss)
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,13 +110,12 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / total
 
 
+@functools.cache
 def _jacobi_rules(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """The 16- then the 32-node rule of :func:`_gauss_jacobi`, concatenated, the weights divided
-    by (1 - x)^a (1 + x)^b with array exponents (``ndarray ** float`` has shortcuts); cached."""
-    if (a, b) not in _JACOBI_CACHE:
-        x, w = np.hstack([_gauss_jacobi(n, a, b) for n in (_LOW_ORDER, _HIGH_ORDER)])
-        _JACOBI_CACHE[a, b] = x, w / ((1.0 - x) ** np.array([a]) * (1.0 + x) ** np.array([b]))
-    return _JACOBI_CACHE[a, b]
+    by (1 - x)^a (1 + x)^b with array exponents (``ndarray ** float`` has shortcuts)."""
+    x, w = np.hstack([_gauss_jacobi(n, a, b) for n in (_LOW_ORDER, _HIGH_ORDER)])
+    return x, w / ((1.0 - x) ** np.array([a]) * (1.0 + x) ** np.array([b]))
 
 
 @dataclass(frozen=True)
@@ -319,8 +313,7 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
 def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormReport]:
     """:func:`sobolev_norm` of every F in ``Fs``, in one pass over all their tables
     (see the module docstring); every report and refusal is the single call's."""
-    if m < 0:
-        raise InvalidInputError("m must be nonnegative")
+    _check_order(m, 0)
     if not p >= 1:
         raise InvalidInputError(f"p must be in [1, inf], got {p}")
     if not quad_tol >= 0:
@@ -395,10 +388,13 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
 # and factored once, at a cost linear in the number of knots.
 
 
+@functools.cache
 def _perm_table(width: int) -> np.ndarray:
     """perm(d, l) = d!/(d-l)! at [l, d] for l, d < width, zero for l > d: the
-    l-th derivative of s^d at s = 1, and l! on the diagonal."""
-    return np.array([[math.perm(d, ell) for d in range(width)] for ell in range(width)], dtype=float)
+    l-th derivative of s^d at s = 1, and l! on the diagonal; read-only, as it is kept."""
+    table = np.array([[math.perm(d, ell) for d in range(width)] for ell in range(width)], dtype=float)
+    table.setflags(write=False)
+    return table
 
 
 def _band_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
@@ -488,8 +484,7 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     NumericalFailureError on an exactly zero pivot or a backward error
     above 1e-10.
     """
-    if m < 1:
-        raise InvalidInputError("m must be a positive integer")
+    _check_order(m, 1)
     if len(s) <= m:
         return lagrange_polynomial(s), 0.0
     pts = np.asarray(s.points)
@@ -519,8 +514,7 @@ def anchored_min_energy_spline(
     knot within 1e-9 relative of an edge must carry the value 0 and is
     absorbed into the edge conditions.
     """
-    if m < 1:
-        raise InvalidInputError("m must be a positive integer")
+    _check_order(m, 1)
     pts, vals = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
     if pts.ndim != 1 or not 0 < len(pts) == len(vals):
         raise InvalidInputError("points and values must be two non-empty sequences of one length")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sobtrace import PiecewisePolynomial, cli, extension, functionals, sharp, splines
+from sobtrace import PiecewisePolynomial, SampledFunction, cli, extension, functionals, sharp, splines
 from sobtrace.cli import main
 
 
@@ -48,6 +48,11 @@ def test_check_csv_input(tmp_path):
     csv_in.write_text("x,f\n0,0\n0.5,1\n3,1\n")
     out = tmp_path / "report.json"
     assert main(["--command", "check", "--input", str(csv_in), "--m", "1", "--p", "2", "--out", str(out)]) == 0
+    # comment and blank lines are skipped
+    noted, noted_out = tmp_path / "noted.csv", tmp_path / "noted.json"
+    noted.write_text("x,f\n# a comment\n\n0,0\n  \n0.5,1\n3,1\n")
+    assert main(["--command", "check", "--input", str(noted), "--m", "1", "--p", "2", "--out", str(noted_out)]) == 0
+    assert json.loads(noted_out.read_text())["functionals"] == json.loads(out.read_text())["functionals"]
 
 
 def test_unsorted_input_rejected(tmp_path):
@@ -57,21 +62,37 @@ def test_unsorted_input_rejected(tmp_path):
 
 
 def test_malformed_input_rejected(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
     out = tmp_path / "r.json"
-    for text in (
-        "{not json",
-        '{"points": [0, "a"], "values": [1, 2]}',
-        '{"points": [0, 1], "values": [1, null]}',
-        '{"points": [0, [0, 1]], "values": [1, 2]}',
-        '{"points": 5, "values": [1]}',
-        '{"points": "01", "values": "12"}',
+
+    def rejected(*args):  # exit code 2 with one typed line on stderr, no traceback
+        assert main([*args, "--m", "1", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    for name, text in (
+        ("bad.json", "{not json"),
+        ("bad.json", '{"points": [0, "a"], "values": [1, 2]}'),
+        ("bad.json", '{"points": [0, 1], "values": [1, null]}'),
+        ("bad.json", '{"points": [0, [0, 1]], "values": [1, 2]}'),
+        ("bad.json", '{"points": 5, "values": [1]}'),
+        ("bad.json", '{"points": "01", "values": "12"}'),
+        ("bad.json", '{"points": [0, 1]}'),
+        ("bad.json", "[[0, 1], [1, 2]]"),
+        ("bad.csv", "0,1,2\n1,2,3\n"),  # three columns
+        ("bad.csv", "x,f\n0,1\n1,two\n"),  # a number that does not parse after the header
+        ("bad.csv", "x,f\n"),  # a header and no data
+        ("bad.csv", b"x,f\n0,1\n1,\xff\n"),  # not UTF-8
     ):
-        bad.write_text(text)
-        assert main(["--command", "check", "--input", str(bad), "--m", "1", "--p", "2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("input error:")
-    missing = tmp_path / "missing.json"
-    assert main(["--command", "check", "--input", str(missing), "--m", "1", "--p", "2", "--out", str(out)]) == 2
+        bad = tmp_path / name
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        rejected("--command", "check", "--input", str(bad), "--out", str(out))
+    for where in ("missing.json", "."):  # no such file, a directory
+        rejected("--command", "check", "--input", str(tmp_path / where), "--out", str(out))
+    rejected("--command", "check", "--out", str(out))  # no --input
+    # an output path in a directory that does not exist, for every command
+    inp = write_json_input(tmp_path / "in.json", [0, 1, 2.5], [1.0, -0.5, 2.0])
+    for command in ("check", "extend", "maximal", "compare"):
+        rejected("--command", command, "--input", inp, "--grid-h", "0.25", "--out", str(tmp_path / "no" / "r.json"))
 
 
 def test_p_inf_literal(tmp_path):
@@ -194,21 +215,33 @@ def test_check_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("p", ["1.5", "2", "3"])
-def test_finite_p_check_builds_one_subset_table(tmp_path, monkeypatch, p):
-    inp = write_json_input(tmp_path / "in.json", [0, 0.7, 2.1, 3.3, 6.0], [0.3, -1.2, 0.8, 0.1, 2.0])
-    args = ["--command", "check", "--input", inp, "--m", "2", "--p", p, "--grid-h", "0.25"]
-    with monkeypatch.context() as patch:  # each functional builds its own table, as the public calls do
-        patch.setattr(cli, "_variational_from_table", lambda s, m, p, table: functionals.variational_functional(s, m, p))
-        patch.setattr(cli, "wmf_functionals", lambda sets, m, p, spec, tables: sharp.wmf_functionals(sets, m, p, spec))
-        assert main(args + ["--out", str(tmp_path / "own.json")]) == 0
-    calls = []
-    for module in (functionals, sharp, cli):
-        table = module.subset_differences
-        monkeypatch.setattr(module, "subset_differences", lambda *a, table=table: calls.append(1) or table(*a))
-    assert main(args + ["--out", str(tmp_path / "shared.json")]) == 0
-    assert len(calls) == 1
-    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "own.json").read_bytes()
-    assert {"variational", "sharp_maximal"} <= set(json.loads((tmp_path / "shared.json").read_text())["functionals"])
+def test_finite_p_check_builds_one_subset_table(tmp_path, p):
+    points, values = [0, 0.7, 2.1, 3.3, 6.0], [0.3, -1.2, 0.8, 0.1, 2.0]
+    inp, out = write_json_input(tmp_path / "in.json", points, values), tmp_path / "shared.json"
+    functionals.subset_differences.cache_clear()
+    assert main(["--command", "check", "--input", inp, "--m", "2", "--p", p, "--grid-h", "0.25", "--out", str(out)]) == 0
+    assert functionals.subset_differences.cache_info().misses == 1  # the sharp profiles read the variational form's table
+    reported = json.loads(out.read_text())["functionals"]
+    s = SampledFunction(points, values)
+    own = {"variational": lambda: functionals.variational_functional(s, 2, float(p)),
+           "sharp_maximal": lambda: sharp.wmf_functional(s, 2, float(p), sharp.GridSpec(0.25))}
+    for name, functional in own.items():  # each on a table of its own
+        functionals.subset_differences.cache_clear()
+        assert reported[name]["value"] == functional().value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_maximal_builds_one_subset_table(tmp_path, capsys, m):
+    # every order's profile and the sharp-maximal functional read one order-m table
+    points, values = [0, 0.7, 2.1, 3.3, 6.0], [0.3, -1.2, 0.8, 0.1, 2.0]
+    inp = write_json_input(tmp_path / "in.json", points, values)
+    functionals.subset_differences.cache_clear()
+    args = ["--command", "maximal", "--input", inp, "--m", str(m), "--p", "1.5", "--grid-h", "0.25"]
+    assert main([*args, "--out", str(tmp_path / "prof.csv")]) == 0
+    assert functionals.subset_differences.cache_info().misses == 1
+    s = SampledFunction(points, values)
+    functionals.subset_differences.cache_clear()  # the functional on a table of its own
+    assert capsys.readouterr().out == f"wmf,{sharp.wmf_functional(s, m, 1.5, sharp.GridSpec(0.25)).value:.17g}\n"
 
 
 def test_bad_p_rejected(tmp_path):
@@ -312,13 +345,15 @@ def test_power_sum_overflow_is_typed(tmp_path, capsys, command, p, values):
         ("compare", ["--m", "10"]),  # the corpus draws m+1..10 points: unsupported, exit code 4
         ("compare", ["--seed", "-1"]),
         ("compare", ["--grid-h", "0"]),
+        ("compare", ["--p", "inf"]),  # compare reports finite-p ratios: unsupported, exit code 4
+        ("check", ["--m", "0"]),
     ],
 )
 def test_bad_numeric_flag_rejected(tmp_path, capsys, command, flags):
     inp = write_json_input(tmp_path / "in.json", [0, 1e-9, 10], [1.0, 2.0, 3.0])
     out = tmp_path / "out.json"
     args = ["--command", command, "--input", inp, "--m", "1", "--p", "1.5", *flags, "--out", str(out)]
-    code, prefix = (4, "unsupported:") if flags == ["--m", "10"] else (2, "input error:")
+    code, prefix = (4, "unsupported:") if flags in (["--m", "10"], ["--p", "inf"]) else (2, "input error:")
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1

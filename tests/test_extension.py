@@ -16,19 +16,27 @@ from sobtrace import (
     SampledFunction,
     SizeCapError,
     UnsupportedError,
+    anchored_min_energy_spline,
     build_gap_lattice,
     extend,
     extension,
+    homogeneous_sequence_functional,
     natural_spline_min_energy,
     necessity_bound_factor,
     pad_small_set,
+    sequence_functional,
+    small_set_functional,
+    sobolev_norm,
     splines,
     support_pad,
+    variational_functional,
     verify_necessities,
     verify_necessity,
+    wmf_functional,
     zero_extend,
 )
 from sobtrace.corpus import SPANS, random_sampled_function
+from sobtrace.sharp import profile_values
 from sobtrace.samples import MIN_GAP
 from conftest import make_samples
 
@@ -168,6 +176,42 @@ def test_config_validation():
     assert ExtensionConfig(m=85).m == 85
     with pytest.raises(UnsupportedError):
         ExtensionConfig(m=86)  # (2m-1)! = 171! overflows a float
+
+
+_FOUR = SampledFunction((0.0, 1.0, 2.5, 4.0), (1.0, -0.5, 2.0, 0.3))
+_ONE = SampledFunction((0.0,), (1.0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sequence_functional(_FOUR, 1.5, 2.0),
+        lambda: homogeneous_sequence_functional(_FOUR, 1.5, 2.0),
+        lambda: small_set_functional(_ONE, 1.5, 2.0),
+        lambda: pad_small_set(_ONE, 1.5),
+        lambda: variational_functional(_FOUR, 2.0, 2.0),
+        lambda: wmf_functional(_FOUR, 1.5, 2.0),
+        lambda: wmf_functional(_FOUR, 2.0, 2.0),
+        lambda: sobolev_norm(extend(_FOUR, ExtensionConfig(m=2)), 2.0, 2.0),
+        lambda: verify_necessity(_FOUR, extend(_FOUR, ExtensionConfig(m=2)), 1.5, 2.0),
+        lambda: natural_spline_min_energy(_FOUR, 2.0),
+        lambda: anchored_min_energy_spline(_FOUR.points, _FOUR.values, 1.5, -1.0, 5.0),
+        lambda: profile_values(_FOUR, 2, 1.0, np.array([0.5])),
+        lambda: ExtensionConfig(m=1.5),
+    ],
+    ids=["sequence", "homogeneous", "small_set", "pad", "variational", "wmf_1.5", "wmf_2.0", "sobolev_norm",
+         "necessity", "natural_spline", "anchored_spline", "profile_k", "config"],
+)
+def test_non_integer_order_is_refused(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_orders_are_accepted():
+    m = np.int64(2)
+    assert sequence_functional(_FOUR, m, 2.0) == sequence_functional(_FOUR, 2, 2.0)
+    assert wmf_functional(_FOUR, m, 2.0) == wmf_functional(_FOUR, 2, 2.0)
+    assert np.array_equal(extend(_FOUR, ExtensionConfig(m=m)).coefficients, extend(_FOUR, ExtensionConfig(m=2)).coefficients)
 
 
 def test_hermite_ignores_a_larger_window_pad():

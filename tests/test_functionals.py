@@ -26,7 +26,9 @@ from sobtrace import (
     wmf_functional,
 )
 from sobtrace.divdiff import divided_difference_rows
+from sobtrace.functionals import subset_differences
 from sobtrace.sharp import profile_values
+from sobtrace.splines import _perm_table
 from conftest import make_samples, polynomial_samples
 from oracles import (
     abs_pow,
@@ -257,6 +259,25 @@ def test_variational_size_cap(rng):
     # the 20-point limit of exhaustive enumeration is gone
     t = make_samples(rng, 25, span=40.0)
     assert variational_functional(t, 2, 2.0).value >= sequence_functional(t, 2, 2.0).value
+
+
+def test_subset_table_is_kept_shared_and_read_only():
+    s = SampledFunction((0.0, 0.7, 2.1, 3.3, 6.0), (0.3, -1.2, 0.8, 0.1, 2.0))
+    subset_differences.cache_clear()
+    variational_functional(s, 2, 1.5)
+    wmf_functional(s, 2, 1.5, GridSpec(0.25))  # reads the variational form's table
+    assert subset_differences.cache_info().misses == 1
+    table = subset_differences(s.points, s.values, 3)
+    for k in range(4):  # order k of a higher-order table is the order-k table
+        subset_differences.cache_clear()
+        own = subset_differences(s.points, s.values, k)[k]
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(table[k], own))
+    for a in itertools.chain.from_iterable(table):
+        if a is not None:
+            with pytest.raises(ValueError):
+                a[0] = 0
+    with pytest.raises(ValueError):
+        _perm_table(4)[1, 1] = 0.0
 
 
 @pytest.mark.parametrize("m,p", [(1, 2.0), (2, 2.0), (2, 1.5), (3, 3.0)])
@@ -511,6 +532,8 @@ def test_homogeneous_annihilates_low_degree(rng):
 def test_homogeneous_hand_instance():
     s = SampledFunction((0.0, 1.0, 3.0), (0.0, 1.0, 1.0))
     assert homogeneous_sequence_functional(s, 1, 2.0).value == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(HypothesisViolationError, match="m\\+1 = 4"):  # the top order needs m+1 points
+        homogeneous_sequence_functional(s, 3, 2.0)
 
 
 def test_homogeneous_polynomial_shift_invariance(rng):
@@ -593,6 +616,8 @@ def test_pad_rejects_full_sets(rng):
     s = make_samples(rng, 3)
     with pytest.raises(InvalidInputError):
         pad_small_set(s, 2)
+    with pytest.raises(InvalidInputError):
+        pad_small_set(SampledFunction((0.0,), (1.0,)), 0)
 
 
 def test_pad_shape(rng):

@@ -186,6 +186,10 @@ def test_validation_errors():
         PiecewisePolynomial([1.0, 0.0], [[1.0]])
     with pytest.raises(InvalidInputError):
         PiecewisePolynomial([0.0, 1.0], [[1.0], [2.0]])
+    with pytest.raises(InvalidInputError, match="finite"):
+        PiecewisePolynomial([0.0, np.inf], [[1.0]])
+    with pytest.raises(InvalidInputError, match="tol"):
+        square_piece().smoothness_order(tol=0.0)
 
 
 @pytest.mark.parametrize("tail", [np.inf, -np.inf, np.nan])

@@ -172,6 +172,17 @@ def test_grid_edges_cover_forced_nodes(rng):
                 assert np.min(np.abs(edges - v)) <= 1e-9
 
 
+def test_window_test_moves_a_search_down():
+    # the node lies one ulp below fl(e - 1), yet fl(node - e) = -1.0 keeps e within reach:
+    # the search at e - 1 starts past it and the exact test must move it back
+    e = 1.6432407212873557
+    node = 0.6432407212873555
+    assert node == np.nextafter(e - 1.0, 0.0) and node - e == -1.0
+    s = SampledFunction((e, e + 0.5, e + 3.0), (2.0, -1.0, 0.5))
+    for k in (0, 1):
+        assert profile_values(s, 1, k, np.array([node]))[0] == sharp_value(s, 1, k, node) == 2.0
+
+
 def test_sharp_rejects_bad_order(rng):
     s = make_samples(rng, 3)
     with pytest.raises(InvalidInputError):

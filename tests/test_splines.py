@@ -106,6 +106,8 @@ def test_sup_norm_with_tails():
 def test_lp_rejects_bad_p():
     with pytest.raises(InvalidInputError):
         lp_norm(linear_piece(), 0.5)
+    with pytest.raises(InvalidInputError):
+        sobolev_norm(linear_piece(), -1, 2.0)
     for tol in (math.nan, -1e-10):
         with pytest.raises(InvalidInputError):
             lp_norm(linear_piece(), 1.5, quad_tol=tol)
@@ -762,6 +764,12 @@ def test_anchored_coincident_edge_knot():
         anchored_min_energy_spline((-6.0, 0.0), (1.0, 1.0), 2, -6.0, 6.0)
     with pytest.raises(InvalidInputError, match="one length"):
         anchored_min_energy_spline((0.0, 1.0, 2.0), (1.0, 2.0), 2, -6.0, 6.0)
+    with pytest.raises(InvalidInputError, match="bracket"):
+        anchored_min_energy_spline((0.0, 1.0, 2.0), (1.0, 2.0, 3.0), 2, 0.5, 6.0)
+    with pytest.raises(InvalidInputError):
+        anchored_min_energy_spline((0.0, 1.0), (1.0, 2.0), 0, -6.0, 6.0)
+    with pytest.raises(InvalidInputError):
+        natural_spline_min_energy(SampledFunction((0.0, 1.0), (1.0, 2.0)), 0)
 
 
 def test_spline_solve_residual_is_checked(rng, monkeypatch):
@@ -778,6 +786,9 @@ def test_spline_solve_residual_is_checked(rng, monkeypatch):
         lub, piv, x, info = solve(kl, ku, ab, b)
         return lub, piv, x + 1e-6 * np.abs(x).max(), info
 
+    # values at the float limit: the solution overflows, refused before any residual
+    with pytest.raises(NumericalFailureError, match="singular or badly scaled"):
+        natural_spline_min_energy(SampledFunction((0, 1, 2, 3), (1e308, -1e308, 1e308, -1e308)), 2)
     monkeypatch.setattr(splines, "dgbsv", perturbed)
     with pytest.raises(NumericalFailureError, match="backward error"):
         natural_spline_min_energy(s, 2)
