@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _check_order
 from .piecewise import PiecewisePolynomial, shift_polynomial
 from .samples import SampledFunction
 
 
 def divided_difference_rows(points, values, max_order: int) -> list[np.ndarray]:
     """Triangular table rows, one float array per order: rows[k][i] holds the
-    order-k difference on the consecutive window x_i, ..., x_{i+k}.  No input
-    validation; an overflow gives a non-finite entry, as in scalar arithmetic."""
+    order-k difference on the consecutive window x_i, ..., x_{i+k}.  Only the
+    order is checked; an overflow gives a non-finite entry, as in scalar arithmetic."""
+    _check_order(max_order, 0, "max_order")
     x, rows = np.asarray(points, dtype=float), [np.asarray(values, dtype=float)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_order + 1):
@@ -60,3 +62,13 @@ def _expand_newton(newton, roots) -> np.ndarray:
         new[:, 0] += newton[:, k]
         coeffs = new
     return coeffs
+
+
+def _nearest_windows(points, m: int) -> np.ndarray:
+    """Start of the window of the m points nearest to each point (ties
+    broken toward smaller coordinates): of the m windows that hold a point,
+    the first whose next point is no nearer than its first, in one array pass."""
+    x, n = np.asarray(points, dtype=float), len(points)
+    lo = np.clip(np.arange(n)[:, None] + np.arange(1 - m, 1), 0, n - m)
+    nearer = np.abs(x[np.minimum(lo + m, n - 1)] - x[:, None]) < np.abs(x[lo] - x[:, None])
+    return lo[np.arange(n), np.argmax((lo + m == n) | ~nearer, axis=1)]

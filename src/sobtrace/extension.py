@@ -14,9 +14,10 @@ with a piecewise polynomial of degree at most 2m-1 joining C^{m-1}:
   unique two-point Hermite piece on each knot interval.  The pieces with a non-zero
   end jet are solved together against one fixed m x m matrix; the others
   are zero;
-* ``natural2`` solves one minimal-bending-energy system on the merged knots,
-  clamped to zero jets at the window edges, filled into LAPACK band storage
-  and factored once by the builder of ``natural_spline_min_energy``.
+* ``natural2`` solves one minimal-bending-energy problem on the merged knots,
+  clamped to zero jets at the window edges, with the builder of
+  ``natural_spline_min_energy``: one banded Gram solve for F^(m) in the
+  B-spline basis, and each piece recovered from its m nearest knots.
 
 Both backends cost O(n m) plus one solve, vanish identically outside the
 support window, reproduce the data exactly up to solver precision, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _expand_newton, divided_difference_rows
+from .divdiff import _expand_newton, _nearest_windows, divided_difference_rows
 from .errors import InvalidInputError, NumericalFailureError, SizeCapError, UnsupportedError, _check_order
 from .functionals import (
     pad_small_set,
@@ -51,6 +52,7 @@ EDGE_SPACING = 2.0
 
 def support_pad(m: int) -> float:
     """Default half-width added beyond the data: 3(m+2)."""
+    _check_order(m, 1)
     return 3.0 * (m + 2)
 
 
@@ -108,21 +110,25 @@ def build_gap_lattice(points, cfg: ExtensionConfig) -> GapLattice:
     plus lattice.  Non-finite points raise InvalidInputError, and a lattice
     of more than ``MAX_GRID_CELLS`` points raises SizeCapError.
     """
-    pts = np.asarray(points, dtype=float)
+    return GapLattice(tuple(_gap_lattice(np.asarray(points, dtype=float), cfg.window_pad).tolist()))
+
+
+def _gap_lattice(pts: np.ndarray, window_pad: float) -> np.ndarray:
+    """:func:`build_gap_lattice` as an array, in increasing order."""
     with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is inf
         width = pts[1:] - pts[:-1]
     if not (len(pts) and np.isfinite(pts).all() and (width > 0).all()):
         raise InvalidInputError("need at least one point; points must be finite and strictly increasing")
     # n_J - 1 points in each wide gap J, n_edge in each unbounded one: counted in floats first
     wide = width > LONG_GAP
-    n_j, n_edge = np.floor(width[wide] / 2.0), math.floor(cfg.window_pad / EDGE_SPACING)
+    n_j, n_edge = np.floor(width[wide] / 2.0), math.floor(window_pad / EDGE_SPACING)
     if (n_j - 1.0).sum() + 2.0 * n_edge > MAX_GRID_CELLS:
         raise SizeCapError(f"the gap lattice would hold more than {MAX_GRID_CELLS} points")
     counts = n_j.astype(int) - 1
     k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     edge = EDGE_SPACING * np.arange(1, n_edge + 1)
     inner = np.repeat(pts[:-1][wide], counts) + np.repeat(width[wide] / n_j, counts) * k
-    return GapLattice(tuple(np.concatenate([pts[0] - edge[::-1], inner, pts[-1] + edge]).tolist()))
+    return np.concatenate([pts[0] - edge[::-1], inner, pts[-1] + edge])
 
 
 def zero_extend(s: SampledFunction, lattice: GapLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -132,26 +138,20 @@ def zero_extend(s: SampledFunction, lattice: GapLattice) -> tuple[np.ndarray, np
     Far from the origin, rounding can bring a lattice point within
     ``MIN_GAP`` of a data point; such a merge raises InvalidInputError.
     """
-    knots = np.concatenate([s.points, lattice.lattice_points])
-    values = np.concatenate([s.values, np.zeros(len(lattice.lattice_points))])
+    return _zero_extend(np.asarray(s.points), np.asarray(s.values), np.asarray(lattice.lattice_points, dtype=float))
+
+
+def _zero_extend(points: np.ndarray, values: np.ndarray, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`zero_extend` on arrays."""
+    knots = np.concatenate([points, lattice])
     order = np.argsort(knots, kind="stable")
-    knots, values = knots[order], values[order]
-    if not np.all(np.diff(knots) >= MIN_GAP):
+    knots, values = knots[order], np.concatenate([values, np.zeros(len(lattice))])[order]
+    if not np.all(knots[1:] - knots[:-1] >= MIN_GAP):
         raise InvalidInputError(f"merged knots closer than {MIN_GAP:g}: data and lattice collide")
     return knots, values
 
 
 # ----------------------------------------------------------------- hermite
-
-
-def _nearest_windows(points, m: int) -> np.ndarray:
-    """Start of the window of the m points nearest to each point (ties
-    broken toward smaller coordinates): of the m windows that hold a point,
-    the first whose next point is no nearer than its first, in one array pass."""
-    x, n = np.asarray(points, dtype=float), len(points)
-    lo = np.clip(np.arange(n)[:, None] + np.arange(1 - m, 1), 0, n - m)
-    nearer = np.abs(x[np.minimum(lo + m, n - 1)] - x[:, None]) < np.abs(x[lo] - x[:, None])
-    return lo[np.arange(n), np.argmax((lo + m == n) | ~nearer, axis=1)]
 
 
 @np.errstate(all="ignore")  # an overflow surfaces as a non-finite coefficient
@@ -202,8 +202,8 @@ def extend(s: SampledFunction, cfg: ExtensionConfig) -> PiecewisePolynomial:
     """
     m = cfg.m
     work = pad_small_set(s, m) if len(s) <= m else s
-    lattice = build_gap_lattice(work.points, cfg)
-    knots, values = zero_extend(work, lattice)
+    points = np.asarray(work.points)
+    knots, values = _zero_extend(points, np.asarray(work.values), _gap_lattice(points, cfg.window_pad))
     if cfg.backend == "hermite":
         return _hermite_extend(work, knots, m)
     edges = (work.points[0] - cfg.window_pad, work.points[-1] + cfg.window_pad)
@@ -229,6 +229,7 @@ def necessity_bound_factor(m: int, p: float) -> float:
     2^p (2m+1) times the p-th power of the norm, over m+1 orders) gives
     N <= 2 ((m+1)(2m+1))^{1/p} * ||F||.  For p = inf the factor is 1.
     """
+    _check_order(m, 1)
     if p == math.inf:
         return 1.0
     return 2.0 * ((m + 1) * (2 * m + 1)) ** (1.0 / p)

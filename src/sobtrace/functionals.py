@@ -71,6 +71,7 @@ def _power_sum(weights, diffs, p: float) -> float:
 
 
 def effective_order(s: SampledFunction, m: int) -> int:
+    _check_order(m, 1)
     return min(m, len(s) - 1)
 
 
@@ -97,6 +98,7 @@ def variational_feasible(n_points: int, m: int) -> bool:
     """Whether the finite-p :func:`variational_functional` and the sharp profiles accept
     ``n_points`` points at order m: whether the divided differences they compute, one per
     index subset of 1..min(m+1, n_points) points, number at most :data:`VARIATIONAL_BUDGET`."""
+    _check_order(m, 1)
     counts = itertools.accumulate(math.comb(n_points, j) for j in range(1, min(m + 1, n_points) + 1))
     return all(count <= VARIATIONAL_BUDGET for count in counts)
 

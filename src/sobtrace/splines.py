@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dpbsv
 
-from .divdiff import lagrange_polynomial
+from .divdiff import _expand_newton, _nearest_windows, divided_difference_rows, lagrange_polynomial
 from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError, _check_order
 from .piecewise import (
     PiecewisePolynomial,
@@ -74,6 +74,9 @@ _NEAR_REAL = 0.1
 _MAX_DEPTH = 48
 #: Spline solves with a larger relative backward error raise.
 _MAX_BACKWARD_ERROR = 1e-10
+#: Spline pieces whose derivatives below order m jump by more than this, relative
+#: to their rounding scale in unit coordinates, raise.
+_MAX_JOIN_ERROR = 1e-9
 #: Highest order m whose factorials up to (2m-1)! = 169! fit in a float.
 MAX_ORDER = 85
 
@@ -325,7 +328,8 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
                                      "polynomial tails first or restrict to a compactly supported function")
         # the non-zero pieces, then the two tails, differentiated in t order by
         # order and scaled to s = t/h once (h = 1 for the tails)
-        keep = (F.coefficients != 0.0).any(axis=1).nonzero()[0]
+        # a row sum of |C| tests rows far faster than .any(axis=1) over a short last axis
+        keep = ((np.abs(F.coefficients) @ np.ones(F.coefficients.shape[1])) != 0.0).nonzero()[0]
         h = np.concatenate([np.diff(F.breakpoints)[keep], [1.0, 1.0]])
         rows = np.concatenate([F.coefficients[keep], [F.left_tail, F.right_tail]])
         width = int(rows.any(axis=0).nonzero()[0].max(initial=0)) + 1
@@ -337,7 +341,7 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
         if not np.isfinite(table).all():
             raise NumericalFailureError("the derivatives' scaled coefficients overflow")
         tails.append(table[:, -2:])
-        live = (table[:, :-2] != 0.0).any(axis=2)
+        live = (np.abs(table[:, :-2]) @ np.ones(width)) != 0.0
         C, h, bins = table[:, :-2][live], np.broadcast_to(h[:-2], live.shape)[live], i * (m + 1) + np.nonzero(live)[0]
         if chunks and chunks[-1][0] + len(C) <= _CHUNK and chunks[-1][1][0][0].shape[1] == width:
             chunks[-1][0] += len(C)
@@ -380,12 +384,18 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
 # --------------------------------------------------------------------------
 # minimal-energy interpolating splines
 #
-# Both splines below come from one builder, _spline_system: the unknowns are
-# the 2m monomial coefficients of each piece, and every row is a value, a
-# derivative or a join condition at a knot.  Taken knot by knot, the rows
-# couple only neighbouring pieces, so the matrix is banded (de Boor, A
-# Practical Guide to Splines): it is filled straight into LAPACK band storage
-# and factored once, at a cost linear in the number of knots.
+# Both splines below come from one builder, _min_energy_spline, in the
+# B-spline form of de Boor ("On 'best' interpolation", J. Approx. Theory 16,
+# 1976).  Let M_i be the order-m B-splines of unit integral on the knots, and
+# delta_i = D^m f[tau_i..tau_{i+m}]; by Peano, delta_i = (1/m!) int M_i F^(m).
+# The minimiser has F^(m) = sum lambda_j M_j with G lambda = m! delta, G the
+# Gram matrix of the M_i: symmetric positive definite, banded with m stored
+# diagonals, and of a scaled condition bounded by a constant of m alone
+# (Scherer & Shadrin, Constr. Approx. 15, 1999).  Its energy is lambda . m! delta.
+# The anchored spline is the same problem with each edge repeated m times,
+# its zero jets entering as Hermite divided differences.  Each piece is then
+# recovered on its own from F^(m) and the m knots nearest it, so no error runs
+# along the knots.
 
 
 @functools.cache
@@ -397,80 +407,155 @@ def _perm_table(width: int) -> np.ndarray:
     return table
 
 
-def _band_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """x with A x = b for A with kl sub- and ku super-diagonals in LAPACK band
-    storage: A[i, j] at ``ab[kl + ku + i - j, j]``, the first kl rows left
-    free for fill.  An exactly zero pivot, a non-finite x or a backward error
-    |Ax - b| / (|A| |x| + |b|) in the infinity norm above 1e-10 raises
-    NumericalFailureError."""
-    _, _, x, info = dgbsv(kl, ku, ab, b)
-    if info > 0 or not np.all(np.isfinite(x)):  # an exactly zero pivot, or overflow
+@functools.cache
+def _bspline_rules(m: int) -> tuple:
+    """The read-only tables of order m, pieces on the last axis: the m-node Gauss-Legendre
+    rule on [0, 1]; the B-splines of order min(m, 2) at its nodes; the matrix taking F^(m)
+    there, on a piece of width h, to F's coefficients m + k (rows k < m) and to the right-end
+    Taylor coefficients of the piece's share of an m-fold integral of F^(m) (rows m + k),
+    all over h^m in the unit coordinate; the sign at [b, u, a] of window piece u in an integral
+    from window knot a to knot b; the matrix moving the first rows to the right end of a
+    piece of width 1; and the pairs r <= c of B-splines on a piece."""
+    x, w = _gauss(m)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    k = np.arange(m)
+    fact = np.array([math.factorial(i) for i in k], dtype=float)
+    b, u, a = np.ogrid[:m, : m - 1, :m]
+    rules = (
+        nodes[:, None, None],
+        weights,
+        np.stack([1.0 - nodes, nodes], axis=1)[:, :, None] if m > 1 else np.ones((1, 1, 1)),
+        np.hstack([
+            np.linalg.inv(np.vander(nodes, increasing=True)).T / _perm_table(2 * m)[m, m:],
+            weights[:, None] * (1.0 - nodes[:, None]) ** (m - 1 - k) / fact[::-1] / fact,
+        ]).T,
+        ((a <= u) & (u < b)).astype(float) - ((b <= u) & (u < a)),
+        np.array([[math.comb(d, i) * math.perm(m + d, m) / math.perm(m + i, m) for d in k] for i in k], dtype=float),
+    )
+    for table in rules:
+        table.setflags(write=False)
+    return rules + (tuple(zip(*np.triu_indices(m))),)
+
+
+def _gram_solve(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> tuple[np.ndarray, float]:
+    """F^(m) of the minimal interpolant, as the rows of :func:`_bspline_rules`' matrix, and
+    its energy, under the caller's float error state.  A Gram matrix that is not numerically
+    positive definite, or a solution that is not finite or not within 1e-10 backward, raises."""
+    nodes, weights, B, to_piece, _, shift, pairs = _bspline_rules(m)
+    n, h = len(x) - 1, x[1:] - x[:-1]
+    # tau, the knots with each end repeated m times: piece p is [tau[p+m-1], tau[p+m]]
+    # and holds B-splines p..p+m-1 on knots tau[p..p+2m-1], which the de Boor-Cox
+    # recurrence evaluates at the Gauss nodes in the piece's unit coordinate
+    tau = np.concatenate([x[:1]] * (m - 1) + [x] + [x[-1:]] * (m - 1))
+    shifts = np.arange(2 * m)[:, None] + np.arange(n)  # [i, p]: knot or B-spline p + i
+    U = (tau[shifts] - x[:-1]) / h if m > 2 else None
+    for k in range(2, m):
+        lo, hi = U[m - k : m], U[m : m + k]
+        term = B / (hi - lo)
+        B = np.concatenate([(hi - nodes) * term, np.zeros((m, 1, n))], axis=1)
+        B[:, 1:] += (nodes - lo) * term
+    scale = m / (tau[m:] - tau[:-m])  # to unit integrals
+    S = scale[shifts[:m]]
+    local = np.einsum("a,arp,acp->rcp", weights, B, B) * (S[:, None] * S * h)
+    # G in LAPACK's upper band storage, G[i, j] at ab[m-1+i-j, j]
+    size = n + m - 1
+    ab = np.zeros((m, size))
+    for r, c in pairs:
+        ab[m - 1 + r - c, c : c + n] += local[r, c]
+    # Hermite divided differences of order m on tau: a window within one
+    # repeated end holds a zero jet (anchored) or a B-spline left out (natural)
+    delta = np.concatenate([y[:1]] * (m - 1) + [y] + [y[-1:]] * (m - 1))
+    for k in range(1, m + 1):
+        delta = (delta[1:] - delta[:-1]) / (tau[k:] - tau[:-k])
+        delta[: m - k], delta[size:] = 0.0, 0.0
+    live = slice(0, size) if anchored else slice(m - 1, n)
+    G, rhs = ab[:, live], math.factorial(m) * delta[live]
+    _, lam, info = dpbsv(G, rhs)
+    if info != 0 or not np.isfinite(lam).all():
         raise NumericalFailureError("spline system is singular or badly scaled")
-    # entries below the smallest normal float times the largest datum are rounding
-    # debris where x decays through runs of zero knots; subnormals slow all later steps
-    x[np.abs(x) < np.finfo(float).tiny * np.abs(b).max()] = 0.0
-    # A x and the row sums of |A|, one stored diagonal at a time: column j of
-    # band row kl + r holds A[j + r - ku, j]
-    size, ax, row_abs = len(b), np.zeros(len(b)), np.zeros(len(b))
-    for r, diag in enumerate(ab[kl:]):
-        lo, hi = max(ku - r, 0), min(size + ku - r, size)
-        row_abs[lo + r - ku : hi + r - ku] += np.abs(diag[lo:hi])
-        with np.errstate(over="ignore", invalid="ignore"):  # an A x past the float range raises below
-            ax[lo + r - ku : hi + r - ku] += diag[lo:hi] * x[lo:hi]
-    # |A| divides each term before |x| would multiply it, so nothing overflows
-    norm_a, residual = row_abs.max(), np.abs(ax - b).max()
-    backward = residual / norm_a / (np.abs(x).max() + np.abs(b).max() / norm_a) if residual else 0.0
+    # G times 1 (its row sums bound its norm, as its entries are all >= 0) and times lambda
+    V = np.array([np.ones(len(lam)), lam])
+    GV = G[m - 1] * V
+    for d in range(1, m):
+        GV[:, :-d] += G[m - 1 - d, d:] * V[:, d:]
+        GV[:, d:] += G[m - 1 - d, d:] * V[:, :-d]
+    norm_g, residual = GV[0].max(), np.abs(GV[1] - rhs).max()
+    backward = residual / norm_g / (np.abs(lam).max() + np.abs(rhs).max() / norm_g) if residual else 0.0
     if not backward <= _MAX_BACKWARD_ERROR:
-        raise NumericalFailureError(
-            f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}"
-        )
-    return x
+        raise NumericalFailureError(f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}")
+    full = np.zeros(size)
+    full[live] = lam
+    scale *= full
+    raw = to_piece @ (B * scale[shifts[:m]]).sum(axis=1)
+    if m > 1:  # F^(m) is C^(m-2): a piece narrower than a neighbour resolves it coarser, so it takes
+        # its low derivatives from a wider piece on its left and its top one from one on its right
+        left = np.flatnonzero(h[:-1] > h[1:])
+        raw[: m - 1, left + 1] = (shift @ raw[:m, left])[: m - 1] * (h[left + 1] / h[left]) ** np.arange(m - 1)[:, None]
+        right = np.flatnonzero(h[:-1] < h[1:])
+        top = raw[m - 2, right + 1] * (h[right] / h[right + 1]) ** (m - 2)
+        raw[m - 1, right] = (top - raw[m - 2, right]) / shift[m - 2, m - 1]
+    return raw * h**m, float(lam @ rhs)
 
 
-def _spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
-    """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant on
-    knots ``t``: degree 2m-1 pieces with C^{2m-2} joins.
-
-    The natural system interpolates y at every knot and makes the
-    derivatives of orders m..2m-2 vanish at both extreme knots; the anchored
-    one interpolates y at the interior knots and clamps zero m-jets at the
-    extreme knots.  The rows come in band order: m at the left end; 2m at
-    each interior knot j (the value at the right end of piece j-1,
-    coefficient 0 of piece j, the joins of derivatives 1..2m-2), which both
-    systems share; m at the right end.  The system is built on the knots
-    scaled to unit mean gap, with m+1 sub- and m-1 super-diagonals, and
-    solved by :func:`_band_solve`; the coefficients are scaled back to ``t``.
-    """
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value is refused below
+def _min_energy_spline(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> tuple[np.ndarray, float]:
+    """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant of y
+    on the knots x, and its energy.  The natural spline takes the B-splines of
+    the simple knots; the anchored one clamps zero m-jets at x[0] and x[-1],
+    where y is 0.  Besides :func:`_gram_solve`'s refusals, pieces whose derivatives below
+    order m do not join to 1e-9 of their scale in unit coordinates raise
+    NumericalFailureError.  Arrays hold the pieces on their last axis."""
     if m > MAX_ORDER:
         raise UnsupportedError(f"order m = {m} is above {MAX_ORDER}: (2m-1)! overflows a float")
-    n, w = len(t) - 1, 2 * m
-    g = float(t[-1] - t[0]) / n
-    h = np.diff((t - t[0]) / g)
-    perm = _perm_table(w)
-    kl, ku = m + 1, m - 1
-    ab, b = np.zeros((2 * kl + ku + 1, n * w)), np.zeros(n * w)
-    # derivative ell of each piece at its right end: perm(d, ell) h^(d-ell)
-    # on coefficient d >= ell, for every pair (ell, d) with ell < 2m-1
-    ell, d = np.nonzero(perm[:-1])
-    right_end = perm[ell, d] * (h[:, None] ** np.arange(w))[:, d - ell]
-    b[0], b[-m] = (0.0, 0.0) if anchored else (y[0], y[-1])
-    # the derivative order ell of each of the m boundary rows at either end
-    edge = np.arange(m) if anchored else np.r_[0, m : w - 1]
-    at_edge = np.full(w - 1, -1)
-    at_edge[edge] = np.arange(m)
-    # A[i, j] sits at ab[kl + ku + i - j, j].  The left end's rows hold
-    # coefficient ell of piece 0
-    ab[kl + ku + np.arange(m) - edge, edge] = perm[edge, edge] if anchored else 1.0
-    # rows m + (j-1) w + i of knot j meet piece j-1 on band rows that do not
-    # depend on j, and so do the right end's rows, taken as knot n
-    at_knot = np.where(ell == 0, 0, ell + 1)
-    ab[kl + ku + m + at_knot - d, np.arange(n - 1)[:, None] * w + d] = right_end[:-1]
-    on = at_edge[ell] >= 0
-    ab[kl + ku + m + at_edge[ell[on]] - d[on], (n - 1) * w + d[on]] = right_end[-1, on]
-    # ... and meet piece j on band row kl: coefficient 0, then minus the joins
-    ab[kl, w:].reshape(n - 1, w)[:, : w - 1] = np.r_[1.0, -perm.diagonal()[1 : w - 1]]
-    b[m : m + (n - 1) * w].reshape(n - 1, w)[:, :2] = (y if anchored else y[1:-1])[:, None]
-    return _band_solve(ab, b, kl, ku).reshape(n, w) / g ** np.arange(w)
+    # a power of two brings the values near 1 and the result back, exactly, so no step runs subnormal
+    e = int(np.frexp(np.abs(y).max())[1])
+    y = np.ldexp(y, -e)
+    raw, energy = _gram_solve(x, y, m, anchored)
+    n, h, signs = len(x) - 1, x[1:] - x[:-1], _bspline_rules(m)[4]
+    high, share, first = raw[:m], raw[m:], 0
+    if anchored:  # F vanishes beyond the edges: m-1 zero knots on either side widen the windows
+        pad, zeros = np.arange(1, m), np.zeros((m, m - 1))
+        x, first = np.concatenate([x[0] - pad[::-1] * h[0], x, x[-1] + pad * h[-1]]), m - 1
+        y, share = np.concatenate([zeros[0], y, zeros[0]]), np.concatenate([zeros, share, zeros], axis=1)
+    # piece j's window: the m knots nearest its left end, moved right to hold its
+    # right end (for m <= 2 the piece's own knots).  There F is R_j, the m-fold
+    # integral of F^(m) from x_j, plus the degree m-1 interpolant of f - R_j; in
+    # the unit coordinate of piece j, so both come out as F's unit coefficients
+    j = np.arange(first, first + n)
+    lo = np.minimum(np.maximum(_nearest_windows(x, m)[j], j + 2 - m), j) if m > 2 else j
+    window = lo + np.arange(m)[:, None]
+    xw = x[window]
+    X, R = (xw - x[j]) / h, 0.0
+    for u, end in enumerate(window[1:] - 1):  # R_j at each window knot: the signed shares of the pieces in between
+        z, part = (xw - x[end + 1]) / (x[end + 1] - x[end]), share[m - 1, end]
+        for k in range(m - 2, -1, -1):
+            part = part * z + share[k, end]
+        R = R + signs[:, u, j - lo] * part
+    if m > 2:  # the window in order of distance from x_j, which keeps the Newton form's cancellations small
+        at = np.argsort(np.abs(X), axis=0, kind="stable"), np.arange(n)
+        X, R, window = X[at], R[at], window[at]
+    rows = divided_difference_rows(X, y[window] - R, m - 1)
+    unit = np.concatenate([_expand_newton(np.array([row[0] for row in rows]).T, X[: m - 1].T).T, high])
+    # the joins: each piece's derivatives k < m at its right end against the next
+    # piece's at its left end (against zero past an anchored edge, where the first
+    # piece's left end also meets zero), in the piece's unit coordinate, against
+    # the rounding of both sides; a jump beyond it means F^(m) was not resolved
+    perm = _perm_table(2 * m)[:m]
+    right, scale, left = perm @ unit, perm @ np.abs(unit), unit[:m] * perm.diagonal()[:, None]
+    left[1:, 1:] *= np.multiply.accumulate((h[:-1] / h[1:])[None].repeat(m - 1, 0), axis=0)
+    if anchored:
+        right, left, scale = (np.concatenate(a, axis=1) for a in ((right, left[:, :1]), (left[:, 1:], np.zeros((m, 2))), (scale, scale[:, :1])))
+    else:
+        right, left, scale = right[:, :-1], left[:, 1:], scale[:, :-1]
+    jump, bound = np.abs(right - left), _MAX_JOIN_ERROR * (scale + np.abs(left)) + np.finfo(float).tiny
+    if not np.all(jump <= bound):  # also a coefficient that is not finite
+        worst = np.nanmax(jump / bound) if np.isfinite(unit).all() else math.inf
+        raise NumericalFailureError(f"spline pieces join to {worst * _MAX_JOIN_ERROR:.3e} in unit coordinates, not {_MAX_JOIN_ERROR:g}")
+    unit[1:] /= np.multiply.accumulate(h[None].repeat(2 * m - 1, 0), axis=0)
+    coef, energy = np.ldexp(unit.T, e), float(np.ldexp(energy, 2 * e))
+    if not (np.isfinite(coef).all() and math.isfinite(energy)):
+        raise NumericalFailureError("spline system is singular or badly scaled")
+    return coef, energy
 
 
 def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePolynomial, float]:
@@ -480,22 +565,17 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     polynomial tails of degree <= m-1 (the energy density vanishes outside the
     data).  With fewer than m+1 samples the minimum is 0, attained by the
     interpolating polynomial itself; that degenerate case is returned as such.
-    Otherwise the spline comes from one banded solve, which raises
-    NumericalFailureError on an exactly zero pivot or a backward error
-    above 1e-10.
+    Otherwise the spline and its energy come from one solve of the B-spline
+    Gram system, which raises NumericalFailureError on a matrix that is not
+    numerically positive definite or a backward error above 1e-10.
     """
     _check_order(m, 1)
     if len(s) <= m:
         return lagrange_polynomial(s), 0.0
     pts = np.asarray(s.points)
-    coef = _spline_system(pts, np.asarray(s.values), m, anchored=False)
+    coef, energy = _min_energy_spline(pts, np.asarray(s.values), m, anchored=False)
     right_tail = shift_polynomial(coef[-1], float(pts[-1] - pts[-2]))[:m]
-    F = PiecewisePolynomial(pts, coef, coef[0][:m], right_tail)
-    deriv = F
-    for _ in range(m):
-        deriv = deriv.differentiate()
-    energy = lp_norm(deriv, 2.0) ** 2
-    return F, energy
+    return PiecewisePolynomial(pts, coef, coef[0][:m], right_tail), energy
 
 
 def anchored_min_energy_spline(
@@ -503,12 +583,11 @@ def anchored_min_energy_spline(
 ) -> PiecewisePolynomial:
     """Minimal ∫|F^(m)|^2 interpolant clamped to zero jets at two edge knots.
 
-    The result vanishes identically outside [edge_left, edge_right]: the edge
-    knots carry m zero conditions each (value and derivatives up to m-1),
-    realized as interpolation rows rather than a constrained optimization, so
-    the single banded solve of :func:`natural_spline_min_energy`'s builder
-    produces the spline.  Interior joins are C^{2m-2}; the edge joins are
-    C^{m-1} against the zero tails.
+    The result vanishes identically outside [edge_left, edge_right]: each edge
+    is a knot of multiplicity m in the B-spline basis, carrying a zero jet
+    (value and derivatives up to m-1), so the Gram solve of
+    :func:`natural_spline_min_energy`'s builder produces the spline.  Interior
+    joins are C^{2m-2}; the edge joins are C^{m-1} against the zero tails.
 
     The knots come as arrays (or sequences) of coordinates and values.  A
     knot within 1e-9 relative of an edge must carry the value 0 and is
@@ -528,4 +607,5 @@ def anchored_min_energy_spline(
     if np.any(vals[on_edge] != 0.0):
         raise InvalidInputError("a knot on the window edge must carry the value 0")
     knots = np.concatenate([[edge_left], pts[~on_edge], [edge_right]])
-    return PiecewisePolynomial(knots, _spline_system(knots, vals[~on_edge], m, anchored=True))
+    coef, _ = _min_energy_spline(knots, np.concatenate([[0.0], vals[~on_edge], [0.0]]), m, anchored=True)
+    return PiecewisePolynomial(knots, coef)

@@ -29,21 +29,19 @@ import math
 
 import numpy as np
 from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, onenormest, splu, spsolve
 
-from sobtrace.divdiff import divided_difference_rows
+from sobtrace.divdiff import divided_difference_rows, lagrange_polynomial
 from sobtrace.errors import InvalidInputError, NumericalFailureError
 from sobtrace.extension import GapLattice
 from sobtrace.functionals import homogeneous_sequence_functional, sequence_functional
-from sobtrace.piecewise import PiecewisePolynomial, polynomial_eval_rows
+from sobtrace.piecewise import PiecewisePolynomial, polynomial_eval_rows, shift_polynomial
 from sobtrace.samples import SampledFunction
 from sobtrace.sharp import _check_args
 from sobtrace.splines import (
     NormReport,
-    _band_solve,
     _degrees,
     _NEAR_REAL,
-    _spline_system,
     _ZERO_TAYLOR,
     _gauss_jacobi,
     lp_norm,
@@ -377,16 +375,15 @@ def _knot_rows(A, b, row: int, j: int, h: float, powers, yj: float, w: int) -> i
     return row + w
 
 
-def natural_system(t: np.ndarray, y: np.ndarray, m: int):
-    """The system (A, b) of the minimal energy interpolant on knots ``t`` with
-    vanishing derivatives of orders m..2m-2 at both extreme knots; rows in
-    band order, unknowns the 2m coefficients of each piece."""
-    n = len(t) - 1
+def natural_system(h: np.ndarray, y: np.ndarray, m: int):
+    """The system (A, b) of the minimal energy interpolant on knots with gaps
+    ``h`` with vanishing derivatives of orders m..2m-2 at both extreme knots;
+    rows in band order, unknowns the 2m coefficients of each piece."""
+    n = len(h)
     w = 2 * m
     size = w * n
     A = lil_matrix((size, size))
     b = np.zeros(size)
-    h = np.diff(t)
     A[0, 0] = 1.0
     b[0] = y[0]
     row = 1
@@ -407,16 +404,15 @@ def natural_system(t: np.ndarray, y: np.ndarray, m: int):
     return A, b
 
 
-def anchored_system(t: np.ndarray, y: np.ndarray, m: int):
+def anchored_system(h: np.ndarray, y: np.ndarray, m: int):
     """The system (A, b) of the minimal energy interpolant of the interior
     knots of ``t``, clamped to zero m-jets at both extreme knots; rows in band
     order, unknowns the 2m coefficients of each piece."""
-    n = len(t) - 1  # pieces; interior knots carry the data
+    n = len(h)  # pieces; interior knots carry the data
     w = 2 * m
     size = w * n
     A = lil_matrix((size, size))
     b = np.zeros(size)
-    h = np.diff(t)
     for ell in range(m):  # zero jet at the left edge
         A[ell, ell] = _perm(ell, ell)
     row = m
@@ -430,11 +426,12 @@ def anchored_system(t: np.ndarray, y: np.ndarray, m: int):
 
 
 def spline_matrix(t: np.ndarray, y: np.ndarray, m: int, anchored: bool):
-    """The system (A, b) of ``splines._spline_system`` filled entry by entry,
-    on the knots scaled to unit mean gap g, and g."""
+    """The Taylor-form system (A, b) filled entry by entry, on the knots
+    scaled to unit mean gap g (each gap the difference of two knots, scaled),
+    and g."""
     g = float(t[-1] - t[0]) / (len(t) - 1)
-    scaled = (t - t[0]) / g
-    A, b = anchored_system(scaled, y, m) if anchored else natural_system(scaled, y, m)
+    h = np.diff(t) / g
+    A, b = anchored_system(h, y, m) if anchored else natural_system(h, y, m)
     return A, b, g
 
 
@@ -445,43 +442,48 @@ def backward_error(A, x: np.ndarray, b: np.ndarray) -> float:
     return residual / (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()) if residual else 0.0
 
 
-def _solve_sparse(A, b) -> np.ndarray:
-    sol = spsolve(A.tocsc(), b)
-    if not np.all(np.isfinite(sol)):
-        raise NumericalFailureError("spline system is singular or badly scaled")
-    return np.asarray(sol, dtype=float)
-
-
-def _solve_band(A, b, m: int) -> np.ndarray:
-    """The library's LAPACK band solve, with A moved entry by entry into band
-    storage with m+1 sub- and m-1 super-diagonals."""
-    kl, ku = m + 1, m - 1
-    A = A.tocoo()
-    assert np.all(A.row - A.col <= kl) and np.all(A.col - A.row <= ku)
-    ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
-    ab[kl + ku + A.row - A.col, A.col] = A.data
-    return _band_solve(ab, b, kl, ku)
+def condition(A) -> float:
+    """Estimate of the 1-norm condition of a sparse A, from one SuperLU
+    factorization (Hager-Higham); inf when the factorization fails."""
+    A = A.tocsc()
+    try:
+        lu = splu(A)
+    except RuntimeError:  # an exactly singular factor
+        return math.inf
+    n = A.shape[0]
+    inverse = LinearOperator((n, n), matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=float)
+    return float(onenormest(A) * onenormest(inverse))
 
 
 def spline_system(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
-    """Drop-in for ``splines._spline_system``: the entry-by-entry assembly
-    handed to the library's band solve, so results are bit-identical."""
+    """Coefficients (pieces x 2m) of the minimal energy interpolant in Taylor
+    form: 2m unknowns per piece, every row a value, a derivative or a join
+    condition at a knot, filled entry by entry and solved by SuperLU."""
     A, b, g = spline_matrix(t, y, m, anchored)
-    return _solve_band(A, b, m).reshape(-1, 2 * m) / g ** np.arange(2 * m)
+    sol = spsolve(A.tocsc(), b)
+    if not np.all(np.isfinite(sol)):
+        raise NumericalFailureError("spline system is singular or badly scaled")
+    return np.asarray(sol, dtype=float).reshape(-1, 2 * m) / g ** np.arange(2 * m)
 
 
-def spline_system_superlu(t: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> np.ndarray:
-    """Drop-in for ``splines._spline_system`` solved by SuperLU instead: an
-    independent solver, equal to the library's up to rounding."""
-    A, b, g = spline_matrix(t, y, m, anchored)
-    return _solve_sparse(A, b).reshape(-1, 2 * m) / g ** np.arange(2 * m)
+def natural_spline_min_energy(s: SampledFunction, m: int):
+    """``splines.natural_spline_min_energy`` on the Taylor-form system, its
+    energy by integrating the square of F^(m) piece by piece."""
+    if len(s) <= m:
+        return lagrange_polynomial(s), 0.0
+    pts = np.asarray(s.points)
+    coef = spline_system(pts, np.asarray(s.values), m, anchored=False)
+    right_tail = shift_polynomial(coef[-1], float(pts[-1] - pts[-2]))[:m]
+    F = PiecewisePolynomial(pts, coef, coef[0][:m], right_tail)
+    deriv = F
+    for _ in range(m):
+        deriv = deriv.differentiate()
+    return F, lp_norm(PiecewisePolynomial(deriv.breakpoints, list(deriv.coefficients)), 2.0) ** 2
 
 
-def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_right: float):
-    """``splines.anchored_min_energy_spline`` with its edge knots absorbed one
-    at a time, on the library's spline builder."""
-    if m < 1:
-        raise InvalidInputError("m must be a positive integer")
+def anchored_knots(points, values, edge_left: float, edge_right: float):
+    """The knots and interior values of ``splines.anchored_min_energy_spline``,
+    its edge knots absorbed one at a time."""
     pts = [float(x) for x in points]
     vals = [float(v) for v in values]
     slack_left = 1e-9 * (1.0 + abs(edge_left))
@@ -498,8 +500,61 @@ def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_ri
             continue
         interior.append((x, v))
     knots = np.array([edge_left] + [x for x, _ in interior] + [edge_right])
-    yvals = np.array([v for _, v in interior])
-    return PiecewisePolynomial(knots, _spline_system(knots, yvals, m, anchored=True))
+    return knots, np.array([v for _, v in interior])
+
+
+def anchored_min_energy_spline(points, values, m: int, edge_left: float, edge_right: float):
+    """``splines.anchored_min_energy_spline`` on the Taylor-form system."""
+    if m < 1:
+        raise InvalidInputError("m must be a positive integer")
+    knots, yvals = anchored_knots(points, values, edge_left, edge_right)
+    return PiecewisePolynomial(knots, spline_system(knots, yvals, m, anchored=True))
+
+
+def unit_join_error(F: PiecewisePolynomial, m: int) -> float:
+    """Largest jump of F^(k), k < m, at a breakpoint, in the unit coordinate of
+    the piece on its left (the first piece's at the first breakpoint), over
+    that piece's rounding scale sum_d perm(d, k) |c_d h^d| plus the size of
+    the other side; jumps below the smallest normal float count as none."""
+    C = F.coefficients
+    h = np.diff(F.breakpoints)
+    perm = np.array([[math.perm(d, k) for d in range(C.shape[1])] for k in range(m)], dtype=float)
+    fact = perm.diagonal()
+    unit = C * h[:, None] ** np.arange(C.shape[1])
+    tail = np.zeros(m)
+    tail[: min(m, len(F.right_tail))] = F.right_tail[:m]
+    left_tail = np.zeros(m)
+    left_tail[: min(m, len(F.left_tail))] = F.left_tail[:m]
+    worst = 0.0
+    for j in range(len(C)):
+        ends = unit[j] @ perm.T
+        nxt = (C[j + 1, :m] if j + 1 < len(C) else tail) * fact * h[j] ** np.arange(m)
+        sides = [(ends, nxt)] + ([(C[0, :m] * fact * h[0] ** np.arange(m), left_tail * fact * h[0] ** np.arange(m))] if j == 0 else [])
+        for a, b in sides:
+            jump = np.abs(a - b)
+            scale = np.abs(unit[j]) @ perm.T + np.abs(b)
+            big = jump > np.finfo(float).tiny
+            if big.any():
+                worst = max(worst, float((jump[big] / scale[big]).max()))
+    return worst
+
+
+def unit_interpolation_error(F: PiecewisePolynomial, points, values) -> float:
+    """Largest |P(x_i) - f_i| over the data points and the pieces P that end
+    or start at them, over the piece's rounding scale sum_d |c_d h^d|."""
+    C, bp = F.coefficients, F.breakpoints
+    h = np.diff(bp)
+    unit = C * h[:, None] ** np.arange(C.shape[1])
+    worst = 0.0
+    for x, v in zip(points, values):
+        k = int(np.searchsorted(bp, x))
+        assert bp[k] == x, "data points are breakpoints"
+        for j, s in ((k - 1, 1.0), (k, 0.0)):
+            if 0 <= j < len(C):
+                error = abs(np.polynomial.polynomial.polyval(s, unit[j]) - v)
+                if error > np.finfo(float).tiny:
+                    worst = max(worst, error / np.abs(unit[j]).sum())
+    return worst
 
 
 # -------------------------------------------------------------------- norms

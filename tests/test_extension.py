@@ -18,6 +18,8 @@ from sobtrace import (
     UnsupportedError,
     anchored_min_energy_spline,
     build_gap_lattice,
+    divided_difference_rows,
+    effective_order,
     extend,
     extension,
     homogeneous_sequence_functional,
@@ -29,13 +31,14 @@ from sobtrace import (
     sobolev_norm,
     splines,
     support_pad,
+    variational_feasible,
     variational_functional,
     verify_necessities,
     verify_necessity,
     wmf_functional,
     zero_extend,
 )
-from sobtrace.corpus import SPANS, random_sampled_function
+from sobtrace.corpus import SPANS, calibration_corpus, random_sampled_function
 from sobtrace.sharp import profile_values
 from sobtrace.samples import MIN_GAP
 from conftest import make_samples
@@ -198,9 +201,15 @@ _ONE = SampledFunction((0.0,), (1.0,))
         lambda: anchored_min_energy_spline(_FOUR.points, _FOUR.values, 1.5, -1.0, 5.0),
         lambda: profile_values(_FOUR, 2, 1.0, np.array([0.5])),
         lambda: ExtensionConfig(m=1.5),
+        lambda: variational_feasible(5, 1.5),
+        lambda: divided_difference_rows(_FOUR.points, _FOUR.values, 1.5),
+        lambda: effective_order(_FOUR, 1.5),
+        lambda: support_pad(1.5),
+        lambda: necessity_bound_factor(1.5, 2.0),
     ],
     ids=["sequence", "homogeneous", "small_set", "pad", "variational", "wmf_1.5", "wmf_2.0", "sobolev_norm",
-         "necessity", "natural_spline", "anchored_spline", "profile_k", "config"],
+         "necessity", "natural_spline", "anchored_spline", "profile_k", "config", "feasible", "divided_differences",
+         "effective_order", "support_pad", "bound_factor"],
 )
 def test_non_integer_order_is_refused(call):
     with pytest.raises(InvalidInputError, match="must be an integer"):
@@ -469,6 +478,33 @@ def _outcome(f, *args):
         return "NumericalFailureError"
 
 
+#: The Taylor-form oracle system's 1-norm condition below which the library's
+#: spline must match the oracle's, derivatives included.
+ORACLE_CONDITION = 1e8
+
+
+def _oracle_condition(t, y, m, anchored) -> float:
+    return oracles.condition(oracles.spline_matrix(np.asarray(t), np.asarray(y), m, anchored)[0])
+
+
+def _assert_matches_taylor_oracle(F, F_ref, t, y, m, anchored, data):
+    """Where the Taylor-form oracle system is well conditioned, F and its
+    derivatives up to m equal the oracle's to 1e-10 (1 + max |F_ref^(k)|);
+    elsewhere F, unless refused, interpolates ``data`` (points, values) and
+    joins C^{m-1}, to the library's rounding bound in unit coordinates."""
+    cond = math.inf if isinstance(F_ref, str) else _oracle_condition(t, y, m, anchored)
+    if cond < ORACLE_CONDITION:
+        assert not isinstance(F, str), f"refused at condition {cond:.3g}"
+        xs = np.concatenate([np.linspace(F_ref.breakpoints[0] - 1.0, F_ref.breakpoints[-1] + 1.0, 1500), F_ref.breakpoints])
+        for _ in range(m + 1):
+            want = F_ref(xs)
+            assert np.abs(F(xs) - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+            F, F_ref = F.differentiate(), F_ref.differentiate()
+    elif not isinstance(F, str):
+        assert oracles.unit_interpolation_error(F, *data) <= splines._MAX_JOIN_ERROR
+        assert oracles.unit_join_error(F, m) <= splines._MAX_JOIN_ERROR
+
+
 @settings(max_examples=60, deadline=None)
 @given(oracle_sets())
 def test_extensions_match_oracles(case):
@@ -485,26 +521,23 @@ def test_extensions_match_oracles(case):
     jets = [oracles.local_jet(work, t, m) for t in work.points]
     assert len(expanded) == 1 and np.array_equal(expanded[0] * [math.factorial(k) for k in range(m)], jets)
     with mock.patch.object(extension, "_hermite_extend", oracles.hermite_extend), mock.patch.object(
-        splines, "_spline_system", oracles.spline_system
+        extension, "anchored_min_energy_spline", oracles.anchored_min_energy_spline
     ):
-        ref = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(natural_spline_min_energy, s, m)]
+        ref = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(oracles.natural_spline_min_energy, s, m)]
     assert np.array_equal(got[0].breakpoints, ref[0].breakpoints)
     c, c_ref = got[0].coefficients, ref[0].coefficients
     assert np.abs(c - c_ref).max() <= 1e-13 * (1.0 + np.abs(c_ref).max())
-    if isinstance(ref[1], str) or isinstance(got[1], str):
-        assert got[1] == ref[1]
-    else:
-        assert np.array_equal(got[1].breakpoints, ref[1].breakpoints)
-        assert np.array_equal(got[1].coefficients, ref[1].coefficients)
-    if isinstance(ref[2], str) or isinstance(got[2], str):
-        assert got[2] == ref[2]
-    else:
+    # natural2 against the Taylor-form system on the merged knots, with the edges absorbed
+    knots, values = zero_extend(work, build_gap_lattice(work.points, natural2))
+    edges = (work.points[0] - natural2.window_pad, work.points[-1] + natural2.window_pad)
+    t, y = oracles.anchored_knots(knots, values, *edges)
+    _assert_matches_taylor_oracle(got[1], ref[1], t, y, m, True, (work.points, work.values))
+    if len(s) <= m:  # the interpolating polynomial
         (F, energy), (F_ref, energy_ref) = got[2], ref[2]
-        for a, b in zip(
-            (F.coefficients, F.left_tail, F.right_tail, energy),
-            (F_ref.coefficients, F_ref.left_tail, F_ref.right_tail, energy_ref),
-        ):
-            assert np.array_equal(a, b)
+        assert energy == energy_ref == 0.0 and np.array_equal(F.coefficients, F_ref.coefficients)
+    else:
+        F, F_ref = (r if isinstance(r, str) else r[0] for r in (got[2], ref[2]))
+        _assert_matches_taylor_oracle(F, F_ref, s.points, s.values, m, False, (s.points, s.values))
 
 
 @st.composite
@@ -534,33 +567,36 @@ def test_merged_knots_match_oracles(case):
     edges = (work.points[0] - cfg.window_pad, work.points[-1] + cfg.window_pad)
     if m % 2 == 0:  # the outermost lattice points lie on the edges and are absorbed
         assert (knots[0], knots[-1]) == edges
-    F = splines.anchored_min_energy_spline(knots, values, m, *edges)
-    F_ref = oracles.anchored_min_energy_spline(knots, values, m, *edges)
-    assert np.array_equal(F.breakpoints, F_ref.breakpoints)
-    assert np.array_equal(F.coefficients, F_ref.coefficients)
-    assert np.array_equal(extend(s, cfg).coefficients, F.coefficients)
+    F = _outcome(splines.anchored_min_energy_spline, knots, values, m, *edges)
+    F_ref = _outcome(oracles.anchored_min_energy_spline, knots, values, m, *edges)
+    t, y = oracles.anchored_knots(knots, values, *edges)
+    if not isinstance(F, str):
+        assert np.array_equal(F.breakpoints, t)
+        assert np.array_equal(extend(s, cfg).coefficients, F.coefficients)
+    _assert_matches_taylor_oracle(F, F_ref, t, y, m, True, (work.points, work.values))
 
 
 def _solved_systems(*calls) -> list:
-    """Run each (function, *args) call and return every spline system it
-    solved, as (t, y, m, anchored, coefficients)."""
+    """Run each (function, *args) call and return every spline it solved, as
+    (knots, values, m, anchored, coefficients)."""
     systems = []
-    solve = splines._spline_system
+    solve = splines._min_energy_spline
 
-    def record(t, y, m, anchored):
-        coef = solve(t, y, m, anchored)
-        systems.append((t, y, m, anchored, coef))
-        return coef
+    def record(x, y, m, anchored):
+        coef, energy = solve(x, y, m, anchored)
+        systems.append((x, y, m, anchored, coef))
+        return coef, energy
 
-    with mock.patch.object(splines, "_spline_system", record):
+    with mock.patch.object(splines, "_min_energy_spline", record):
         for f, *args in calls:
             _outcome(f, *args)
     return systems
 
 
 def _oracle_backward_error(t, y, m, anchored, coef) -> float:
-    """Backward error of the library's coefficients in the oracle's system."""
-    A, b, g = oracles.spline_matrix(t, y, m, anchored)
+    """Backward error of the library's coefficients in the Taylor-form oracle
+    system (whose anchored form takes the interior values only)."""
+    A, b, g = oracles.spline_matrix(t, y[1:-1] if anchored else y, m, anchored)
     return oracles.backward_error(A, (coef * g ** np.arange(2 * m)).ravel(), b)
 
 
@@ -576,14 +612,14 @@ def test_spline_solutions_solve_the_oracle_system(case):
 
 def test_band_solve_matches_superlu(rng):
     # corpus-style sets: F and its derivatives up to m agree with the
-    # SuperLU solution of the same system, and so do the energies
+    # SuperLU solution of the Taylor-form system, and so do the energies
     for i in range(60):
         m, span = 1 + i % 3, SPANS[(i // 3) % 3]
         s = make_samples(rng, int(rng.integers(1, 13)), span=span)
         natural2 = ExtensionConfig(m=m, backend="natural2")
         got = [extend(s, natural2), natural_spline_min_energy(s, m)]
-        with mock.patch.object(splines, "_spline_system", oracles.spline_system_superlu):
-            ref = [extend(s, natural2), natural_spline_min_energy(s, m)]
+        with mock.patch.object(extension, "anchored_min_energy_spline", oracles.anchored_min_energy_spline):
+            ref = [extend(s, natural2), oracles.natural_spline_min_energy(s, m)]
         for F, F_ref in ((got[0], ref[0]), (got[1][0], ref[1][0])):
             xs = np.linspace(F_ref.breakpoints[0] - 1.0, F_ref.breakpoints[-1] + 1.0, 2000)
             for _ in range(m + 1):
@@ -594,10 +630,42 @@ def test_band_solve_matches_superlu(rng):
         assert abs(energy - energy_ref) <= 1e-11 * energy_ref
 
 
+def test_clustered_natural2_joins_or_refuses():
+    # clusters with gaps from 4e-12 to 6 at m = 3 and 4: each natural2 result
+    # interpolates and joins C^{m-1} to rounding per piece in unit coordinates,
+    # or is a typed refusal
+    rng, gaps, solved = np.random.default_rng(0), (4e-12, 1e-9, 1e-6, 1.0, 6.0), 0
+    for i in range(300):
+        m, n = 3 + i % 2, int(rng.integers(2, 10))
+        pts = float(rng.uniform(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(rng.choice(gaps, n - 1))])
+        vals = rng.standard_normal(n)
+        try:
+            s = SampledFunction(tuple(pts), tuple(vals))
+        except InvalidInputError:  # two points rounded together
+            continue
+        F = _outcome(extend, s, ExtensionConfig(m=m, backend="natural2"))
+        if isinstance(F, str):
+            assert F == "NumericalFailureError"
+            continue
+        work = pad_small_set(s, m) if n <= m else s
+        assert oracles.unit_interpolation_error(F, work.points, work.values) <= splines._MAX_JOIN_ERROR
+        assert oracles.unit_join_error(F, m) <= splines._MAX_JOIN_ERROR
+        solved += 1
+    assert solved >= 100
+
+
+def test_natural_energies_match_the_oracle_on_the_corpus():
+    # the Gram energy lambda . m! delta against the integral of |F^(m)|^2 on the
+    # Taylor-form oracle's spline, on the calibration corpus
+    for inst in calibration_corpus():
+        energy, energy_ref = natural_spline_min_energy(inst.samples, inst.m)[1], oracles.natural_spline_min_energy(inst.samples, inst.m)[1]
+        assert abs(energy - energy_ref) <= 1e-12 * energy_ref
+
+
 def test_near_min_gap_cluster_is_solved():
     # gaps of 1e-9 and 4e-12 at m = 3: a sparse LU met an exactly zero pivot
-    # on this set and natural2 raised NumericalFailureError; the banded LU
-    # returns an interpolant that solves its system to rounding
+    # on this set's Taylor-form system; the Gram solve returns an interpolant
+    # that solves that system to rounding
     s = SampledFunction(
         (62.00000400001599, 62.00000400101599, 62.00000400101999, 62.00000400102399),
         (-7.979, 6.129, -8.853, 0.287),
@@ -607,6 +675,30 @@ def test_near_min_gap_cluster_is_solved():
     assert anchored and _oracle_backward_error(t, y, m, anchored, coef) <= 1e-12
     F = extend(s, cfg)
     assert np.array_equal(F(np.array(s.points)), np.array(s.values))
+
+
+@pytest.mark.parametrize("backend", ["hermite", "natural2"])
+def test_extension_commutes_with_translation(backend):
+    # extend(s + c)(x + c) = extend(s)(x) up to rounding: shifting a coordinate by c
+    # rounds it by half an ulp of |c| + |x|, the lattice arithmetic and the shifted
+    # evaluation point by about as much again, so every knot and evaluation point moves
+    # by delta, a few eps (|c| + |x|).  Moving a point moves F by delta |F'|, and moving
+    # a knot of a piece of width at most w moves its order-k jet, a divided difference
+    # over such widths, by about delta |F^(k)| w^(k-1); 16 allows for a few such roundings
+    rng, eps = np.random.default_rng(11), np.finfo(float).eps
+    for i in range(24):
+        m = 1 + i % 3
+        s = make_samples(rng, int(rng.integers(2, 11)), span=SPANS[(i // 3) % 3])
+        cfg = ExtensionConfig(m=m, backend=backend)
+        F = extend(s, cfg)
+        xs = np.linspace(F.breakpoints[0], F.breakpoints[-1], 997)
+        w, G, size = np.diff(F.breakpoints).max(), F, 0.0
+        for k in range(1, m + 1):
+            G = G.differentiate()
+            size += np.abs(G(xs)).max() * w ** (k - 1)
+        for c in (1e3, -1e6, 1e8, -1e8):
+            delta = eps * (abs(c) + np.abs(xs).max())
+            assert np.abs(extend(s.shifted(c), cfg)(xs + c) - F(xs)).max() <= 16.0 * delta * size
 
 
 @pytest.mark.parametrize("backend", ["hermite", "natural2"])
