@@ -8,6 +8,8 @@ a compactly supported function.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -49,6 +51,14 @@ def polynomial_eval_rows(coeffs, t) -> np.ndarray:
     return out
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a new float array; a value that is not a number raises InvalidInputError."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be numbers") from None
+
+
 def join(arrays, offsets=None) -> np.ndarray:
     """The arrays laid end to end, each plus its offset if ``offsets`` is given;
     a single array is returned as it is."""
@@ -69,8 +79,10 @@ class PiecewisePolynomial:
 
     def __init__(self, breakpoints, coefficients, left_tail=None, right_tail=None):
         """``coefficients`` is a sequence of rows of any lengths, or a 2-D
-        array with one row per piece; a non-finite number raises InvalidInputError."""
-        bp = np.array(breakpoints, dtype=float)  # copies: the stored arrays are made read-only
+        array with one row per piece; a number that is not finite, a value
+        that is not a number and a piece or tail that is not one flat row
+        raise InvalidInputError."""
+        bp = _floats(breakpoints, "breakpoints")  # copies: the stored arrays are made read-only
         if bp.ndim != 1 or len(bp) < 2:
             raise InvalidInputError("need at least two breakpoints")
         if not np.all(np.isfinite(bp)):
@@ -78,9 +90,13 @@ class PiecewisePolynomial:
         if not np.all(np.diff(bp) > 0):
             raise InvalidInputError("breakpoints must be strictly increasing")
         if isinstance(coefficients, np.ndarray) and coefficients.ndim == 2:
-            coef = np.array(coefficients, dtype=float)
+            coef = _floats(coefficients, "coefficients")
+        elif not isinstance(coefficients, Iterable):
+            raise InvalidInputError("coefficients must be a sequence of rows")
         else:
-            pieces = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
+            pieces = [np.atleast_1d(_floats(c, "coefficients")) for c in coefficients]
+            if any(c.ndim != 1 for c in pieces):
+                raise InvalidInputError("each piece must be one flat row of coefficients")
             piece_width = max((len(c) for c in pieces), default=1)
             coef = np.zeros((len(pieces), piece_width))
             for row, c in zip(coef, pieces):
@@ -89,8 +105,9 @@ class PiecewisePolynomial:
             raise InvalidInputError(
                 f"{len(bp)} breakpoints require {len(bp) - 1} pieces, got {len(coef)}"
             )
-        lt = np.array(left_tail, dtype=float, ndmin=1) if left_tail is not None else np.zeros(1)
-        rt = np.array(right_tail, dtype=float, ndmin=1) if right_tail is not None else np.zeros(1)
+        lt, rt = (np.zeros(1) if t is None else np.atleast_1d(_floats(t, "tail")) for t in (left_tail, right_tail))
+        if lt.ndim != 1 or rt.ndim != 1:
+            raise InvalidInputError("each tail must be one flat row of coefficients")
         width = max(coef.shape[1], len(lt), len(rt))
         if coef.shape[1] < width:
             coef = np.hstack([coef, np.zeros((len(coef), width - coef.shape[1]))])
@@ -160,8 +177,8 @@ class PiecewisePolynomial:
         supported constructions keep their extreme pieces compatible with the
         zero tails by construction.
         """
-        if tol <= 0:
-            raise InvalidInputError("tol must be positive")
+        if not tol > 0:
+            raise InvalidInputError(f"tol must be positive, got {tol!r}")
         # derivative r at a join is r! times coefficient r of the rows shifted there
         left, fact = shift_polynomial(self.coefficients[:-1], np.diff(self.breakpoints)[:-1]), 1.0
         for r in range(self.degree + 1):
@@ -183,4 +200,10 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewisePolynomial":
-        return cls(d["breakpoints"], d["pieces"], d["left_tail"], d["right_tail"])
+        """The inverse of :meth:`to_dict`; anything but a mapping with its four keys raises
+        InvalidInputError."""
+        try:
+            fields = d["breakpoints"], d["pieces"], d["left_tail"], d["right_tail"]
+        except (TypeError, KeyError) as exc:
+            raise InvalidInputError(f"need a mapping with breakpoints, pieces, left_tail and right_tail: {exc!r}") from None
+        return cls(*fields)

@@ -33,7 +33,13 @@ per F and order in their order, so a batch gives each F's report bit for bit:
   NumericalFailureError is raised when a step leaves more failing panels of
   one F than its first pass had subintervals, or past 48 steps; a value that
   is not finite never fails the test, and is left to the check below;
-* p = inf: the largest |q| over the piece ends and the real critical points.
+* p = inf: per F and order, the largest |q| over the piece ends, the constant
+  tails and the real critical points, found by branch and bound.  The
+  largest Bernstein coefficient modulus of a row, plus a rounding slack,
+  bounds every value the critical-point solve can give it; the ends, tails
+  and |q| at three interior probes set each bin's threshold, and only rows of
+  degree >= 2 whose bound reaches it are solved, then any left-out row whose
+  bound reaches the report so far, so the report is the every-row value.
 
 One finiteness rule holds at every p: overflow is ignored during the pass, and
 an F whose norms or their sum are not finite raises NumericalFailureError.
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +86,9 @@ _MAX_BACKWARD_ERROR = 1e-10
 _MAX_JOIN_ERROR = 1e-9
 #: Highest order m whose factorials up to (2m-1)! = 169! fit in a float.
 MAX_ORDER = 85
+#: Interior points (unit scale) where p = inf probes |q| to raise a bin's pruning threshold.
+_PROBES = np.array([0.25, 0.5, 0.75])
+_FLOAT = np.finfo(float)
 
 
 _gauss = functools.cache(leggauss)
@@ -271,11 +281,44 @@ def _fractional_integrals(C: np.ndarray, p: float, quad_tol: float, group: np.nd
         low, high = _jacobi_pair(C, p, row, a, b, left, right)
 
 
+@functools.cache
+def _bernstein_probes(width: int) -> np.ndarray:
+    """M with C @ M the Bernstein coefficients on [0, 1] of the monomial rows C of this width
+    (columns j < width, M[k, j] = comb(j, k) / comb(width - 1, k), correctly rounded, at most 1)
+    and their values at the probe points ``_PROBES`` (the columns after); read-only, as it is kept."""
+    n = width - 1
+    bernstein = [[math.comb(j, k) / math.comb(n, k) for j in range(width)] for k in range(width)]
+    M = np.hstack([bernstein, _PROBES[None, :] ** np.arange(width)[:, None]])
+    M.setflags(write=False)
+    return M
+
+
+def _unit_sup_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, probe) for each row of C: an upper bound on every value :func:`_unit_sup` can
+    compute for the row, and the largest |q| at the probe points, a value near its sup.
+
+    The largest Bernstein coefficient modulus bounds |q| on [0, 1] (Farouki & Rajan 1987).  The
+    slack covers the rounding of that product (M's entries are at most 1) and of the Horner values
+    of ``_unit_sup``, 3 w eps/2 times the row's |c| sum S for width w, with a term for underflow;
+    it is taken as 4 (w + 2) eps.  A row with S past half the float range, where Horner may
+    overflow, is bounded by inf."""
+    w = C.shape[1]
+    B, S = C @ _bernstein_probes(w), np.abs(C) @ np.ones(w)
+    upper = np.abs(B[:, :w]).max(axis=1) + 4.0 * (w + 2) * (_FLOAT.eps * S + _FLOAT.smallest_subnormal)
+    upper[~(S < _FLOAT.max / 2)] = math.inf
+    return upper, np.abs(B[:, w:]).max(axis=1)
+
+
+def _unit_ends(C: np.ndarray) -> np.ndarray:
+    """max(|q_i(0)|, |q_i(1)|) for each row i of C."""
+    return np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
+
+
 def _unit_sup(C: np.ndarray) -> np.ndarray:
     """max |q_i| over [0, 1] for each row i of C: the ends and the real
     critical points inside, those of a row whose derivative overflows sought
     on the row scaled by a power of two (exact, and no root moves)."""
-    best = np.maximum(np.abs(C[:, 0]), np.abs(polynomial_eval_rows(C, np.ones(len(C)))))
+    best = _unit_ends(C)
     D = polynomial_derivative(C)
     over = ~np.isfinite(D).all(axis=1)
     if over.any():
@@ -317,10 +360,10 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
     """:func:`sobolev_norm` of every F in ``Fs``, in one pass over all their tables
     (see the module docstring); every report and refusal is the single call's."""
     _check_order(m, 0)
-    if not p >= 1:
-        raise InvalidInputError(f"p must be in [1, inf], got {p}")
-    if not quad_tol >= 0:
-        raise InvalidInputError(f"quad_tol must be non-negative, got {quad_tol}")
+    if not (isinstance(p, numbers.Real) and p >= 1):
+        raise InvalidInputError(f"p must be a number in [1, inf], got {p!r}")
+    if not (isinstance(quad_tol, numbers.Real) and quad_tol >= 0):
+        raise InvalidInputError(f"quad_tol must be a non-negative number, got {quad_tol!r}")
     tails, chunks = [], []  # a chunk: [rows, [(C, h, F index * (m+1) + order) of each F]]
     for i, F in enumerate(Fs):
         if p != math.inf and not F.has_zero_tails():
@@ -351,13 +394,28 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
                        for lo in range(0, len(C), _CHUNK)]
     bins_total = len(Fs) * (m + 1)
     if p == math.inf:
-        norms = np.zeros(bins_total)
+        # branch and bound per bin: the constant tails and the piece ends, both part of the report,
+        # then the probes, which raise only the threshold; a row of degree >= 2 is solved while its
+        # upper bound reaches its bin's threshold, first of all these, then of the report so far,
+        # so a row left out cannot exceed the report
+        norms = np.array([np.abs(tail[:, :, 0]).max(axis=1) for tail in tails]).reshape(bins_total)
+        probes, curved_rows = np.zeros(bins_total), []
         for _, parts in chunks:
             C, _, bins = map(join, zip(*parts))
-            np.maximum.at(norms, bins, _unit_sup(C))
+            np.maximum.at(norms, bins, _unit_ends(C))
+            tops = np.abs(C[:, 2:])
+            curved = (tops @ np.ones(tops.shape[1])) != 0.0
+            C, bins = C[curved], bins[curved]
+            upper, probe = _unit_sup_bounds(C)
+            np.maximum.at(probes, bins, probe)
+            curved_rows.append((C, bins, upper))
+        for threshold in (np.maximum(probes, norms), norms):
+            for C, bins, upper in curved_rows:
+                now = upper >= threshold[bins]
+                if now.any():
+                    np.maximum.at(norms, bins[now], _unit_sup(C[now]))
+                    upper[now] = -math.inf  # solved
         norms = norms.reshape(-1, m + 1)
-        for i, tail in enumerate(tails):
-            norms[i] = np.maximum(norms[i], np.abs(tail[:, :, 0]).max(axis=1))
     else:
         q, totals = int(p), np.zeros(bins_total)
         for _, parts in chunks:

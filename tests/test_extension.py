@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -593,21 +593,30 @@ def _solved_systems(*calls) -> list:
     return systems
 
 
-def _oracle_backward_error(t, y, m, anchored, coef) -> float:
+def _oracle_backward_error(t, y, m, anchored, coef) -> tuple[float, float]:
     """Backward error of the library's coefficients in the Taylor-form oracle
-    system (whose anchored form takes the interior values only)."""
+    system (whose anchored form takes the interior values only), and its bound:
+    1e-12, plus, for a result below the normal range, the backward error that
+    rounding it to the subnormal grid (absolute, half of 2^-1074) can cause."""
     A, b, g = oracles.spline_matrix(t, y[1:-1] if anchored else y, m, anchored)
-    return oracles.backward_error(A, (coef * g ** np.arange(2 * m)).ravel(), b)
+    scale = np.broadcast_to(g ** np.arange(2 * m), coef.shape).ravel()
+    x = coef.ravel() * scale
+    bound, size = 1e-12, abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    if np.abs(coef).max() < np.finfo(float).tiny and size:  # a zero system has no error
+        bound += 0.5 * (np.finfo(float).smallest_subnormal / size) * (abs(A) @ scale).max()
+    return oracles.backward_error(A, x, b), bound
 
 
 @settings(max_examples=60, deadline=None)
 @given(oracle_sets())
+@example((SampledFunction((0.0, 0.5), (0.0, 2.2250738585e-313)), 2))  # a subnormal result
 def test_spline_solutions_solve_the_oracle_system(case):
     s, m = case
     for system in _solved_systems(
         (extend, s, ExtensionConfig(m=m, backend="natural2")), (natural_spline_min_energy, s, m)
     ):
-        assert _oracle_backward_error(*system) <= 1e-12
+        error, bound = _oracle_backward_error(*system)
+        assert error <= bound
 
 
 def test_band_solve_matches_superlu(rng):
@@ -672,7 +681,8 @@ def test_near_min_gap_cluster_is_solved():
     )
     cfg = ExtensionConfig(m=3, backend="natural2")
     [(t, y, m, anchored, coef)] = _solved_systems((extend, s, cfg))
-    assert anchored and _oracle_backward_error(t, y, m, anchored, coef) <= 1e-12
+    error, bound = _oracle_backward_error(t, y, m, anchored, coef)
+    assert anchored and error <= bound == 1e-12
     F = extend(s, cfg)
     assert np.array_equal(F(np.array(s.points)), np.array(s.values))
 

@@ -188,8 +188,19 @@ def test_validation_errors():
         PiecewisePolynomial([0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(InvalidInputError, match="finite"):
         PiecewisePolynomial([0.0, np.inf], [[1.0]])
-    with pytest.raises(InvalidInputError, match="tol"):
-        square_piece().smoothness_order(tol=0.0)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidInputError, match="tol"):
+            square_piece().smoothness_order(tol=tol)
+    # not a mapping, a missing key, a value that is not a number, no rows, a
+    # 3-D coefficient array and a 2-D tail
+    good = square_piece().to_dict()
+    for d in ([0.0, 1.0], {k: v for k, v in good.items() if k != "pieces"}, {**good, "pieces": [["x"]]}):
+        with pytest.raises(InvalidInputError):
+            PiecewisePolynomial.from_dict(d)
+    for args in (([0.0, 1.0], 5.0), ([0.0, 1.0], [[1.0, "b"]]), ([0.0, "a"], [[1.0]]), ([0.0, 1.0], np.zeros((1, 2, 2))),
+                 ([0.0, 1.0], [[[1.0, 2.0]]]), ([0.0, 1.0], [[1.0]], [[1.0, 2.0], [3.0, 4.0]])):
+        with pytest.raises(InvalidInputError):
+            PiecewisePolynomial(*args)
 
 
 @pytest.mark.parametrize("tail", [np.inf, -np.inf, np.nan])
