@@ -28,6 +28,7 @@ from .extension import (
     NecessityReport,
     build_gap_lattice,
     extend,
+    extensions,
     necessity_bound_factor,
     support_pad,
     verify_necessities,
@@ -82,6 +83,7 @@ __all__ = [
     "divided_difference_rows",
     "effective_order",
     "extend",
+    "extensions",
     "homogeneous_sequence_functional",
     "homogeneous_variational_functional",
     "lagrange_polynomial",

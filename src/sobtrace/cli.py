@@ -27,7 +27,7 @@ from .errors import (
     SizeCapError,
     UnsupportedError,
 )
-from .extension import ExtensionConfig, extend, verify_necessities
+from .extension import ExtensionConfig, extend, extensions, verify_necessities
 from .functionals import (
     effective_order,
     homogeneous_sequence_functional,
@@ -294,7 +294,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     configs = [ExtensionConfig(m=m, backend=backend, window_pad=args.window_pad) for backend in ("hermite", "natural2")]
     # one necessity pass over every (set, extension) pair and one sharp-maximal pass over the sets;
     # the necessity functional is the variational form, as the sets have m+1..10 points
-    necessity = verify_necessities(sets, [[extend(s, cfg) for cfg in configs] for s in sets], m, p, args.tol)
+    necessity = verify_necessities(sets, list(zip(*(extensions(sets, cfg) for cfg in configs))), m, p, args.tol)
     wmfs = wmf_functionals(sets, m, p, GridSpec(0.25 if args.grid_h is None else args.grid_h))
     rows, ratios = [], []
     for idx, (inst, tilde, wmf) in enumerate(zip(instances, tildes, wmfs)):

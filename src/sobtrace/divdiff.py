@@ -21,10 +21,15 @@ def divided_difference_rows(points, values, max_order: int) -> list[np.ndarray]:
     order-k difference on the consecutive window x_i, ..., x_{i+k}.  Only the
     order is checked; an overflow gives a non-finite entry, as in scalar arithmetic."""
     _check_order(max_order, 0, "max_order")
-    x, rows = np.asarray(points, dtype=float), [np.asarray(values, dtype=float)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_order + 1):
-            rows.append((rows[-1][1:] - rows[-1][:-1]) / (x[k:] - x[:-k]))
+        return _difference_rows(np.asarray(points, dtype=float), np.asarray(values, dtype=float), max_order)
+
+
+def _difference_rows(x: np.ndarray, values: np.ndarray, max_order: int) -> list[np.ndarray]:
+    """:func:`divided_difference_rows` of float arrays, under the caller's float error state."""
+    rows = [values]
+    for k in range(1, max_order + 1):
+        rows.append((rows[-1][1:] - rows[-1][:-1]) / (x[k:] - x[:-k]))
     return rows
 
 
@@ -64,11 +69,14 @@ def _expand_newton(newton, roots) -> np.ndarray:
     return coeffs
 
 
-def _nearest_windows(points, m: int) -> np.ndarray:
+def _nearest_windows(points, m: int, first=0, end=None) -> np.ndarray:
     """Start of the window of the m points nearest to each point (ties
     broken toward smaller coordinates): of the m windows that hold a point,
-    the first whose next point is no nearer than its first, in one array pass."""
+    the first whose next point is no nearer than its first, in one array pass.
+    Windows stay within points[first:end], by default all of them; per-point
+    bounds, as a column, keep each point's windows within its own set."""
     x, n = np.asarray(points, dtype=float), len(points)
-    lo = np.clip(np.arange(n)[:, None] + np.arange(1 - m, 1), 0, n - m)
-    nearer = np.abs(x[np.minimum(lo + m, n - 1)] - x[:, None]) < np.abs(x[lo] - x[:, None])
-    return lo[np.arange(n), np.argmax((lo + m == n) | ~nearer, axis=1)]
+    end = n if end is None else end
+    lo = np.clip(np.arange(n)[:, None] + np.arange(1 - m, 1), first, end - m)
+    nearer = np.abs(x[np.minimum(lo + m, end - 1)] - x[:, None]) < np.abs(x[lo] - x[:, None])
+    return lo[np.arange(n), np.argmax((lo + m == end) | ~nearer, axis=1)]

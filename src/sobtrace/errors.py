@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of an order."""
+"""Exception types shared across the package, and the one check of an order and of a real parameter."""
 
+import numbers
 import operator
 
 
@@ -52,3 +53,11 @@ def _check_order(value, least: int, name: str = "m") -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value}")
+
+
+def _check_real(value, least: float, name: str = "p", strict: bool = False) -> None:
+    """Raise InvalidInputError unless ``value`` is a real number, as ``numbers.Real`` takes it (numpy
+    floats too, no string or None), of at least ``least``, or above it when ``strict``; inf passes
+    and NaN fails.  Every exponent p and tolerance takes this one rule."""
+    if not (isinstance(value, numbers.Real) and (value > least if strict else value >= least)):
+        raise InvalidInputError(f"{name} must be a number {'above' if strict else 'of at least'} {least:g}, got {value!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .divdiff import divided_difference_rows
-from .errors import HypothesisViolationError, InvalidInputError, NumericalFailureError, SizeCapError, _check_order
+from .errors import HypothesisViolationError, InvalidInputError, NumericalFailureError, SizeCapError, _check_order, _check_real
 from .samples import SampledFunction
 
 #: Most divided differences a subset enumeration (finite-p variational_functional, sharp profiles)
@@ -48,8 +48,7 @@ class FunctionalReport:
 
 def _check_mp(m: int, p: float) -> None:
     _check_order(m, 1)
-    if p != math.inf and not p > 1:
-        raise InvalidInputError(f"p must lie in (1, inf], got {p}")
+    _check_real(p, 1, strict=True)
 
 
 def _power_sum(weights, diffs, p: float) -> float:

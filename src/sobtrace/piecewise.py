@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, _check_real
 
 
 def shift_polynomial(coeffs, t0) -> np.ndarray:
@@ -67,6 +67,12 @@ def join(arrays, offsets=None) -> np.ndarray:
     return np.concatenate(arrays if offsets is None else [a + o for a, o in zip(arrays, offsets)])
 
 
+def per_item(values: np.ndarray, counts) -> np.ndarray:
+    """Each value repeated ``counts`` times, laid end to end; a single value
+    is returned as it is, a length-1 array that broadcasts over its items."""
+    return values if len(values) == 1 else np.repeat(values, counts)
+
+
 class PiecewisePolynomial:
     """Breakpoints b_0 < ... < b_n with one polynomial piece per interval.
 
@@ -116,6 +122,12 @@ class PiecewisePolynomial:
         if not (np.isfinite(coef).all() and np.isfinite(tails).all()):
             raise InvalidInputError("non-finite piece or tail coefficients")
         self._freeze(bp, coef, *tails)
+
+    @classmethod
+    def _compact(cls, breakpoints: np.ndarray, coefficients: np.ndarray) -> "PiecewisePolynomial":
+        """F with zero tails from float arrays its builder has checked: finite,
+        strictly increasing breakpoints and finite coefficient rows."""
+        return cls.__new__(cls)._freeze(breakpoints, coefficients, *np.zeros((2, coefficients.shape[1])))
 
     def _freeze(self, breakpoints, coefficients, left_tail, right_tail) -> "PiecewisePolynomial":
         """Store arrays of one width, already checked, made read-only."""
@@ -177,8 +189,7 @@ class PiecewisePolynomial:
         supported constructions keep their extreme pieces compatible with the
         zero tails by construction.
         """
-        if not tol > 0:
-            raise InvalidInputError(f"tol must be positive, got {tol!r}")
+        _check_real(tol, 0, "tol", strict=True)
         # derivative r at a join is r! times coefficient r of the rows shifted there
         left, fact = shift_polynomial(self.coefficients[:-1], np.diff(self.breakpoints)[:-1]), 1.0
         for r in range(self.degree + 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeCapError, UnsupportedError, _check_order
+from .errors import InvalidInputError, SizeCapError, UnsupportedError, _check_order, _check_real
 from .functionals import VARIATIONAL_BUDGET, FunctionalReport, _power_sum, effective_order, require_feasible, subset_differences
 from .piecewise import join
 from .samples import SampledFunction
@@ -188,8 +188,7 @@ def wmf_functionals(sets, m: int, p: float, grid_spec: GridSpec | None = None) -
     every value is the exact maximum of the single call."""
     if p == math.inf:
         raise UnsupportedError("the sharp-maximal criterion is defined for finite p only")
-    if not p > 1:
-        raise InvalidInputError(f"p must lie in (1, inf), got {p}")
+    _check_real(p, 1, strict=True)
     values, group, rows = [], [], 0
     for i, s in enumerate(sets):
         edges = grid_edges(s, grid_spec)

@@ -49,15 +49,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dpbsv
 
-from .divdiff import _expand_newton, _nearest_windows, divided_difference_rows, lagrange_polynomial
-from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError, _check_order
+from .divdiff import _difference_rows, _expand_newton, _nearest_windows, lagrange_polynomial
+from .errors import InvalidInputError, NonintegrableError, NumericalFailureError, UnsupportedError, _check_order, _check_real
 from .piecewise import (
     PiecewisePolynomial,
     join,
@@ -355,38 +354,84 @@ def sobolev_norm(F: PiecewisePolynomial, m: int, p: float, quad_tol: float = 1e-
     return sobolev_norms([F], m, p, quad_tol)[0]
 
 
+def _scaled_tables(Fs, m: int, p: float):
+    """Each F's table: its non-zero pieces and then its two tails, differentiated in t order by
+    order and scaled to s = t/h once (h = 1 for the tails), trimmed to its widest non-zero column,
+    built together for all F's of one width.  Returns each F's tails (orders x 2 x width) and its
+    non-zero piece rows (C, h, F index * (m+1) + order), order by order, as a single F's table
+    gives them.  The first F that is refused raises: non-zero tails at finite p, then a scaled
+    coefficient that is not finite."""
+    width = max(F.coefficients.shape[1] for F in Fs)
+
+    def wide(a):  # a row or rows of this width
+        return a if a.shape[-1] == width else np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
+
+    if len(Fs) == 1:  # the arrays of F itself
+        (F,) = Fs
+        pieces, h, tails, fid = F.coefficients, F.breakpoints[1:] - F.breakpoints[:-1], np.array([[F.left_tail, F.right_tail]]), None
+        used = (pieces != 0.0).any(axis=0) | tails.any(axis=1)
+    else:  # the F's pieces laid end to end, each F's columns in use, and the F of each piece
+        counts = np.array([F.n_pieces for F in Fs])
+        pieces, ends = join([wide(F.coefficients) for F in Fs]), np.cumsum(counts)
+        tails = np.array([wide(t) for F in Fs for t in (F.left_tail, F.right_tail)]).reshape(len(Fs), 2, width)
+        bp = join([F.breakpoints for F in Fs])
+        h = np.delete(bp[1:] - bp[:-1], ends[:-1] + np.arange(len(Fs) - 1))
+        used = np.logical_or.reduceat(pieces != 0.0, ends - counts, axis=0) | tails.any(axis=1)
+        fid = np.repeat(np.arange(len(Fs)), counts)
+    refused = len(Fs) if p == math.inf else next((i for i, z in enumerate(tails.any(axis=(1, 2)).tolist()) if z), len(Fs))
+    widths = np.where(used.any(axis=1), width - np.argmax(used[:, ::-1], axis=1), 1)
+    # a row sum of |C| tests rows far faster than .any(axis=1) over a short last axis
+    keep = (np.abs(pieces) @ np.ones(width)) != 0.0
+    out_tails, parts, overflow = [None] * len(Fs), [None] * len(Fs), len(Fs)
+    for w in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == w)
+        sel = keep if len(group) == len(Fs) else keep & (widths[fid] == w)
+        ids = None if fid is None else fid[sel]
+        rows = np.count_nonzero(sel)
+        table = np.zeros((m + 1, rows + 2 * len(group), w))
+        table[0, :rows], table[0, rows:] = pieces[sel, :w], tails[group, :, :w].reshape(-1, w)
+        for k in range(m):
+            table[k + 1, :, : w - 1] = polynomial_derivative(table[k])[:, : w - 1]
+        hs = np.concatenate([h[sel], np.ones(2 * len(group))])
+        table *= hs[:, None] ** np.arange(w)
+        if not np.isfinite(table).all():
+            owner = np.concatenate([np.zeros(rows, int) if ids is None else ids, np.repeat(group, 2)])
+            overflow = min(overflow, int(owner[~np.isfinite(table).all(axis=(0, 2))].min()))
+        for j, i in enumerate(group.tolist()):
+            out_tails[i] = table[:, rows + 2 * j : rows + 2 * j + 2]
+        table, hs = table[:, :rows], hs[:rows]
+        live = (np.abs(table) @ np.ones(w)) != 0.0
+        if len(group) == 1:
+            parts[group[0]] = (table[live], np.broadcast_to(hs, live.shape)[live], group[0] * (m + 1) + np.nonzero(live)[0])
+            continue
+        order, row = np.nonzero(live)
+        by_f = np.argsort(ids[row], kind="stable")  # each F's rows together, order by order
+        order, row = order[by_f], row[by_f]
+        C, hs, ids = table[order, row], hs[row], ids[row]
+        cuts = np.searchsorted(ids, group).tolist() + [len(ids)]
+        for i, a, b in zip(group.tolist(), cuts, cuts[1:]):
+            parts[i] = (C[a:b], hs[a:b], i * (m + 1) + order[a:b])
+    if min(refused, overflow) < len(Fs):
+        if refused <= overflow:
+            raise NonintegrableError("finite-p norm requires identically zero tails; differentiate away "
+                                     "polynomial tails first or restrict to a compactly supported function")
+        raise NumericalFailureError("the derivatives' scaled coefficients overflow")
+    return out_tails, parts
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value surfaces in the one check below
 def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormReport]:
     """:func:`sobolev_norm` of every F in ``Fs``, in one pass over all their tables
     (see the module docstring); every report and refusal is the single call's."""
     _check_order(m, 0)
-    if not (isinstance(p, numbers.Real) and p >= 1):
-        raise InvalidInputError(f"p must be a number in [1, inf], got {p!r}")
-    if not (isinstance(quad_tol, numbers.Real) and quad_tol >= 0):
-        raise InvalidInputError(f"quad_tol must be a non-negative number, got {quad_tol!r}")
-    tails, chunks = [], []  # a chunk: [rows, [(C, h, F index * (m+1) + order) of each F]]
-    for i, F in enumerate(Fs):
-        if p != math.inf and not F.has_zero_tails():
-            raise NonintegrableError("finite-p norm requires identically zero tails; differentiate away "
-                                     "polynomial tails first or restrict to a compactly supported function")
-        # the non-zero pieces, then the two tails, differentiated in t order by
-        # order and scaled to s = t/h once (h = 1 for the tails)
-        # a row sum of |C| tests rows far faster than .any(axis=1) over a short last axis
-        keep = ((np.abs(F.coefficients) @ np.ones(F.coefficients.shape[1])) != 0.0).nonzero()[0]
-        h = np.concatenate([np.diff(F.breakpoints)[keep], [1.0, 1.0]])
-        rows = np.concatenate([F.coefficients[keep], [F.left_tail, F.right_tail]])
-        width = int(rows.any(axis=0).nonzero()[0].max(initial=0)) + 1
-        table = np.zeros((m + 1, len(h), width))
-        table[0] = rows[:, :width]
-        for k in range(m):
-            table[k + 1, :, : width - 1] = polynomial_derivative(table[k])[:, : width - 1]
-        table *= h[:, None] ** np.arange(width)
-        if not np.isfinite(table).all():
-            raise NumericalFailureError("the derivatives' scaled coefficients overflow")
-        tails.append(table[:, -2:])
-        live = (np.abs(table[:, :-2]) @ np.ones(width)) != 0.0
-        C, h, bins = table[:, :-2][live], np.broadcast_to(h[:-2], live.shape)[live], i * (m + 1) + np.nonzero(live)[0]
-        if chunks and chunks[-1][0] + len(C) <= _CHUNK and chunks[-1][1][0][0].shape[1] == width:
+    _check_real(p, 1)
+    _check_real(quad_tol, 0, "quad_tol")
+    if not Fs:
+        return []
+    tails, tables = _scaled_tables(Fs, m, p)
+    chunks = []  # a chunk: [rows, [(C, h, F index * (m+1) + order) of each F]]
+    for C, h, bins in tables:
+        if chunks and chunks[-1][0] + len(C) <= _CHUNK and chunks[-1][1][0][0].shape[1] == C.shape[1]:
             chunks[-1][0] += len(C)
             chunks[-1][1].append((C, h, bins))
         else:  # a chunk past _CHUNK rows takes no more
@@ -442,7 +487,7 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
 # --------------------------------------------------------------------------
 # minimal-energy interpolating splines
 #
-# Both splines below come from one builder, _min_energy_spline, in the
+# Both splines below come from one builder, _min_energy_splines, in the
 # B-spline form of de Boor ("On 'best' interpolation", J. Approx. Theory 16,
 # 1976).  Let M_i be the order-m B-splines of unit integral on the knots, and
 # delta_i = D^m f[tau_i..tau_{i+m}]; by Peano, delta_i = (1/m!) int M_i F^(m).
@@ -453,7 +498,9 @@ def sobolev_norms(Fs, m: int, p: float, quad_tol: float = 1e-10) -> list[NormRep
 # The anchored spline is the same problem with each edge repeated m times,
 # its zero jets entering as Hermite divided differences.  Each piece is then
 # recovered on its own from F^(m) and the m knots nearest it, so no error runs
-# along the knots.
+# along the knots.  The builder takes many knot sequences at once, laid end to
+# end as their tau: between two sets lie 2m - 1 pieces that belong to neither,
+# which every pass carries and none lets into a set's result.
 
 
 @functools.cache
@@ -495,18 +542,33 @@ def _bspline_rules(m: int) -> tuple:
     return rules + (tuple(zip(*np.triu_indices(m))),)
 
 
-def _gram_solve(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> tuple[np.ndarray, float]:
-    """F^(m) of the minimal interpolant, as the rows of :func:`_bspline_rules`' matrix, and
-    its energy, under the caller's float error state.  A Gram matrix that is not numerically
-    positive definite, or a solution that is not finite or not within 1e-10 backward, raises."""
+def _product(A: np.ndarray, X: np.ndarray, starts: np.ndarray, stops=None) -> np.ndarray:
+    """A @ X taken over each run of X's columns (its last axis) from ``starts`` to ``stops`` (by
+    default to the next start) alone, as a contiguous array like a single set's, since a BLAS
+    product can round a column differently beside other columns; a single run is all of X, and a
+    stack of matrices in X is a stack of products.  Columns outside the runs are NaN."""
+    if len(starts) == 1:
+        return A @ X
+    out = np.full(X.shape[:-2] + (A.shape[0], X.shape[-1]), np.nan)
+    for a, b in zip(starts, np.append(starts[1:], X.shape[-1]) if stops is None else stops):
+        out[..., a:b] = A @ np.ascontiguousarray(X[..., a:b])
+    return out
+
+
+def _gram_solve(tau, y, h, between, T, stop, m: int, anchored: bool) -> tuple[np.ndarray, np.ndarray]:
+    """F^(m) of each set's minimal interpolant, as the rows of :func:`_bspline_rules`' matrix, and
+    the energies (zero for the anchored one, which no caller reads), under the caller's float
+    error state: tau and y the sets' knot sequences and values laid end to end, each set's
+    B-splines and pieces starting at its T and its pieces ending before its stop, h the piece
+    widths, NaN on the pieces ``between`` sets.  A Gram matrix that is not numerically positive
+    definite, or a solution that is not finite or not within 1e-10 backward, raises; each set
+    is solved and judged alone."""
     nodes, weights, B, to_piece, _, shift, pairs = _bspline_rules(m)
-    n, h = len(x) - 1, x[1:] - x[:-1]
-    # tau, the knots with each end repeated m times: piece p is [tau[p+m-1], tau[p+m]]
-    # and holds B-splines p..p+m-1 on knots tau[p..p+2m-1], which the de Boor-Cox
-    # recurrence evaluates at the Gauss nodes in the piece's unit coordinate
-    tau = np.concatenate([x[:1]] * (m - 1) + [x] + [x[-1:]] * (m - 1))
+    n = len(h)
+    # piece p is [tau[p+m-1], tau[p+m]] and holds B-splines p..p+m-1 on knots tau[p..p+2m-1],
+    # which the de Boor-Cox recurrence evaluates at the Gauss nodes in the piece's unit coordinate
     shifts = np.arange(2 * m)[:, None] + np.arange(n)  # [i, p]: knot or B-spline p + i
-    U = (tau[shifts] - x[:-1]) / h if m > 2 else None
+    U = (tau[shifts] - tau[m - 1 : m - 1 + n]) / h if m > 2 else None
     for k in range(2, m):
         lo, hi = U[m - k : m], U[m : m + k]
         term = B / (hi - lo)
@@ -515,66 +577,110 @@ def _gram_solve(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> tuple[n
     scale = m / (tau[m:] - tau[:-m])  # to unit integrals
     S = scale[shifts[:m]]
     local = np.einsum("a,arp,acp->rcp", weights, B, B) * (S[:, None] * S * h)
+    local[:, :, between] = 0.0
     # G in LAPACK's upper band storage, G[i, j] at ab[m-1+i-j, j]
     size = n + m - 1
     ab = np.zeros((m, size))
     for r, c in pairs:
         ab[m - 1 + r - c, c : c + n] += local[r, c]
     # Hermite divided differences of order m on tau: a window within one
-    # repeated end holds a zero jet (anchored) or a B-spline left out (natural)
-    delta = np.concatenate([y[:1]] * (m - 1) + [y] + [y[-1:]] * (m - 1))
+    # repeated end (the first and last m - k of each set at order k) holds
+    # a zero jet (anchored) or a B-spline left out (natural)
+    delta, ends = y, None if len(T) == 1 else np.concatenate([T, stop + m - 1])[:, None] + np.arange(m)
     for k in range(1, m + 1):
         delta = (delta[1:] - delta[:-1]) / (tau[k:] - tau[:-k])
-        delta[: m - k], delta[size:] = 0.0, 0.0
-    live = slice(0, size) if anchored else slice(m - 1, n)
-    G, rhs = ab[:, live], math.factorial(m) * delta[live]
-    _, lam, info = dpbsv(G, rhs)
-    if info != 0 or not np.isfinite(lam).all():
+        if ends is None:
+            delta[: m - k], delta[size:] = 0.0, 0.0
+        else:
+            delta[ends[:, : m - k]] = 0.0
+    lo, hi = (T, stop + m - 1) if anchored else (T + m - 1, stop)
+    live = list(zip(lo.tolist(), hi.tolist()))
+    rhs, V = math.factorial(m) * delta, np.zeros((2, size))
+    for a, b in live:
+        _, V[1, a:b], info = dpbsv(ab[:, a:b], rhs[a:b])
+        V[0, a:b] = 1.0
+        if info != 0:
+            raise NumericalFailureError("spline system is singular or badly scaled")
+    if not np.isfinite(V[1]).all():
         raise NumericalFailureError("spline system is singular or badly scaled")
-    # G times 1 (its row sums bound its norm, as its entries are all >= 0) and times lambda
-    V = np.array([np.ones(len(lam)), lam])
-    GV = G[m - 1] * V
+    energy = np.zeros(len(T)) if anchored else np.array([V[1, a:b] @ rhs[a:b] for a, b in live])
+    # G times 1 (its row sums bound its norm, as its entries are all >= 0) and times lambda,
+    # zero off the solved columns, and each set's largest entries
+    GV = ab[m - 1] * V
     for d in range(1, m):
-        GV[:, :-d] += G[m - 1 - d, d:] * V[:, d:]
-        GV[:, d:] += G[m - 1 - d, d:] * V[:, :-d]
-    norm_g, residual = GV[0].max(), np.abs(GV[1] - rhs).max()
-    backward = residual / norm_g / (np.abs(lam).max() + np.abs(rhs).max() / norm_g) if residual else 0.0
-    if not backward <= _MAX_BACKWARD_ERROR:
-        raise NumericalFailureError(f"spline solve has backward error {backward:.3e}, not at most {_MAX_BACKWARD_ERROR:g}")
-    full = np.zeros(size)
-    full[live] = lam
-    scale *= full
-    raw = to_piece @ (B * scale[shifts[:m]]).sum(axis=1)
+        GV[:, :-d] += ab[m - 1 - d, d:] * V[:, d:]
+        GV[:, d:] += ab[m - 1 - d, d:] * V[:, :-d]
+    Q = np.abs(np.array([GV[0], GV[1] - rhs, V[1], rhs]))
+    if len(live) == 1:
+        norm_g, residual, lam_max, rhs_max = Q[:, slice(*live[0])].max(axis=1, keepdims=True)
+    else:  # each run of reduceat from a set's first solved column to its last, then to the next set's
+        bounds = np.ravel(live)
+        norm_g, residual, lam_max, rhs_max = np.maximum.reduceat(Q, bounds[: len(bounds) - (bounds[-1] == size)], axis=1)[:, ::2]
+    backward = residual / norm_g / (lam_max + rhs_max / norm_g)
+    if not ((backward <= _MAX_BACKWARD_ERROR) | (residual == 0.0)).all():
+        raise NumericalFailureError(f"spline solve has backward error {backward.max():.3e}, not at most {_MAX_BACKWARD_ERROR:g}")
+    scale *= V[1]
+    raw = _product(to_piece, (B * scale[shifts[:m]]).sum(axis=1), T, stop)
     if m > 1:  # F^(m) is C^(m-2): a piece narrower than a neighbour resolves it coarser, so it takes
         # its low derivatives from a wider piece on its left and its top one from one on its right
-        left = np.flatnonzero(h[:-1] > h[1:])
-        raw[: m - 1, left + 1] = (shift @ raw[:m, left])[: m - 1] * (h[left + 1] / h[left]) ** np.arange(m - 1)[:, None]
-        right = np.flatnonzero(h[:-1] < h[1:])
+        left = (h[:-1] > h[1:]).nonzero()[0]
+        moved = _product(shift, raw[:m, left], T if len(T) == 1 else np.searchsorted(left, T))[: m - 1]
+        raw[: m - 1, left + 1] = moved * (h[left + 1] / h[left]) ** np.arange(m - 1)[:, None]
+        right = (h[:-1] < h[1:]).nonzero()[0]
         top = raw[m - 2, right + 1] * (h[right] / h[right + 1]) ** (m - 2)
         raw[m - 1, right] = (top - raw[m - 2, right]) / shift[m - 2, m - 1]
-    return raw * h**m, float(lam @ rhs)
+    return raw * h**m, energy
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value is refused below
-def _min_energy_spline(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> tuple[np.ndarray, float]:
+def _min_energy_splines(x: np.ndarray, y: np.ndarray, sizes: np.ndarray, m: int, anchored: bool) -> list[tuple[np.ndarray, float]]:
     """Coefficients (pieces x 2m) of the minimal ∫|F^(m)|^2 interpolant of y
-    on the knots x, and its energy.  The natural spline takes the B-splines of
-    the simple knots; the anchored one clamps zero m-jets at x[0] and x[-1],
-    where y is 0.  Besides :func:`_gram_solve`'s refusals, pieces whose derivatives below
-    order m do not join to 1e-9 of their scale in unit coordinates raise
-    NumericalFailureError.  Arrays hold the pieces on their last axis."""
+    on the knots x, and its energy, for each set of ``sizes`` knots laid end to
+    end in x and y.  The natural spline takes the B-splines of the simple
+    knots; the anchored one clamps zero m-jets at each set's first and last
+    knot, where y is 0.  Besides :func:`_gram_solve`'s refusals, pieces whose
+    derivatives below order m do not join to 1e-9 of their scale in unit
+    coordinates raise NumericalFailureError.  Arrays hold the pieces on their
+    last axis; every set's result is its single call's."""
     if m > MAX_ORDER:
         raise UnsupportedError(f"order m = {m} is above {MAX_ORDER}: (2m-1)! overflows a float")
-    # a power of two brings the values near 1 and the result back, exactly, so no step runs subnormal
-    e = int(np.frexp(np.abs(y).max())[1])
-    y = np.ldexp(y, -e)
-    raw, energy = _gram_solve(x, y, m, anchored)
-    n, h, signs = len(x) - 1, x[1:] - x[:-1], _bspline_rules(m)[4]
+    # a power of two per set brings its values near 1 and the result back, exactly, so no step
+    # runs subnormal; tau, each set's knots with each end repeated m times, laid end to end: a
+    # set's pieces and B-splines start at its T, and the 2m - 1 pieces from one set to the next
+    # are no set's
+    if len(sizes) == 1:
+        e = np.frexp(np.abs(y).max())[1]
+        y = np.ldexp(y, -e)
+        tau, ytau = (np.concatenate([a[:1]] * (m - 1) + [a] + [a[-1:]] * (m - 1)) for a in (x, y))
+        T, stop, between, piece_e = np.zeros(1, int), sizes - 1, slice(0), e
+    else:
+        starts, blocks = sizes.cumsum() - sizes, sizes + (2 * m - 2)
+        e = np.frexp(np.maximum.reduceat(np.abs(y), starts))[1]
+        y = np.ldexp(y, -e.repeat(sizes))
+        reps = np.ones(len(x), int)
+        reps[starts], reps[starts + sizes - 1] = m, m
+        tau, ytau = x.repeat(reps), y.repeat(reps)
+        T = blocks.cumsum() - blocks
+        stop = T + sizes - 1
+        between, piece_e = (stop[:-1, None] + np.arange(2 * m - 1)).ravel(), e.repeat(blocks)[: stop[-1], None]
+    h = tau[m : len(tau) - m + 1] - tau[m - 1 : len(tau) - m]
+    h[between] = np.nan
+    raw, energy = _gram_solve(tau, ytau, h, between, T, stop, m, anchored)
+    n, signs = len(h), _bspline_rules(m)[4]
     high, share, first = raw[:m], raw[m:], 0
-    if anchored:  # F vanishes beyond the edges: m-1 zero knots on either side widen the windows
+    share[:, between] = 0.0
+    if anchored:  # F vanishes beyond the edges: m-1 zero knots on either side of each set widen the windows
         pad, zeros = np.arange(1, m), np.zeros((m, m - 1))
-        x, first = np.concatenate([x[0] - pad[::-1] * h[0], x, x[-1] + pad * h[-1]]), m - 1
-        y, share = np.concatenate([zeros[0], y, zeros[0]]), np.concatenate([zeros, share, zeros], axis=1)
+        if len(T) == 1:  # the repeated ends of tau, and each set's first and last piece
+            lead, trail, h_lead, h_trail = slice(m - 1), slice(n + m, None), h[0], h[-1]
+        else:
+            lead = T[:, None] + pad - 1
+            trail, h_lead, h_trail = (stop + m)[:, None] + pad - 1, h[T, None], h[stop - 1, None]
+        x, y = tau.copy(), ytau
+        x[lead] -= pad[::-1] * h_lead
+        x[trail] += pad * h_trail
+        y[lead] = y[trail] = 0.0
+        share, first = np.concatenate([zeros, share, zeros], axis=1), m - 1
     # piece j's window: the m knots nearest its left end, moved right to hold its
     # right end (for m <= 2 the piece's own knots).  There F is R_j, the m-fold
     # integral of F^(m) from x_j, plus the degree m-1 interpolant of f - R_j; in
@@ -592,28 +698,35 @@ def _min_energy_spline(x: np.ndarray, y: np.ndarray, m: int, anchored: bool) -> 
     if m > 2:  # the window in order of distance from x_j, which keeps the Newton form's cancellations small
         at = np.argsort(np.abs(X), axis=0, kind="stable"), np.arange(n)
         X, R, window = X[at], R[at], window[at]
-    rows = divided_difference_rows(X, y[window] - R, m - 1)
+    rows = _difference_rows(X, y[window] - R, m - 1)
     unit = np.concatenate([_expand_newton(np.array([row[0] for row in rows]).T, X[: m - 1].T).T, high])
     # the joins: each piece's derivatives k < m at its right end against the next
     # piece's at its left end (against zero past an anchored edge, where the first
     # piece's left end also meets zero), in the piece's unit coordinate, against
     # the rounding of both sides; a jump beyond it means F^(m) was not resolved
     perm = _perm_table(2 * m)[:m]
-    right, scale, left = perm @ unit, perm @ np.abs(unit), unit[:m] * perm.diagonal()[:, None]
+    right, scale = _product(perm, np.array([unit, np.abs(unit)]), T, stop)  # one product, each of a stack
+    left = unit[:m] * perm.diagonal()[:, None]
+    heads = T if len(T) > 1 else slice(1)  # each set's first piece
+    edge = left[:, heads]
     left[1:, 1:] *= np.multiply.accumulate((h[:-1] / h[1:])[None].repeat(m - 1, 0), axis=0)
+    left[:, between] = 0.0
     if anchored:
-        right, left, scale = (np.concatenate(a, axis=1) for a in ((right, left[:, :1]), (left[:, 1:], np.zeros((m, 2))), (scale, scale[:, :1])))
+        right, left, scale = (np.concatenate(a, axis=1) for a in ((right, edge), (left[:, 1:], np.zeros((m, 1 + len(T)))), (scale, scale[:, heads])))
     else:
         right, left, scale = right[:, :-1], left[:, 1:], scale[:, :-1]
-    jump, bound = np.abs(right - left), _MAX_JOIN_ERROR * (scale + np.abs(left)) + np.finfo(float).tiny
-    if not np.all(jump <= bound):  # also a coefficient that is not finite
+    jump, bound = np.abs(right - left), _MAX_JOIN_ERROR * (scale + np.abs(left)) + _FLOAT.tiny
+    joined = jump <= bound
+    joined[:, between] = True
+    if not joined.all():  # also a coefficient that is not finite
         worst = np.nanmax(jump / bound) if np.isfinite(unit).all() else math.inf
         raise NumericalFailureError(f"spline pieces join to {worst * _MAX_JOIN_ERROR:.3e} in unit coordinates, not {_MAX_JOIN_ERROR:g}")
     unit[1:] /= np.multiply.accumulate(h[None].repeat(2 * m - 1, 0), axis=0)
-    coef, energy = np.ldexp(unit.T, e), float(np.ldexp(energy, 2 * e))
-    if not (np.isfinite(coef).all() and math.isfinite(energy)):
+    unit[:, between] = 0.0
+    coef, energy = np.ldexp(unit.T, piece_e), np.ldexp(energy, 2 * e)
+    if not (np.isfinite(coef).all() and np.isfinite(energy).all()):
         raise NumericalFailureError("spline system is singular or badly scaled")
-    return coef, energy
+    return [(coef[a:b], en) for a, b, en in zip(T.tolist(), stop.tolist(), energy.tolist())]
 
 
 def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePolynomial, float]:
@@ -631,7 +744,7 @@ def natural_spline_min_energy(s: SampledFunction, m: int) -> tuple[PiecewisePoly
     if len(s) <= m:
         return lagrange_polynomial(s), 0.0
     pts = np.asarray(s.points)
-    coef, energy = _min_energy_spline(pts, np.asarray(s.values), m, anchored=False)
+    [(coef, energy)] = _min_energy_splines(pts, np.asarray(s.values), np.array([len(pts)]), m, anchored=False)
     right_tail = shift_polynomial(coef[-1], float(pts[-1] - pts[-2]))[:m]
     return PiecewisePolynomial(pts, coef, coef[0][:m], right_tail), energy
 
@@ -655,15 +768,39 @@ def anchored_min_energy_spline(
     pts, vals = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
     if pts.ndim != 1 or not 0 < len(pts) == len(vals):
         raise InvalidInputError("points and values must be two non-empty sequences of one length")
+    return _anchored_splines(pts, vals, np.array([len(pts)]), m, edge_left, edge_right)[0]
+
+
+def _anchored_splines(pts, vals, sizes, m: int, edge_left, edge_right) -> list[PiecewisePolynomial]:
+    """:func:`anchored_min_energy_spline` of each set of ``sizes`` knots laid end to end in pts
+    and vals, within its own edges (floats for one set, arrays for many), in one
+    :func:`_min_energy_splines` pass."""
     # relative slack: the outermost lattice point may land exactly on an edge,
     # and far from the origin an absolute slack falls below half an ulp
     slack_left = 1e-9 * (1.0 + abs(edge_left))
     slack_right = 1e-9 * (1.0 + abs(edge_right))
-    if not edge_left < pts[0] + slack_left or not edge_right > pts[-1] - slack_right:
+    if len(sizes) == 1:
+        first, last, per_knot = pts[0], pts[-1], (edge_left, slack_left, edge_right, slack_right)
+    else:
+        ends = sizes.cumsum()
+        first, last = pts[ends - sizes], pts[ends - 1]
+        per_knot = (a.repeat(sizes) for a in (edge_left, slack_left, edge_right, slack_right))
+    if not np.all((edge_left < first + slack_left) & (edge_right > last - slack_right)):
         raise InvalidInputError("edges must bracket the data")
-    on_edge = (np.abs(pts - edge_left) <= slack_left) | (np.abs(pts - edge_right) <= slack_right)
-    if np.any(vals[on_edge] != 0.0):
+    left, left_slack, right, right_slack = per_knot
+    on_edge = (np.abs(pts - left) <= left_slack) | (np.abs(pts - right) <= right_slack)
+    if (vals[on_edge] != 0.0).any():
         raise InvalidInputError("a knot on the window edge must carry the value 0")
-    knots = np.concatenate([[edge_left], pts[~on_edge], [edge_right]])
-    coef, _ = _min_energy_spline(knots, np.concatenate([[0.0], vals[~on_edge], [0.0]]), m, anchored=True)
-    return PiecewisePolynomial(knots, coef)
+    # each set's kept knots between its two edges, the edges valued 0
+    kept = ~on_edge
+    if len(sizes) == 1:
+        knots, values = np.concatenate([[edge_left], pts[kept], [edge_right]]), np.concatenate([[0.0], vals[kept], [0.0]])
+        sizes = ends = np.array([len(knots)])
+    else:
+        ends = kept.cumsum()[ends - 1] + 2 * np.arange(1, len(ends) + 1)
+        sizes = ends - np.concatenate([[0], ends[:-1]])
+        knots, values, inner = np.empty(ends[-1]), np.zeros(ends[-1]), np.ones(ends[-1], bool)
+        knots[ends - sizes], knots[ends - 1], inner[ends - sizes], inner[ends - 1] = edge_left, edge_right, False, False
+        knots[inner], values[inner] = pts[kept], vals[kept]
+    return [PiecewisePolynomial._compact(knots[b - n : b], coef)
+            for (coef, _), b, n in zip(_min_energy_splines(knots, values, sizes, m, anchored=True), ends.tolist(), sizes.tolist())]

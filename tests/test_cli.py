@@ -205,6 +205,23 @@ def test_compare_determinism_and_bounds(tmp_path, monkeypatch):
         assert row[i_nh] == "pass" and row[i_nn] == "pass"
 
 
+def test_compare_builds_extensions_once_per_backend(tmp_path, monkeypatch):
+    # one batched extensions call per backend over the whole corpus, no one-set call
+    # (counted as the norm calls are), and the CSV of an unpatched run
+    args = ["--command", "compare", "--m", "2", "--p", "1.5", "--seed", "7"]
+    calls, single = [], []
+    for module in (cli, extension):
+        batch, one = module.extensions, module.extend
+        monkeypatch.setattr(module, "extensions", lambda sets, cfg, batch=batch: calls.append((len(sets), cfg.backend)) or batch(sets, cfg))
+        monkeypatch.setattr(module, "extend", lambda *a, one=one: single.append(1) or one(*a))
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.undo()
+    assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    rows = [l for l in (tmp_path / "a.csv").read_text().splitlines()[1:] if not l.startswith(("min", "max"))]
+    assert calls == [(len(rows), "hermite"), (len(rows), "natural2")] and not single
+
+
 def test_check_determinism(tmp_path):
     inp = write_json_input(tmp_path / "in.json", [0, 0.7, 2.1, 6.0], [0.3, -1.2, 0.8, 2.0])
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -520,16 +520,15 @@ def test_extensions_match_oracles(case):
     # the jets, all expanded from one whole-set table, are the per-point loop's bit for bit
     jets = [oracles.local_jet(work, t, m) for t in work.points]
     assert len(expanded) == 1 and np.array_equal(expanded[0] * [math.factorial(k) for k in range(m)], jets)
-    with mock.patch.object(extension, "_hermite_extend", oracles.hermite_extend), mock.patch.object(
-        extension, "anchored_min_energy_spline", oracles.anchored_min_energy_spline
-    ):
-        ref = [extend(s, hermite), _outcome(extend, s, natural2), _outcome(oracles.natural_spline_min_energy, s, m)]
+    # the oracles on the merged knots, which both backends share
+    knots, values = zero_extend(work, build_gap_lattice(work.points, natural2))
+    edges = (work.points[0] - natural2.window_pad, work.points[-1] + natural2.window_pad)
+    ref = [oracles.hermite_extend(work, knots, m), _outcome(oracles.anchored_min_energy_spline, knots, values, m, *edges),
+           _outcome(oracles.natural_spline_min_energy, s, m)]
     assert np.array_equal(got[0].breakpoints, ref[0].breakpoints)
     c, c_ref = got[0].coefficients, ref[0].coefficients
     assert np.abs(c - c_ref).max() <= 1e-13 * (1.0 + np.abs(c_ref).max())
     # natural2 against the Taylor-form system on the merged knots, with the edges absorbed
-    knots, values = zero_extend(work, build_gap_lattice(work.points, natural2))
-    edges = (work.points[0] - natural2.window_pad, work.points[-1] + natural2.window_pad)
     t, y = oracles.anchored_knots(knots, values, *edges)
     _assert_matches_taylor_oracle(got[1], ref[1], t, y, m, True, (work.points, work.values))
     if len(s) <= m:  # the interpolating polynomial
@@ -580,14 +579,15 @@ def _solved_systems(*calls) -> list:
     """Run each (function, *args) call and return every spline it solved, as
     (knots, values, m, anchored, coefficients)."""
     systems = []
-    solve = splines._min_energy_spline
+    solve = splines._min_energy_splines
 
-    def record(x, y, m, anchored):
-        coef, energy = solve(x, y, m, anchored)
-        systems.append((x, y, m, anchored, coef))
-        return coef, energy
+    def record(x, y, sizes, m, anchored):
+        solved = solve(x, y, sizes, m, anchored)
+        ends = np.cumsum(sizes)
+        systems.extend((x[b - n : b], y[b - n : b], m, anchored, coef) for b, n, (coef, _) in zip(ends, sizes, solved))
+        return solved
 
-    with mock.patch.object(splines, "_min_energy_spline", record):
+    with mock.patch.object(splines, "_min_energy_splines", record):
         for f, *args in calls:
             _outcome(f, *args)
     return systems
@@ -627,8 +627,10 @@ def test_band_solve_matches_superlu(rng):
         s = make_samples(rng, int(rng.integers(1, 13)), span=span)
         natural2 = ExtensionConfig(m=m, backend="natural2")
         got = [extend(s, natural2), natural_spline_min_energy(s, m)]
-        with mock.patch.object(extension, "anchored_min_energy_spline", oracles.anchored_min_energy_spline):
-            ref = [extend(s, natural2), oracles.natural_spline_min_energy(s, m)]
+        work = pad_small_set(s, m) if len(s) <= m else s
+        knots, values = zero_extend(work, build_gap_lattice(work.points, natural2))
+        edges = (work.points[0] - natural2.window_pad, work.points[-1] + natural2.window_pad)
+        ref = [oracles.anchored_min_energy_spline(knots, values, m, *edges), oracles.natural_spline_min_energy(s, m)]
         for F, F_ref in ((got[0], ref[0]), (got[1][0], ref[1][0])):
             xs = np.linspace(F_ref.breakpoints[0] - 1.0, F_ref.breakpoints[-1] + 1.0, 2000)
             for _ in range(m + 1):
@@ -725,3 +727,67 @@ def test_extension_scales_linearly(backend, monkeypatch):
     # every hermite jet comes from one whole-set table
     assert len(calls) == (1 if backend == "hermite" else 0)
     assert F.n_pieces >= len(s)
+
+
+def _same(F, G) -> bool:
+    return all(np.array_equal(getattr(F, name), getattr(G, name))
+               for name in ("breakpoints", "coefficients", "left_tail", "right_tail"))
+
+
+@pytest.mark.parametrize("backend", ["hermite", "natural2"])
+def test_extensions_equal_single_calls(backend):
+    # the batch lays the sets end to end, so a window, piece or join that crossed
+    # from one set to the next, or a product rounded beside another set's
+    # columns, would show here: sets of 1-12 points (padded up to m+1), spans
+    # from 2 to 50 over one range of coordinates, so that neighbouring sets
+    # overlap, gaps that put lattice points between data, and a wider window
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3, 4):
+        sets = [make_samples(rng, int(rng.integers(1, 13)), span=float(rng.choice(SPANS))).shifted(float(rng.uniform(-20, 20)))
+                for _ in range(15)]
+        sets.insert(4, SampledFunction((0.0, 9.0, 30.0), (1.0, -2.0, 0.5)))
+        for pad in (None, support_pad(m) + 7.5):
+            cfg = ExtensionConfig(m=m, backend=backend, window_pad=pad)
+            batch = extension.extensions(sets, cfg)
+            assert len(batch) == len(sets)
+            assert all(_same(F, extend(s, cfg)) for F, s in zip(batch, sets))
+    assert extension.extensions([], ExtensionConfig(m=2, backend=backend)) == []
+
+
+def test_extensions_refuse_as_their_refused_set():
+    # one refused set among good ones raises its own single call's error: a
+    # natural2 cluster whose pieces do not join (a 4e-12 gap at m = 4), and a
+    # gap that would need 5e11 lattice points, before or after the good sets
+    rng = np.random.default_rng(3)
+    good = [make_samples(rng, int(rng.integers(2, 9)), span=10.0) for _ in range(4)]
+    cluster = SampledFunction((-32.77658789086793, -32.77658789086393), (0.39512206018200824, 0.42986369482223))
+    huge = SampledFunction((0.0, 1e12), (1.0, 2.0))
+    for bad, cfg, error in ((cluster, ExtensionConfig(m=4, backend="natural2"), NumericalFailureError),
+                            (huge, ExtensionConfig(m=2, backend="hermite"), SizeCapError),
+                            (huge, ExtensionConfig(m=2, backend="natural2"), SizeCapError)):
+        with pytest.raises(error) as single:
+            extend(bad, cfg)
+        assert all(isinstance(extend(s, cfg), PiecewisePolynomial) for s in good)
+        for at in (0, 2, len(good)):
+            with pytest.raises(error) as batch:
+                extension.extensions(good[:at] + [bad] + good[at:], cfg)
+            assert str(batch.value) == str(single.value)
+    # two refused sets: the first raises its own error, though the second's is found at an earlier stage
+    natural2 = ExtensionConfig(m=4, backend="natural2")
+    with pytest.raises(NumericalFailureError, match="join"):
+        extension.extensions([cluster, huge], natural2)
+    with pytest.raises(SizeCapError):
+        extension.extensions([huge, cluster], natural2)
+
+
+def test_verify_necessities_refuse_in_order():
+    # every residual is judged in one evaluation, but the sets are still refused
+    # in order: a functional that overflows in the first set comes before a pair
+    # of the second that does not interpolate, and the other way round
+    overflow = SampledFunction((0.0, 1.0, 2.0, 3.5), (10.0, -20.0, 5.0, 30.0))
+    other = SampledFunction((0.0, 0.7, 2.1), (0.3, -1.2, 0.8))
+    F, G = (extend(s, ExtensionConfig(m=1)) for s in (overflow, other))
+    with pytest.raises(NumericalFailureError):
+        verify_necessities([overflow, other], [[F], [G, F]], 1, 400.0)
+    with pytest.raises(InvalidInputError, match="does not interpolate"):
+        verify_necessities([other, overflow], [[G, F], [F]], 1, 400.0)

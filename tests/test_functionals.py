@@ -723,3 +723,39 @@ def test_translation_invariance(case):
         funcs.append(small_set_functional)
     for func in funcs:
         assert func(moved, m, p) == func(s, m, p)
+
+
+def test_one_rule_for_every_exponent_and_tolerance():
+    # p and the tolerances are real numbers within their range at every entry
+    # point, by one rule: a string, None or NaN is an input error, never a bare
+    # TypeError from a comparison
+    from sobtrace import ExtensionConfig, extend, lp_norm, necessity_bound_factor, sobolev_norm, verify_necessity
+
+    s, small = SampledFunction((0.0, 0.7, 2.1, 3.0), (0.3, -1.2, 0.8, 0.1)), SampledFunction((0.0,), (1.0,))
+    F = extend(s, ExtensionConfig(m=1))
+    for p in ("2", None, math.nan, 1.0, 0.5, [2.0]):
+        for call in (
+            lambda: sequence_functional(s, 1, p),
+            lambda: variational_functional(s, 1, p),
+            lambda: homogeneous_sequence_functional(s, 1, p),
+            lambda: homogeneous_variational_functional(s, 1, p),
+            lambda: small_set_functional(small, 1, p),
+            lambda: wmf_functional(s, 1, p, GridSpec(0.25)),
+            lambda: verify_necessity(s, F, 1, p),
+            lambda: necessity_bound_factor(1, p),
+        ):
+            with pytest.raises(InvalidInputError, match="p must be a number above 1"):
+                call()
+    for p in ("2", None, math.nan, 0.5):
+        with pytest.raises(InvalidInputError, match="p must be a number of at least 1"):
+            sobolev_norm(F, 1, p)
+    for tol in ("x", None, math.nan, -1e-10):
+        with pytest.raises(InvalidInputError, match="quad_tol must be a number of at least 0"):
+            lp_norm(F, 1.5, tol)
+    for tol in ("x", None, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="tol must be a number above 0"):
+            F.smoothness_order(tol=tol)
+    # numpy numbers, an integer p and an infinite p or tolerance pass
+    assert sequence_functional(s, 1, np.float64(2.0)) == sequence_functional(s, 1, 2)
+    assert verify_necessity(s, F, 1, math.inf).passed
+    assert F.smoothness_order(tol=math.inf) == F.degree

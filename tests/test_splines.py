@@ -475,6 +475,15 @@ def test_sobolev_norms_refuse_as_single_calls():
     wide = PiecewisePolynomial([0.0, 1.0], [[0.0, 1.7e308]])  # the sum of its sups overflows
     with pytest.raises(NumericalFailureError):
         sobolev_norms(Fs[:2] + [wide] + Fs[2:], 1, INF)
+    # F's of other widths are tabled apart, but refused in F order: non-zero tails at
+    # finite p before a later table that overflows (h^2 = 1e400), and the other way round
+    tails = PiecewisePolynomial([0.0, 1.0], [[1.0]], left_tail=[1.0])
+    scaled = PiecewisePolynomial([0.0, 1e200], [[0.0, 1e-200, 1e-200]])
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(NonintegrableError):
+            sobolev_norms(Fs[:1] + [tails] + Fs[1:] + [scaled], 1, p)
+        with pytest.raises(NumericalFailureError, match="scaled coefficients overflow"):
+            sobolev_norms(Fs[:1] + [scaled] + Fs[1:] + [tails], 1, p)
     # the growth guard of the fractional quadrature counts each F's panels: at
     # p = 1.1 and quad_tol = 1e-15 this quartic, with three complex pairs near
     # the axis, fails 5 graded panels after 3 first-pass subintervals; the two
